@@ -262,7 +262,10 @@ func benchSweepRequest(seed uint64) service.SweepRequest {
 // scheduler run, payload marshal and transport included.
 func BenchmarkServiceSubmit(b *testing.B) {
 	b.ReportAllocs()
-	srv := service.New(service.Config{Workers: 1, CacheEntries: 4, MaxJobs: 64})
+	srv, err := service.Open(service.Config{Workers: 1, CacheEntries: 4, MaxJobs: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()
@@ -293,7 +296,10 @@ func BenchmarkServiceSubmit(b *testing.B) {
 // workload.
 func BenchmarkServiceCacheHit(b *testing.B) {
 	b.ReportAllocs()
-	srv := service.New(service.Config{Workers: 1})
+	srv, err := service.Open(service.Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
 	ts := httptest.NewServer(srv)
 	defer func() {
 		ts.Close()

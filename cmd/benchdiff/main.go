@@ -45,6 +45,7 @@ import (
 // Benchmark mirrors cmd/benchjson's record shape.
 type Benchmark struct {
 	Name    string             `json:"name"`
+	Pkg     string             `json:"pkg,omitempty"`
 	Runs    int64              `json:"runs"`
 	Metrics map[string]float64 `json:"metrics"`
 	Raw     string             `json:"raw"`
@@ -54,7 +55,6 @@ type Benchmark struct {
 type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }

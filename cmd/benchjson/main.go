@@ -11,16 +11,18 @@
 // Output shape:
 //
 //	{
-//	  "goos": "linux", "goarch": "amd64", "pkg": "hbmvolt", "cpu": "...",
+//	  "goos": "linux", "goarch": "amd64", "cpu": "...",
 //	  "benchmarks": [
-//	    {"name": "BenchmarkReliabilitySweep/j=8", "runs": 1,
+//	    {"name": "BenchmarkReliabilitySweep/j=8", "pkg": "hbmvolt", "runs": 1,
 //	     "metrics": {"ns/op": 1.9e9, "points/sec": 20.6, "workers": 8},
 //	     "raw": "BenchmarkReliabilitySweep/j=8 ..."}
 //	  ]
 //	}
 //
-// Feeding the concatenated "raw" lines (plus the goos/goarch/pkg header)
-// back to benchstat reproduces its input format exactly.
+// Input may concatenate several packages' runs: each record carries the
+// package of the "pkg:" header in force when its line was read.
+// Feeding the "raw" lines back to benchstat under their goos/goarch/pkg
+// headers reproduces its input format exactly.
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 // Benchmark is one parsed result line.
 type Benchmark struct {
 	Name    string             `json:"name"`
+	Pkg     string             `json:"pkg,omitempty"`
 	Runs    int64              `json:"runs"`
 	Metrics map[string]float64 `json:"metrics"`
 	Raw     string             `json:"raw"`
@@ -44,7 +47,6 @@ type Benchmark struct {
 type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -65,6 +67,7 @@ func main() {
 
 func parse(sc *bufio.Scanner) (*Report, error) {
 	rep := &Report{Benchmarks: []Benchmark{}}
+	pkg := ""
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
@@ -73,12 +76,13 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			b, ok := parseLine(line)
 			if ok {
+				b.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
 		}

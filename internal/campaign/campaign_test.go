@@ -262,8 +262,7 @@ func TestCoalescing(t *testing.T) {
 			{Name: "c", Kind: "faultmap"},
 		},
 	}
-	mgr := service.NewManager(service.Config{Workers: 2, QueueDepth: 16})
-	defer mgr.Close()
+	mgr := openManager(t, service.Config{Workers: 2, QueueDepth: 16})
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +302,7 @@ func TestExecuteBackpressure(t *testing.T) {
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	mgr := service.NewManager(service.Config{Workers: 1, QueueDepth: 2})
-	defer mgr.Close()
+	mgr := openManager(t, service.Config{Workers: 1, QueueDepth: 2})
 	res, err := Execute(context.Background(), mgr, spec, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -336,8 +334,7 @@ func TestCancelStopsSubmittedCells(t *testing.T) {
 	if err := spec.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	mgr := service.NewManager(service.Config{Workers: 1, QueueDepth: 16})
-	defer mgr.Close()
+	mgr := openManager(t, service.Config{Workers: 1, QueueDepth: 16})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -394,8 +391,7 @@ func TestBuiltinPaperRepro(t *testing.T) {
 // TestHTTPCampaignAPI drives the daemon-facing routes end to end and
 // checks the HTTP path produces the same manifest as a direct run.
 func TestHTTPCampaignAPI(t *testing.T) {
-	mgr := service.NewManager(service.Config{Workers: 2, QueueDepth: 32})
-	defer mgr.Close()
+	mgr := openManager(t, service.Config{Workers: 2, QueueDepth: 32})
 	mux := http.NewServeMux()
 	NewAPI(mgr).Register(mux)
 	ts := httptest.NewServer(mux)
@@ -494,4 +490,15 @@ func TestHTTPCampaignAPI(t *testing.T) {
 	if r.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: status %d, want 404", r.StatusCode)
 	}
+}
+
+// openManager opens a service manager and closes it with the test.
+func openManager(t *testing.T, cfg service.Config) *service.Manager {
+	t.Helper()
+	mgr, err := service.OpenManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mgr.Close)
+	return mgr
 }

@@ -32,7 +32,7 @@ func fullModel(t testing.TB) *faults.Model {
 
 func TestRunReliabilityGuardbandClean(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
-	res, err := RunReliability(ReliabilityConfig{
+	res, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:     b,
 		Grid:      faults.VoltageGrid(1.20, 0.98),
 		BatchSize: 2,
@@ -54,7 +54,7 @@ func TestRunReliabilityMatchesAnalytic(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 64, Seed: 3})
 	const port = 18 // sensitive PC18
 	v := 0.89
-	res, err := RunReliability(ReliabilityConfig{
+	res, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:     b,
 		Ports:     []hbm.PortID{port},
 		Patterns:  []pattern.Pattern{pattern.AllOnes()},
@@ -81,7 +81,7 @@ func TestRunReliabilityMatchesAnalytic(t *testing.T) {
 func TestRunReliabilityBatchVariance(t *testing.T) {
 	// Metastable cells make batch runs differ; the summary must show it.
 	b := testBoard(t, board.Config{Scale: 64, Seed: 9})
-	res, err := RunReliability(ReliabilityConfig{
+	res, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:     b,
 		Ports:     []hbm.PortID{5},
 		Patterns:  []pattern.Pattern{pattern.AllOnes()},
@@ -105,7 +105,7 @@ func TestRunReliabilityBatchVariance(t *testing.T) {
 
 func TestRunReliabilityCrashRecovery(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
-	res, err := RunReliability(ReliabilityConfig{
+	res, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:        b,
 		Ports:        []hbm.PortID{0},
 		Grid:         []float64{0.82, 0.80, 0.82}, // dips below V_critical
@@ -134,11 +134,11 @@ func TestRunReliabilityCrashRecovery(t *testing.T) {
 }
 
 func TestRunReliabilityConfigValidation(t *testing.T) {
-	if _, err := RunReliability(ReliabilityConfig{}); err == nil {
+	if _, err := RunReliability(t.Context(), ReliabilityConfig{}); err == nil {
 		t.Fatal("nil board accepted")
 	}
 	b := testBoard(t, board.Config{Scale: 1024})
-	if _, err := RunReliability(ReliabilityConfig{
+	if _, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:        b,
 		WordsPerPort: b.Org.WordsPerPC + 1,
 	}); err == nil {
@@ -150,7 +150,7 @@ func TestRunReliabilityConfigValidation(t *testing.T) {
 
 func TestPowerSweepAnchors(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
-	res, err := RunPowerSweep(PowerSweepConfig{Board: b, Samples: 3})
+	res, err := RunPowerSweep(t.Context(), PowerSweepConfig{Board: b, Samples: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestPowerSweepAnchors(t *testing.T) {
 
 func TestPowerSweepSavingsIndependentOfBandwidth(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
-	res, err := RunPowerSweep(PowerSweepConfig{
+	res, err := RunPowerSweep(t.Context(), PowerSweepConfig{
 		Board:      b,
 		Grid:       []float64{1.10, 1.00, 0.90},
 		PortCounts: []int{0, 16, 32},
@@ -214,7 +214,7 @@ func TestPowerSweepSavingsIndependentOfBandwidth(t *testing.T) {
 
 func TestPowerSweepAlphaCLF(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
-	res, err := RunPowerSweep(PowerSweepConfig{
+	res, err := RunPowerSweep(t.Context(), PowerSweepConfig{
 		Board:      b,
 		Grid:       []float64{1.20, 1.00, 0.98, 0.85},
 		PortCounts: []int{32},
@@ -239,7 +239,7 @@ func TestPowerSweepAlphaCLF(t *testing.T) {
 
 func TestPowerSweepSkipsCrashRegion(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
-	res, err := RunPowerSweep(PowerSweepConfig{
+	res, err := RunPowerSweep(t.Context(), PowerSweepConfig{
 		Board:      b,
 		Grid:       []float64{0.82, 0.80},
 		PortCounts: []int{32},
@@ -634,7 +634,7 @@ func TestCapacityStudyValidation(t *testing.T) {
 func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
 	run := func(parallel bool) *ReliabilityResult {
 		b := testBoard(t, board.Config{Scale: 256, Seed: 4})
-		res, err := RunReliability(ReliabilityConfig{
+		res, err := RunReliability(t.Context(), ReliabilityConfig{
 			Board:     b,
 			Grid:      []float64{0.90},
 			BatchSize: 3,
@@ -668,7 +668,7 @@ func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
 func TestMeasuredUnsafeRegionShape(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 256, Seed: 2})
 	ports := []hbm.PortID{1, 5, 13, 18, 25} // robust, sensitive, good, sensitive, robust
-	res, err := RunReliability(ReliabilityConfig{
+	res, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:     b,
 		Ports:     ports,
 		Grid:      []float64{0.93, 0.90, 0.87},

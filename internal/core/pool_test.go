@@ -18,7 +18,7 @@ func TestRunPortsWorkerPool(t *testing.T) {
 
 	run := func(parallel bool) *ReliabilityResult {
 		b := testBoard(t, board.Config{Scale: 256, Seed: 8})
-		res, err := RunReliability(ReliabilityConfig{
+		res, err := RunReliability(t.Context(), ReliabilityConfig{
 			Board:     b,
 			Ports:     []hbm.PortID{1, 4, 5, 18, 19, 20, 31},
 			Grid:      []float64{0.93, 0.89},

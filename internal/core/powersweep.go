@@ -76,15 +76,10 @@ func (r *PowerSweepResult) SavingsAt(volts float64, ports int) (float64, error) 
 }
 
 // RunPowerSweep measures power at every (voltage, bandwidth) pair via
-// the board's INA226, reproducing Fig. 2 and Fig. 3.
-func RunPowerSweep(cfg PowerSweepConfig) (*PowerSweepResult, error) {
-	return RunPowerSweepCtx(context.Background(), cfg)
-}
-
-// RunPowerSweepCtx is RunPowerSweep with context cancellation: a
-// cancelled ctx stops the sweep between measurement points, restores
-// nominal conditions, and returns ctx.Err().
-func RunPowerSweepCtx(ctx context.Context, cfg PowerSweepConfig) (*PowerSweepResult, error) {
+// the board's INA226, reproducing Fig. 2 and Fig. 3. A cancelled ctx
+// stops the sweep between measurement points, restores nominal
+// conditions, and returns ctx.Err().
+func RunPowerSweep(ctx context.Context, cfg PowerSweepConfig) (*PowerSweepResult, error) {
 	if cfg.Board == nil {
 		return nil, errors.New("core: PowerSweepConfig.Board is nil")
 	}

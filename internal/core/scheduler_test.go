@@ -27,7 +27,7 @@ func shardGrid() []float64 {
 // affordable; port independence is covered by TestRunPortsWorkerPool.
 func runSweepWorkers(t *testing.T, bcfg board.Config, workers int, pats []pattern.Pattern) *ReliabilityResult {
 	t.Helper()
-	res, err := RunReliability(ReliabilityConfig{
+	res, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:     testBoard(t, bcfg),
 		Ports:     []hbm.PortID{0, 4, 5, 18, 19, 31},
 		Patterns:  pats,
@@ -96,7 +96,7 @@ func nearVNom(v float64) bool {
 // sequential path on error exits (the defer-restore contract).
 func TestShardedSweepRestoresNominal(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
-	_, err := RunReliability(ReliabilityConfig{
+	_, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:     b,
 		Ports:     []hbm.PortID{0, 1},
 		Grid:      shardGrid(),
@@ -126,7 +126,7 @@ func TestRunReliabilityCancelRestoresNominal(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first point
-	_, err := RunReliabilitySweep(ctx, ReliabilityConfig{
+	_, err := RunReliability(ctx, ReliabilityConfig{
 		Board:     b,
 		Ports:     []hbm.PortID{0},
 		Grid:      []float64{0.95, 0.94},
@@ -176,7 +176,7 @@ func TestSweepProgressCallback(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		seen := map[float64]int{}
 		last := 0
-		res, err := RunReliability(ReliabilityConfig{
+		res, err := RunReliability(t.Context(), ReliabilityConfig{
 			Board:     testBoard(t, board.Config{Scale: 1024}),
 			Ports:     []hbm.PortID{0, 18},
 			Grid:      grid,
@@ -214,7 +214,7 @@ func TestSweepProgressCallback(t *testing.T) {
 // no progress) must work and cap its fleet at the grid size.
 func TestSchedulerZeroValue(t *testing.T) {
 	var sch SweepScheduler
-	res, err := sch.RunReliability(context.Background(), ReliabilityConfig{
+	res, err := sch.RunReliability(t.Context(), ReliabilityConfig{
 		Board:     testBoard(t, board.Config{Scale: 1024}),
 		Ports:     []hbm.PortID{18},
 		Grid:      []float64{0.90, 0.89}, // fleet capped at 2

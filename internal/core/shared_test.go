@@ -35,7 +35,7 @@ func TestSharedSweepBitIdenticalAcrossWorkers(t *testing.T) {
 		b := board.MustNew(board.Config{Scale: 1024, SparseFaults: true})
 		cfg := sharedCfg(b, workers)
 		cfg.Grid = grid
-		res, err := RunReliability(cfg)
+		res, err := RunReliability(t.Context(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestSharedExactMatchesLegacy(t *testing.T) {
 		b := board.MustNew(board.Config{Scale: 1024})
 		cfg := sharedCfg(b, 1)
 		cfg.SharedEnumeration = shared
-		res, err := RunReliability(cfg)
+		res, err := RunReliability(t.Context(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestSharedSparseStatisticalEquivalence(t *testing.T) {
 			BatchSize:         2,
 			SharedEnumeration: shared,
 		}
-		res, err := RunReliability(cfg)
+		res, err := RunReliability(t.Context(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestSharedSparseStatisticalEquivalence(t *testing.T) {
 // closed-form ones density is refused at config time, not mid-sweep.
 func TestSharedRejectsUnknownDensity(t *testing.T) {
 	b := board.MustNew(board.Config{Scale: 1024, SparseFaults: true})
-	_, err := RunReliability(ReliabilityConfig{
+	_, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:             b,
 		Ports:             []hbm.PortID{18},
 		Patterns:          []pattern.Pattern{opaquePattern{}},

@@ -159,15 +159,9 @@ func (r *ReliabilityResult) Point(v float64) *VoltagePoint {
 // the paper's procedure requires. With cfg.Workers > 1 the grid is
 // sharded across a board fleet (see SweepScheduler); results are
 // bit-identical either way. Every exit — success, mid-sweep error, or
-// cancellation — leaves the board back at nominal voltage.
-func RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	return RunReliabilitySweep(context.Background(), cfg)
-}
-
-// RunReliabilitySweep is RunReliability with context cancellation: a
-// cancelled ctx stops the sweep between voltage points and returns
-// ctx.Err().
-func RunReliabilitySweep(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityResult, error) {
+// cancellation — leaves the board back at nominal voltage. A cancelled
+// ctx stops the sweep between voltage points and returns ctx.Err().
+func RunReliability(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityResult, error) {
 	sch := &SweepScheduler{Workers: max(cfg.Workers, 1), OnProgress: cfg.OnPoint}
 	return sch.RunReliability(ctx, cfg)
 }

@@ -139,9 +139,12 @@ func seedOwnedBy(t *testing.T, f *Forwarder, owner string) uint64 {
 // byte-identity reference every fleet serve must match.
 func localPayload(t *testing.T, req service.SweepRequest) []byte {
 	t.Helper()
-	mgr := service.NewManager(service.Config{Workers: 1})
+	mgr, err := service.OpenManager(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer mgr.Close()
-	j, _, _, err := mgr.Submit(req)
+	j, _, _, err := mgr.SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +322,7 @@ func TestForwardToOwner(t *testing.T) {
 	req := smallReq(seed)
 	want := localPayload(t, req)
 
-	j, _, _, err := nodes[0].srv.Manager().Submit(req)
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +359,7 @@ func TestDegradeWhenOwnerDown(t *testing.T) {
 	want := localPayload(t, req)
 
 	nodes[1].kill()
-	j, _, _, err := nodes[0].srv.Manager().Submit(req)
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +417,7 @@ func TestCircuitOpensAfterConsecutiveFailures(t *testing.T) {
 		}
 	}
 	for _, seed := range seeds {
-		j, _, _, err := mgr.Submit(smallReq(seed))
+		j, _, _, err := mgr.SubmitOpts(smallReq(seed), service.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

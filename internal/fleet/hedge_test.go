@@ -133,7 +133,7 @@ func TestHedgeWinServesFromSecondChoice(t *testing.T) {
 	want := localPayload(t, req)
 	delays[nodes[1].url[len("http://"):]] = 500 * time.Millisecond
 
-	j, _, _, err := nodes[0].srv.Manager().Submit(req)
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestHedgeLossPrimaryStillWins(t *testing.T) {
 	delays[nodes[1].url[len("http://"):]] = 100 * time.Millisecond
 	delays[nodes[2].url[len("http://"):]] = 3 * time.Second
 
-	j, _, _, err := nodes[0].srv.Manager().Submit(req)
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestFailoverOnDeadPrimary(t *testing.T) {
 	want := localPayload(t, req)
 
 	nodes[1].kill()
-	j, _, _, err := nodes[0].srv.Manager().Submit(req)
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

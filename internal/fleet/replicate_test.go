@@ -54,7 +54,7 @@ func TestReplicatedPayloadServedFromDiskAfterOwnerDeath(t *testing.T) {
 	req := smallReq(seed)
 	want := localPayload(t, req)
 
-	j, _, _, err := nodes[0].srv.Manager().Submit(req)
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestReplicatedPayloadServedFromDiskAfterOwnerDeath(t *testing.T) {
 	}
 	defer srv2.Close()
 
-	j2, _, _, err := srv2.Manager().Submit(req)
+	j2, _, _, err := srv2.Manager().SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestReplicationBudgetExhaustedStaysOffDisk(t *testing.T) {
 	seed := seedOwnedBy(t, nodes[0].fwd, nodes[1].url)
 	req := smallReq(seed)
 
-	j, _, _, err := nodes[0].srv.Manager().Submit(req)
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestReplicationBudgetExhaustedStaysOffDisk(t *testing.T) {
 		t.Fatalf("disk tier = %+v, want no entries (skipped payloads stay memory-only)", st.DiskCache)
 	}
 	// The payload is still served hot from memory on a resubmit.
-	j2, _, _, err := nodes[0].srv.Manager().Submit(req)
+	j2, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestLocalPayloadsBypassReplicationBudget(t *testing.T) {
 		}
 	})
 	seed := seedOwnedBy(t, nodes[0].fwd, nodes[0].url)
-	j, _, _, err := nodes[0].srv.Manager().Submit(smallReq(seed))
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(smallReq(seed), service.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,9 +122,6 @@ func (p PortID) StackPC(o Organization) (stack, pc int) {
 	return int(p) / per, int(p) % per
 }
 
-// GlobalPC returns the flattened pseudo-channel index of the port.
-func (p PortID) GlobalPC() int { return int(p) }
-
 // Location decodes a word address within a pseudo channel into its
 // physical coordinates.
 type Location struct {
@@ -158,7 +155,3 @@ func (o Organization) Encode(l Location) uint64 {
 	rest := blk*o.WordsPerRow + l.Column
 	return rest*uint64(o.BankGroups) + uint64(l.BankGroup)
 }
-
-// GlobalRow returns the cluster-space row index of a word address (the
-// coordinate the fault model's weak clusters are defined in).
-func (o Organization) GlobalRow(addr uint64) uint64 { return addr / o.WordsPerRow }

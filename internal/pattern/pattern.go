@@ -64,19 +64,9 @@ func (w Word) AndNot(o Word) Word {
 	return Word{w[0] &^ o[0], w[1] &^ o[1], w[2] &^ o[2], w[3] &^ o[3]}
 }
 
-// Or returns the bitwise OR of two words.
-func (w Word) Or(o Word) Word {
-	return Word{w[0] | o[0], w[1] | o[1], w[2] | o[2], w[3] | o[3]}
-}
-
 // Not returns the bitwise complement of the word.
 func (w Word) Not() Word {
 	return Word{^w[0], ^w[1], ^w[2], ^w[3]}
-}
-
-// IsZero reports whether every bit of the word is clear.
-func (w Word) IsZero() bool {
-	return w[0]|w[1]|w[2]|w[3] == 0
 }
 
 // String renders the word as four hex lanes, most-significant lane first.

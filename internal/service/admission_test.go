@@ -99,8 +99,7 @@ func TestRateLimiterDisabled(t *testing.T) {
 // bucket gets 429 with a Retry-After header; a distinct client is
 // unaffected; /healthz counts the rejections.
 func TestServerRateLimit429(t *testing.T) {
-	srv := New(Config{Workers: 1, RatePerSec: 0.001, RateBurst: 2})
-	defer srv.Close()
+	srv := openServer(t, Config{Workers: 1, RatePerSec: 0.001, RateBurst: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -153,14 +152,14 @@ func TestServerRateLimit429(t *testing.T) {
 // in-flight job is still given time to finish, and Drain returns nil
 // when it does.
 func TestManagerDrain(t *testing.T) {
-	m := NewManager(Config{Workers: 1, QueueDepth: 4})
+	m := openManager(t, Config{Workers: 1, QueueDepth: 4})
 	runner := newBlockingRunner()
 	m.runSweep = runner.run
 
-	j, _, _, err := m.Submit(SweepRequest{
+	j, _, _, err := m.SubmitOpts(SweepRequest{
 		Kind: KindReliability, Scale: 1024, Ports: []int{0},
 		Patterns: []string{"all1"}, Grid: []float64{0.90}, Batch: 1,
-	})
+	}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +170,10 @@ func TestManagerDrain(t *testing.T) {
 	for !m.Draining() {
 		time.Sleep(time.Millisecond)
 	}
-	_, _, _, err = m.Submit(SweepRequest{
+	_, _, _, err = m.SubmitOpts(SweepRequest{
 		Kind: KindReliability, Scale: 1024, Ports: []int{0},
 		Patterns: []string{"all1"}, Grid: []float64{0.91}, Batch: 1,
-	})
+	}, SubmitOptions{})
 	if !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit during drain = %v, want ErrDraining", err)
 	}
@@ -196,8 +195,7 @@ func TestManagerDrain(t *testing.T) {
 // Retry-After is computed from queue depth and observed latency, not
 // hardcoded to "1".
 func TestQueueFullRetryAfterDerived(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 1})
-	defer srv.Close()
+	srv := openServer(t, Config{Workers: 1, QueueDepth: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	m := srv.Manager()

@@ -1,42 +1,16 @@
 package service
 
 import (
-	"fmt"
 	"sync"
 
 	"hbmvolt/internal/lru"
 	"hbmvolt/internal/telemetry"
 )
 
-// CacheTier is one storage level of the result cache: a payload store
-// keyed by the request cache key. Payload slices are stored and
+// MemoryTier is the in-process cache tier: a byte- and entry-bounded
+// LRU over payload bytes (internal/lru). Payload slices are stored and
 // returned by reference and must be treated as immutable by all
-// parties; by the determinism contract a key's payload never changes,
-// so every tier keeps the first write. Implementations are safe for
-// concurrent use.
-//
-// The service ships two tiers — the in-process MemoryTier (LRU) and the
-// crash-durable DiskTier — composed memory→disk write-through by the
-// manager. The interface is the seam the distributed-fabric roadmap
-// item plugs into (a Redis tier is another implementation, not another
-// cache).
-type CacheTier interface {
-	// Get returns the payload for key, refreshing its recency.
-	Get(key uint64) ([]byte, bool)
-	// Put stores a payload. Storing an existing key refreshes recency
-	// only; the stored bytes never change.
-	Put(key uint64, payload []byte)
-	// Len returns the live entry count.
-	Len() int
-	// Bytes returns the total payload bytes currently retained.
-	Bytes() int64
-	// Close flushes and releases the tier. The tier must not be used
-	// afterwards.
-	Close() error
-}
-
-// MemoryTier is the in-process CacheTier: a byte- and entry-bounded LRU
-// over payload bytes (internal/lru).
+// parties; by the determinism contract a key's payload never changes.
 type MemoryTier struct {
 	mu  sync.Mutex
 	lru *lru.Cache[uint64, []byte]
@@ -90,14 +64,12 @@ func (t *MemoryTier) Evictions() uint64 {
 	return t.lru.Evictions()
 }
 
-// Close is a no-op for the memory tier.
-func (t *MemoryTier) Close() error { return nil }
-
-// resultCache composes the cache tiers memory-first, write-through:
-// a Put lands in every tier, a Get walks tiers top-down and promotes a
-// lower-tier hit back into the tiers above it, so a payload that
-// survived a restart on disk is served from memory from its second
-// read on. It also owns the hit/miss accounting /healthz reports.
+// resultCache composes the memory tier and, when configured, the disk
+// tier, memory-first and write-through: a Put lands in both tiers, a
+// Get tries memory then disk and promotes a disk hit into memory, so a
+// payload that survived a restart on disk is served from memory from
+// its second read on. It also owns the hit/miss accounting /healthz
+// reports.
 //
 // Eviction pressure is measured in payload bytes (internal/lru),
 // uniformly across result kinds: a campaign analytic envelope (a
@@ -107,83 +79,76 @@ func (t *MemoryTier) Close() error { return nil }
 // entry-count bound still applies on top, so a flood of tiny payloads
 // cannot grow the index without limit.
 type resultCache struct {
-	mu sync.Mutex
-	// tiers is ordered fastest-first; tiers[0] is always the MemoryTier,
-	// tiers[1] (when present) the DiskTier.
-	tiers []CacheTier
-	// names labels the tiers in /metrics ("memory", "disk").
-	names []string
+	mu  sync.Mutex
+	mem *MemoryTier
+	// disk is the crash-durable tier; nil when the manager has no
+	// CacheDir.
+	disk *DiskTier
 
-	// hit[i] / miss[i] are the hbmvolt_cache_requests_total series for
-	// tiers[i]: a hit answers from that tier, a miss falls through to
-	// the next (or, from the last tier, to compute). /healthz derives
-	// its cache_hits/cache_misses from these same counters — Touch
-	// counts as a memory hit, a composite miss is a last-tier miss.
-	hit, miss []*telemetry.Counter
+	// The hbmvolt_cache_requests_total series per tier: a hit answers
+	// from that tier, a miss falls through to the next (or, from the
+	// last tier, to compute). /healthz derives its cache_hits and
+	// cache_misses from these same counters — Touch counts as a memory
+	// hit, a composite miss is a last-tier miss. The disk pair is nil
+	// without a disk tier.
+	memHit, memMiss, diskHit, diskMiss *telemetry.Counter
 }
 
-// tierName labels a cache tier for metrics.
-func tierName(t CacheTier, i int) string {
-	switch t.(type) {
-	case *MemoryTier:
-		return "memory"
-	case *DiskTier:
-		return "disk"
-	}
-	return fmt.Sprintf("tier%d", i)
-}
-
-// newResultCache composes tiers fastest-first, registering each tier's
-// lookup counters in met (nil met gets a private throwaway registry,
-// for tests that only care about cache behavior).
-func newResultCache(met *serviceMetrics, tiers ...CacheTier) *resultCache {
+// newResultCache composes mem and the optional disk tier, registering
+// each tier's lookup counters in met (nil met gets a private throwaway
+// registry, for tests that only care about cache behavior).
+func newResultCache(met *serviceMetrics, mem *MemoryTier, disk *DiskTier) *resultCache {
 	if met == nil {
 		met = newServiceMetrics(telemetry.NewRegistry())
 	}
-	c := &resultCache{tiers: tiers}
-	for i, t := range tiers {
-		name := tierName(t, i)
-		c.names = append(c.names, name)
-		c.hit = append(c.hit, met.cacheReq.With(name, "hit"))
-		c.miss = append(c.miss, met.cacheReq.With(name, "miss"))
+	c := &resultCache{
+		mem:     mem,
+		disk:    disk,
+		memHit:  met.cacheReq.With("memory", "hit"),
+		memMiss: met.cacheReq.With("memory", "miss"),
+	}
+	if disk != nil {
+		c.diskHit = met.cacheReq.With("disk", "hit")
+		c.diskMiss = met.cacheReq.With("disk", "miss")
 	}
 	return c
 }
 
 // Get returns the payload for key from the fastest tier holding it,
-// promoting lower-tier hits into the tiers above.
-func (c *resultCache) Get(key uint64) ([]byte, bool) {
-	payload, _, ok := c.getTier(key)
-	return payload, ok
-}
-
-// getTier is Get plus the name of the tier that answered, for the
-// trace layer's cache.lookup spans.
-func (c *resultCache) getTier(key uint64) (payload []byte, tier string, ok bool) {
+// plus that tier's name for the trace layer's cache.lookup spans. A
+// disk hit is promoted into memory.
+func (c *resultCache) Get(key uint64) (payload []byte, tier string, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, t := range c.tiers {
-		payload, ok := t.Get(key)
-		if !ok {
-			c.miss[i].Inc()
-			continue
-		}
-		for j := 0; j < i; j++ {
-			c.tiers[j].Put(key, payload)
-		}
-		c.hit[i].Inc()
-		return payload, c.names[i], true
+	if payload, ok := c.mem.Get(key); ok {
+		c.memHit.Inc()
+		return payload, "memory", true
 	}
+	c.memMiss.Inc()
+	if c.disk == nil {
+		return nil, "", false
+	}
+	if payload, ok := c.disk.Get(key); ok {
+		c.mem.Put(key, payload)
+		c.diskHit.Inc()
+		return payload, "disk", true
+	}
+	c.diskMiss.Inc()
 	return nil, "", false
 }
 
-// Put stores a payload write-through: every tier receives it, so a
-// crash after Put returns loses nothing a restart cannot re-read.
+// Put stores a payload write-through: both tiers receive it, so a crash
+// after Put returns loses nothing a restart cannot re-read.
 func (c *resultCache) Put(key uint64, payload []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, tier := range c.tiers {
-		tier.Put(key, payload)
+	c.putLocked(key, payload)
+}
+
+func (c *resultCache) putLocked(key uint64, payload []byte) {
+	c.mem.Put(key, payload)
+	if c.disk != nil {
+		c.disk.Put(key, payload)
 	}
 }
 
@@ -195,7 +160,7 @@ func (c *resultCache) Put(key uint64, payload []byte) {
 func (c *resultCache) PutMemory(key uint64, payload []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.tiers[0].Put(key, payload)
+	c.mem.Put(key, payload)
 }
 
 // Touch records a served-from-cache event for a payload that may or may
@@ -207,68 +172,26 @@ func (c *resultCache) PutMemory(key uint64, payload []byte) {
 func (c *resultCache) Touch(key uint64, payload []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hit[0].Inc()
-	for _, tier := range c.tiers {
-		tier.Put(key, payload)
-	}
+	c.memHit.Inc()
+	c.putLocked(key, payload)
 }
-
-// Len returns the live entry count of the memory tier.
-func (c *resultCache) Len() int { return c.tiers[0].Len() }
-
-// Bytes returns the payload bytes retained by the memory tier.
-func (c *resultCache) Bytes() int64 { return c.tiers[0].Bytes() }
 
 // Stats returns cumulative hit/miss counters, read from the same
-// telemetry series /metrics renders: hits across all tiers (Touch
+// telemetry series /metrics renders: hits across both tiers (Touch
 // included), misses of the last tier (a composite miss).
 func (c *resultCache) Stats() (hits, misses uint64) {
-	for _, h := range c.hit {
-		hits += h.Value()
+	if c.disk == nil {
+		return c.memHit.Value(), c.memMiss.Value()
 	}
-	return hits, c.miss[len(c.miss)-1].Value()
+	return c.memHit.Value() + c.diskHit.Value(), c.diskMiss.Value()
 }
 
-// sampleTiers snapshots one per-tier value as labeled samples, for the
-// registry's sampler-backed cache families.
-func (c *resultCache) sampleTiers(f func(CacheTier) float64) []telemetry.Sample {
-	out := make([]telemetry.Sample, len(c.tiers))
-	for i, t := range c.tiers {
-		out[i] = telemetry.Sample{Labels: []string{c.names[i]}, Value: f(t)}
-	}
-	return out
-}
-
-// disk returns the disk tier, if one is configured.
-func (c *resultCache) disk() (*DiskTier, bool) {
-	for _, tier := range c.tiers {
-		if d, ok := tier.(*DiskTier); ok {
-			return d, true
-		}
-	}
-	return nil, false
-}
-
-// diskHits returns the cumulative Gets answered by the disk tier.
-func (c *resultCache) diskHits() uint64 {
-	for i, name := range c.names {
-		if name == "disk" {
-			return c.hit[i].Value()
-		}
-	}
-	return 0
-}
-
-// Close releases every tier (slowest first, so the durable tier's final
-// flush happens while the process is still healthy).
+// Close flushes the disk tier, if any.
 func (c *resultCache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var first error
-	for i := len(c.tiers) - 1; i >= 0; i-- {
-		if err := c.tiers[i].Close(); err != nil && first == nil {
-			first = err
-		}
+	if c.disk == nil {
+		return nil
 	}
-	return first
+	return c.disk.Close()
 }

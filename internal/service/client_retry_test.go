@@ -41,7 +41,7 @@ func fastClient(url string) *Client {
 
 func TestClientRetriesOn429And503(t *testing.T) {
 	for _, status := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
-		srv := New(Config{Workers: 1})
+		srv := openServer(t, Config{Workers: 1})
 		fh := &flakyHandler{n: 2, status: status, inner: srv}
 		ts := httptest.NewServer(fh)
 		c := fastClient(ts.URL)
@@ -65,8 +65,7 @@ func TestClientRetriesOn429And503(t *testing.T) {
 }
 
 func TestClientRetryHonorsRetryAfter(t *testing.T) {
-	srv := New(Config{Workers: 1})
-	defer srv.Close()
+	srv := openServer(t, Config{Workers: 1})
 	fh := &flakyHandler{n: 1, status: http.StatusServiceUnavailable, retryAfter: "1", inner: srv}
 	ts := httptest.NewServer(fh)
 	defer ts.Close()
@@ -122,8 +121,7 @@ func TestClientParsesRetryAfterHeader(t *testing.T) {
 }
 
 func TestClientNoRetryOnBadRequest(t *testing.T) {
-	srv := New(Config{Workers: 1})
-	defer srv.Close()
+	srv := openServer(t, Config{Workers: 1})
 	var requests atomic.Int32
 	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		requests.Add(1)
@@ -147,8 +145,7 @@ func TestClientNoRetryOnBadRequest(t *testing.T) {
 // connection or restarted proxy looks like — and asserts Wait still
 // reports the job's true terminal state by polling Status.
 func TestClientWaitFallsBackToPolling(t *testing.T) {
-	srv := New(Config{Workers: 1})
-	defer srv.Close()
+	srv := openServer(t, Config{Workers: 1})
 	m := srv.Manager()
 	runner := newBlockingRunner()
 	m.runSweep = runner.run
@@ -258,8 +255,7 @@ func TestClientWaitTimeoutDefaults(t *testing.T) {
 // untouched: with no fault armed, Wait consumes the terminal event from
 // the stream and never needs Status.
 func TestClientWaitStreamStillPreferred(t *testing.T) {
-	srv := New(Config{Workers: 1})
-	defer srv.Close()
+	srv := openServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := fastClient(ts.URL)

@@ -15,7 +15,7 @@ import (
 	tlog "hbmvolt/internal/telemetry/log"
 )
 
-// DiskTier is the crash-durable CacheTier: one file per payload under a
+// DiskTier is the crash-durable cache tier: one file per payload under a
 // cache directory, written atomically and verified on every read.
 //
 // On-disk layout (documented in README "Resilience"):

@@ -2,11 +2,15 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -274,12 +278,12 @@ func TestTieredCacheWriteThroughAndPromotion(t *testing.T) {
 	if _, ok := mem.Get(1); ok {
 		t.Fatal("entry 1 still in memory tier")
 	}
-	got, ok := c.Get(1)
-	if !ok || string(got) != "one" {
-		t.Fatal("disk-tier hit failed")
+	got, tier, ok := c.Get(1)
+	if !ok || string(got) != "one" || tier != "disk" {
+		t.Fatalf("disk-tier hit failed: tier %q", tier)
 	}
-	if c.diskHits() != 1 {
-		t.Fatalf("diskHits = %d, want 1", c.diskHits())
+	if c.diskHit.Value() != 1 {
+		t.Fatalf("disk hits = %d, want 1", c.diskHit.Value())
 	}
 	// The hit promoted the entry back into memory.
 	if _, ok := mem.Get(1); !ok {
@@ -289,7 +293,7 @@ func TestTieredCacheWriteThroughAndPromotion(t *testing.T) {
 	if hits != 1 || misses != 0 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
-	if _, ok := c.Get(99); ok {
+	if _, _, ok := c.Get(99); ok {
 		t.Fatal("phantom entry")
 	}
 	if _, m := c.Stats(); m != 1 {
@@ -310,7 +314,7 @@ func TestManagerDiskTierSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, _, _, err := m1.Submit(req)
+	j, _, _, err := m1.SubmitOpts(req, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +335,7 @@ func TestManagerDiskTierSurvivesRestart(t *testing.T) {
 	if st := m2.Stats(); st.DiskCache == nil || st.DiskCache.Recovered != 1 {
 		t.Fatalf("restart did not recover the entry: %+v", st.DiskCache)
 	}
-	j2, _, cacheHit, err := m2.Submit(req)
+	j2, _, cacheHit, err := m2.SubmitOpts(req, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,4 +351,46 @@ func TestManagerDiskTierSurvivesRestart(t *testing.T) {
 	if m2.Runs() != 0 {
 		t.Fatalf("restarted manager ran %d sweeps, want 0", m2.Runs())
 	}
+}
+
+// FuzzDiskTierLoad feeds arbitrary bytes to the entry parser as the
+// content of one cache file. load must either reject the file or return
+// a payload whose length and SHA-256 match the header's size and
+// checksum fields, and a key equal to the header's key field: an entry
+// the parser accepts is exactly what the header promises.
+func FuzzDiskTierLoad(f *testing.F) {
+	d, err := NewDiskTier(f.TempDir(), 0, tlog.New(io.Discard, tlog.LevelError))
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := d.path(0x0123456789abcdef)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		key, payload, err := d.load(path)
+		if err != nil {
+			return
+		}
+		header, rest, ok := bytes.Cut(blob, []byte("\n"))
+		if !ok {
+			t.Fatalf("accepted a file without a header line")
+		}
+		fields := strings.Fields(string(header))
+		if len(fields) != 5 {
+			t.Fatalf("accepted header %q", header)
+		}
+		if !bytes.Equal(payload, rest) {
+			t.Fatalf("payload is not the bytes after the header")
+		}
+		if size, err := strconv.Atoi(fields[4]); err != nil || size != len(payload) {
+			t.Fatalf("payload is %d bytes, header says %q", len(payload), fields[4])
+		}
+		if sum := sha256.Sum256(payload); hex.EncodeToString(sum[:]) != fields[3] {
+			t.Fatalf("payload SHA-256 %x, header says %q", sum, fields[3])
+		}
+		if !strings.EqualFold(fmt.Sprintf("%016x", key), fields[2]) {
+			t.Fatalf("key %016x, header says %q", key, fields[2])
+		}
+	})
 }

@@ -270,8 +270,7 @@ type Config struct {
 	// CacheDir, when non-empty, adds the crash-durable disk tier under
 	// this directory: completed payloads are written through to disk and
 	// survive process restarts (verified per-entry on read; see
-	// DiskTier). Constructors that cannot return an error (NewManager,
-	// New) reject a non-empty CacheDir — use OpenManager / Open.
+	// DiskTier); opening it is why OpenManager and Open return an error.
 	CacheDir string
 	// DiskCacheBytes bounds the disk tier's total payload bytes
 	// (0 = unbounded; LRU files are unlinked under pressure).
@@ -385,21 +384,6 @@ type Manager struct {
 	runSweep func(ctx context.Context, j *Job) ([]byte, error)
 }
 
-// NewManager builds an in-memory-only manager and starts its worker
-// pool. A Config naming a CacheDir needs the error-returning
-// OpenManager; passing one here panics (a programmer error, not a
-// runtime condition).
-func NewManager(cfg Config) *Manager {
-	if cfg.CacheDir != "" {
-		panic("service.NewManager: Config.CacheDir requires OpenManager")
-	}
-	m, err := OpenManager(cfg)
-	if err != nil {
-		panic(err) // unreachable: only the disk tier can fail to open
-	}
-	return m
-}
-
 // OpenManager builds a manager — opening the disk cache tier (with its
 // boot recovery scan) when cfg.CacheDir is set — and starts its worker
 // pool.
@@ -410,13 +394,12 @@ func OpenManager(cfg Config) (*Manager, error) {
 		reg = telemetry.NewRegistry()
 	}
 	met := newServiceMetrics(reg)
-	tiers := []CacheTier{NewMemoryTier(cfg.CacheEntries, cfg.CacheBytes)}
+	var disk *DiskTier
 	if cfg.CacheDir != "" {
-		disk, err := NewDiskTier(cfg.CacheDir, cfg.DiskCacheBytes, cfg.Logger)
-		if err != nil {
+		var err error
+		if disk, err = NewDiskTier(cfg.CacheDir, cfg.DiskCacheBytes, cfg.Logger); err != nil {
 			return nil, err
 		}
-		tiers = append(tiers, disk)
 	}
 	node := "local"
 	if cfg.Forwarder != nil {
@@ -425,7 +408,7 @@ func OpenManager(cfg Config) (*Manager, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:     cfg,
-		cache:   newResultCache(met, tiers...),
+		cache:   newResultCache(met, NewMemoryTier(cfg.CacheEntries, cfg.CacheBytes), disk),
 		latency: newLatencyTracker(),
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst, met.rejected.With("rate")),
 		forward: cfg.Forwarder,
@@ -508,15 +491,11 @@ func (m *Manager) Draining() bool {
 	return m.draining
 }
 
-// Submit registers a sweep request. The returned bools report whether
-// the request coalesced onto an existing job and whether it was
-// answered from the result cache without queueing any work.
-func (m *Manager) Submit(req SweepRequest) (job *Job, coalesced, cacheHit bool, err error) {
-	return m.SubmitOpts(req, SubmitOptions{})
-}
-
-// SubmitOpts is Submit with per-submission flags — currently only
-// NoForward, the fleet's already-forwarded-once marker.
+// SubmitOpts registers a sweep request under per-submission flags (see
+// SubmitOptions; the zero value is a plain submission). The returned
+// bools report whether the request coalesced onto an existing job and
+// whether it was answered from the result cache without queueing any
+// work.
 func (m *Manager) SubmitOpts(req SweepRequest, opts SubmitOptions) (job *Job, coalesced, cacheHit bool, err error) {
 	if err := req.Normalize(); err != nil {
 		return nil, false, false, err
@@ -552,7 +531,7 @@ func (m *Manager) SubmitOpts(req SweepRequest, opts SubmitOptions) (job *Job, co
 	}
 	// Evicted job but retained payload: answer from the LRU with a
 	// pre-completed job, no queueing, no recomputation.
-	if payload, tier, ok := m.cache.getTier(key); ok {
+	if payload, tier, ok := m.cache.Get(key); ok {
 		j := m.newJobLocked(key, req, nil)
 		j.trace = opts.TraceID
 		j.state = StateDone
@@ -691,7 +670,8 @@ func (m *Manager) Runs() uint64 { return m.met.sweepRuns.Value() }
 // by the read, so a corrupted payload reports a miss here and the
 // caller recomputes.
 func (m *Manager) Cached(key uint64) ([]byte, bool) {
-	return m.cache.Get(key)
+	payload, _, ok := m.cache.Get(key)
+	return payload, ok
 }
 
 // AllowClient spends one admission token for client (the per-client
@@ -752,16 +732,16 @@ type Stats struct {
 
 // Stats gathers current counters.
 func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	jobs := make([]*Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	m.mu.Unlock()
+	counts := m.jobCounts()
 	st := Stats{
+		Queued:            counts[StateQueued],
+		Running:           counts[StateRunning],
+		Done:              counts[StateDone],
+		Failed:            counts[StateFailed],
+		Cancelled:         counts[StateCancelled],
 		SweepRuns:         m.met.sweepRuns.Value(),
-		CacheEntries:      m.cache.Len(),
-		CacheBytes:        m.cache.Bytes(),
+		CacheEntries:      m.cache.mem.Len(),
+		CacheBytes:        m.cache.mem.Bytes(),
 		Workers:           m.cfg.Workers,
 		QueueDepth:        m.cfg.QueueDepth,
 		RetryAfterSeconds: m.RetryAfterSeconds(),
@@ -774,26 +754,32 @@ func (m *Manager) Stats() Stats {
 		st.Fleet = m.forward.Health()
 	}
 	st.CacheHits, st.CacheMisses = m.cache.Stats()
-	if disk, ok := m.cache.disk(); ok {
+	if disk := m.cache.disk; disk != nil {
 		ds := disk.Stats()
-		ds.Hits = m.cache.diskHits()
+		ds.Hits = m.cache.diskHit.Value()
 		st.DiskCache = &ds
 	}
-	for _, j := range jobs {
-		switch j.State() {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		case StateCancelled:
-			st.Cancelled++
-		}
-	}
 	return st
+}
+
+// jobStates lists the lifecycle states in the hbmvolt_jobs family's
+// series order.
+var jobStates = []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled}
+
+// jobCounts tallies the tracked jobs by lifecycle state: the one count
+// both /healthz and the hbmvolt_jobs family report.
+func (m *Manager) jobCounts() map[JobState]int {
+	m.mu.Lock()
+	jobs := make([]*Job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		jobs = append(jobs, j)
+	}
+	m.mu.Unlock()
+	counts := make(map[JobState]int, len(jobStates))
+	for _, j := range jobs {
+		counts[j.State()]++
+	}
+	return counts
 }
 
 // worker drains the queue, running one sweep at a time.
@@ -837,10 +823,11 @@ func (m *Manager) runJob(j *Job) {
 	m.latency.Observe(elapsed)
 	m.met.jobSeconds.Observe(elapsed.Seconds())
 	var final JobState
+	var errMsg string
 	switch {
 	case err == nil:
 		// Locally computed payloads (and fleet-admitted remote ones) go
-		// write-through to every tier; a forwarded payload the fleet did
+		// write-through to both tiers; a forwarded payload the fleet did
 		// not admit for replication stays memory-only, so the replica byte
 		// budget actually bounds what remote data lands on local disk.
 		if info := j.ServeInfo(); m.forward != nil && info.ServedBy != "" &&
@@ -849,16 +836,13 @@ func (m *Manager) runJob(j *Job) {
 		} else {
 			m.cache.Put(j.Key, payload)
 		}
-		j.finish(StateDone, payload, "")
 		final = StateDone
 		m.met.payloadBytes.Observe(float64(len(payload)))
 	case errors.Is(err, context.Canceled) || j.runCtx.Err() != nil:
 		// A cancelled manager context (shutdown) lands here too.
-		j.finish(StateCancelled, nil, "")
-		final = StateCancelled
+		final, payload = StateCancelled, nil
 	default:
-		j.finish(StateFailed, nil, err.Error())
-		final = StateFailed
+		final, payload, errMsg = StateFailed, nil, err.Error()
 		m.logger.WithTrace(j.runCtx).Warn("job failed",
 			tlog.F("job", j.ID), tlog.F("kind", j.Req.Kind),
 			tlog.F("key", formatKey(j.Key)), tlog.Err(err))
@@ -876,6 +860,9 @@ func (m *Manager) runJob(j *Job) {
 			Time: start, Duration: elapsed,
 		})
 	}
+	// The job finishes last: whoever observes its terminal state also
+	// observes its completion counter and its job.run span.
+	j.finish(final, payload, errMsg)
 }
 
 // executeSweep is the real sweep path, labeled for profilers: every
@@ -958,7 +945,7 @@ func (m *Manager) sweepPayload(ctx context.Context, j *Job) ([]byte, error) {
 		if workers == 0 {
 			workers = m.cfg.FleetSize
 		}
-		res, err := core.RunReliabilitySweep(ctx, core.ReliabilityConfig{
+		res, err := core.RunReliability(ctx, core.ReliabilityConfig{
 			Board:             b,
 			Ports:             ports,
 			Patterns:          patterns,
@@ -973,7 +960,7 @@ func (m *Manager) sweepPayload(ctx context.Context, j *Job) ([]byte, error) {
 		}
 		env.Reliability = res
 	case KindPower:
-		res, err := core.RunPowerSweepCtx(ctx, core.PowerSweepConfig{
+		res, err := core.RunPowerSweep(ctx, core.PowerSweepConfig{
 			Board:      b,
 			Grid:       req.Grid,
 			PortCounts: req.PortCounts,

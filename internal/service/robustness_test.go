@@ -17,8 +17,7 @@ import (
 // base as its bound, replacing the global math/rand draw — so chaos
 // and timing tests can make retry schedules exactly reproducible.
 func TestClientJitterInjectable(t *testing.T) {
-	srv := New(Config{Workers: 1})
-	defer srv.Close()
+	srv := openServer(t, Config{Workers: 1})
 	fh := &flakyHandler{n: 2, status: http.StatusServiceUnavailable, inner: srv}
 	ts := httptest.NewServer(fh)
 	defer ts.Close()
@@ -143,10 +142,8 @@ func TestWaitErrJobLostAndResubmitRecovery(t *testing.T) {
 // deployment opted in with TrustProxy (the header is client-spoofable
 // otherwise); the remote host is the fallback.
 func TestManagerClientKeyTrustProxy(t *testing.T) {
-	trusted := NewManager(Config{Workers: 1, TrustProxy: true})
-	defer trusted.Close()
-	direct := NewManager(Config{Workers: 1})
-	defer direct.Close()
+	trusted := openManager(t, Config{Workers: 1, TrustProxy: true})
+	direct := openManager(t, Config{Workers: 1})
 
 	mkReq := func(clientID, xff string) *http.Request {
 		r := httptest.NewRequest(http.MethodPost, "/v1/sweeps", nil)

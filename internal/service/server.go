@@ -17,21 +17,13 @@ import (
 )
 
 // Server is the HTTP face of a Manager. It implements http.Handler; use
-// New to build one and Close to shut the worker pool down.
+// Open to build one and Close to shut the worker pool down.
 type Server struct {
 	mgr *Manager
 	mux *http.ServeMux
 }
 
-// New builds a server (and its manager) from cfg. Like NewManager it is
-// the in-memory-only constructor; a Config naming a CacheDir needs the
-// error-returning Open.
-func New(cfg Config) *Server {
-	return newServer(NewManager(cfg))
-}
-
-// Open builds a server whose manager may carry the durable disk cache
-// tier (cfg.CacheDir) — the daemon's constructor.
+// Open builds a server and its manager from cfg (see OpenManager).
 func Open(cfg Config) (*Server, error) {
 	mgr, err := OpenManager(cfg)
 	if err != nil {

@@ -27,16 +27,35 @@ func smallReliability() SweepRequest {
 	}
 }
 
+// openServer opens a server and closes it with the test.
+func openServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	srv, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// openManager opens a manager and closes it with the test.
+func openManager(t *testing.T, cfg Config) *Manager {
+	t.Helper()
+	m, err := OpenManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	return m
+}
+
 // newTestServer builds a server over httptest and tears both down with
 // the test.
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
-	srv := New(cfg)
+	srv := openServer(t, cfg)
 	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		srv.Close()
-	})
+	t.Cleanup(ts.Close)
 	return srv, NewClient(ts.URL)
 }
 
@@ -537,21 +556,21 @@ func asAPIError(err error, target **APIError) bool {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	cch := newResultCache(nil, NewMemoryTier(2, 1<<20))
+	cch := newResultCache(nil, NewMemoryTier(2, 1<<20), nil)
 	cch.Put(1, []byte("a"))
 	cch.Put(2, []byte("b"))
-	if _, ok := cch.Get(1); !ok { // refresh 1; 2 is now LRU
+	if _, _, ok := cch.Get(1); !ok { // refresh 1; 2 is now LRU
 		t.Fatal("entry 1 missing")
 	}
 	cch.Put(3, []byte("c"))
-	if _, ok := cch.Get(2); ok {
+	if _, _, ok := cch.Get(2); ok {
 		t.Fatal("entry 2 should have been evicted")
 	}
-	if _, ok := cch.Get(1); !ok {
+	if _, _, ok := cch.Get(1); !ok {
 		t.Fatal("entry 1 evicted despite recency")
 	}
-	if cch.Len() != 2 {
-		t.Fatalf("len = %d", cch.Len())
+	if cch.mem.Len() != 2 {
+		t.Fatalf("len = %d", cch.mem.Len())
 	}
 }
 
@@ -560,34 +579,34 @@ func TestCacheLRUEviction(t *testing.T) {
 // eviction pressure per byte as sweep payloads, and the byte counter
 // always equals the sum of retained payload sizes.
 func TestCacheByteAccounting(t *testing.T) {
-	cch := newResultCache(nil, NewMemoryTier(100, 100))
+	cch := newResultCache(nil, NewMemoryTier(100, 100), nil)
 	cch.Put(1, make([]byte, 40)) // a "sweep" payload
 	cch.Put(2, make([]byte, 40)) // another
-	if got := cch.Bytes(); got != 80 {
+	if got := cch.mem.Bytes(); got != 80 {
 		t.Fatalf("bytes = %d, want 80", got)
 	}
 	// A 60-byte "faultmap envelope" overflows the budget: the LRU entry
 	// (key 1) goes, not an entry count's worth.
 	cch.Put(3, make([]byte, 60))
-	if _, ok := cch.Get(1); ok {
+	if _, _, ok := cch.Get(1); ok {
 		t.Fatal("oldest entry survived byte-pressure eviction")
 	}
-	if _, ok := cch.Get(2); !ok {
+	if _, _, ok := cch.Get(2); !ok {
 		t.Fatal("entry 2 evicted though the byte budget held")
 	}
-	if got := cch.Bytes(); got != 100 {
+	if got := cch.mem.Bytes(); got != 100 {
 		t.Fatalf("bytes = %d, want 100", got)
 	}
 	// An envelope larger than the whole budget evicts the rest but
 	// itself survives (newest entry always retained).
 	cch.Put(4, make([]byte, 150))
-	if cch.Len() != 1 {
-		t.Fatalf("len = %d, want 1", cch.Len())
+	if cch.mem.Len() != 1 {
+		t.Fatalf("len = %d, want 1", cch.mem.Len())
 	}
-	if got := cch.Bytes(); got != 150 {
+	if got := cch.mem.Bytes(); got != 150 {
 		t.Fatalf("bytes = %d, want 150", got)
 	}
-	if _, ok := cch.Get(4); !ok {
+	if _, _, ok := cch.Get(4); !ok {
 		t.Fatal("oversized entry not retained")
 	}
 }
@@ -765,9 +784,8 @@ func TestPowerNoiseKeyed(t *testing.T) {
 	run := func() []byte {
 		t.Helper()
 		// Fresh manager per run so nothing is cache-served.
-		m := NewManager(Config{Workers: 1})
-		defer m.Close()
-		j, _, _, err := m.Submit(noisy)
+		m := openManager(t, Config{Workers: 1})
+		j, _, _, err := m.SubmitOpts(noisy, SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -817,9 +835,8 @@ func TestSharedRequestKeyAndExecution(t *testing.T) {
 		t.Fatal("shared not folded into the cache key")
 	}
 
-	m := NewManager(Config{Workers: 1})
-	defer m.Close()
-	j, _, _, err := m.Submit(shared)
+	m := openManager(t, Config{Workers: 1})
+	j, _, _, err := m.SubmitOpts(shared, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -837,7 +854,7 @@ func TestSharedRequestKeyAndExecution(t *testing.T) {
 		t.Fatalf("points = %d", len(env.Reliability.Points))
 	}
 	// Shared and legacy keys resolve to distinct computations.
-	j2, coalesced, _, err := m.Submit(base)
+	j2, coalesced, _, err := m.SubmitOpts(base, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,42 +74,33 @@ func (m *Manager) registerSamplers() {
 		func() []telemetry.Sample { return one(float64(m.cfg.Workers)) })
 	m.reg.GaugeSampler("hbmvolt_jobs", "Jobs currently tracked, by lifecycle state.",
 		[]string{"state"}, func() []telemetry.Sample {
-			var counts [5]float64
-			states := []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled}
-			m.mu.Lock()
-			for _, j := range m.jobs {
-				for i, st := range states {
-					if j.State() == st {
-						counts[i]++
-						break
-					}
-				}
-			}
-			m.mu.Unlock()
-			out := make([]telemetry.Sample, len(states))
-			for i, st := range states {
-				out[i] = telemetry.Sample{Labels: []string{string(st)}, Value: counts[i]}
+			counts := m.jobCounts()
+			out := make([]telemetry.Sample, len(jobStates))
+			for i, st := range jobStates {
+				out[i] = telemetry.Sample{Labels: []string{string(st)}, Value: float64(counts[st])}
 			}
 			return out
 		})
 
-	m.reg.GaugeSampler("hbmvolt_cache_entries", "Entries retained per result-cache tier.",
-		[]string{"tier"}, func() []telemetry.Sample { return m.cache.sampleTiers(func(t CacheTier) float64 { return float64(t.Len()) }) })
-	m.reg.GaugeSampler("hbmvolt_cache_bytes", "Payload bytes retained per result-cache tier.",
-		[]string{"tier"}, func() []telemetry.Sample { return m.cache.sampleTiers(func(t CacheTier) float64 { return float64(t.Bytes()) }) })
-	m.reg.CounterSampler("hbmvolt_cache_evictions_total", "Capacity evictions per result-cache tier.",
-		[]string{"tier"}, func() []telemetry.Sample {
-			return m.cache.sampleTiers(func(t CacheTier) float64 {
-				switch tt := t.(type) {
-				case *MemoryTier:
-					return float64(tt.Evictions())
-				case *DiskTier:
-					return float64(tt.Stats().Evicted)
-				}
-				return 0
-			})
-		})
-	if disk, ok := m.cache.disk(); ok {
+	// perTier samples one value per cache tier; a memory-only node has
+	// no disk series.
+	mem, disk := m.cache.mem, m.cache.disk
+	perTier := func(memValue, diskValue func() float64) func() []telemetry.Sample {
+		return func() []telemetry.Sample {
+			out := []telemetry.Sample{{Labels: []string{"memory"}, Value: memValue()}}
+			if disk != nil {
+				out = append(out, telemetry.Sample{Labels: []string{"disk"}, Value: diskValue()})
+			}
+			return out
+		}
+	}
+	m.reg.GaugeSampler("hbmvolt_cache_entries", "Entries retained per result-cache tier.", []string{"tier"},
+		perTier(func() float64 { return float64(mem.Len()) }, func() float64 { return float64(disk.Len()) }))
+	m.reg.GaugeSampler("hbmvolt_cache_bytes", "Payload bytes retained per result-cache tier.", []string{"tier"},
+		perTier(func() float64 { return float64(mem.Bytes()) }, func() float64 { return float64(disk.Bytes()) }))
+	m.reg.CounterSampler("hbmvolt_cache_evictions_total", "Capacity evictions per result-cache tier.", []string{"tier"},
+		perTier(func() float64 { return float64(mem.Evictions()) }, func() float64 { return float64(disk.Stats().Evicted) }))
+	if disk != nil {
 		m.reg.CounterSampler("hbmvolt_disk_recovered_entries_total",
 			"Disk-tier entries the boot recovery scan verified and repopulated.", nil,
 			func() []telemetry.Sample { return one(float64(disk.Stats().Recovered)) })

@@ -209,30 +209,18 @@ func (s *System) MeasureGuardband(wordsPerPort uint64, grid []float64) (Guardban
 // one worker, the voltage grid is sharded across a fleet of board
 // clones; results are bit-identical to the sequential sweep.
 func (s *System) RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	return s.RunReliabilitySweep(context.Background(), cfg)
-}
-
-// RunReliabilitySweep is RunReliability with context cancellation: a
-// cancelled ctx stops the sweep between voltage points.
-func (s *System) RunReliabilitySweep(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityResult, error) {
 	cfg.Board = s.Board
 	if cfg.Workers == 0 {
 		cfg.Workers = s.sweepWorkers
 	}
-	return core.RunReliabilitySweep(ctx, cfg)
+	return core.RunReliability(context.Background(), cfg)
 }
 
 // RunPowerSweep executes the Fig. 2/3 measurement with this system's
 // board.
 func (s *System) RunPowerSweep(cfg PowerSweepConfig) (*PowerSweepResult, error) {
-	return s.RunPowerSweepCtx(context.Background(), cfg)
-}
-
-// RunPowerSweepCtx is RunPowerSweep with context cancellation: a
-// cancelled ctx stops the sweep between measurement points.
-func (s *System) RunPowerSweepCtx(ctx context.Context, cfg PowerSweepConfig) (*PowerSweepResult, error) {
 	cfg.Board = s.Board
-	return core.RunPowerSweepCtx(ctx, cfg)
+	return core.RunPowerSweep(context.Background(), cfg)
 }
 
 // RunECCStudy evaluates SEC-DED mitigation on this device (full
