@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"hbmvolt/internal/board"
@@ -143,6 +144,35 @@ func TestRunReliabilityConfigValidation(t *testing.T) {
 		WordsPerPort: b.Org.WordsPerPC + 1,
 	}); err == nil {
 		t.Fatal("oversized window accepted")
+	}
+}
+
+// TestRunReliabilityRejectsBadPorts: a port outside the board's 32 AXI
+// ports, or one listed twice (two goroutines would then drive one
+// traffic generator), is a config error, not a panic or a data race.
+func TestRunReliabilityRejectsBadPorts(t *testing.T) {
+	tests := []struct {
+		name    string
+		ports   []hbm.PortID
+		wantErr string
+	}{
+		{"past the last port", []hbm.PortID{40}, "port 40 out of [0, 32)"},
+		{"negative", []hbm.PortID{0, -1}, "port -1 out of [0, 32)"},
+		{"duplicate", []hbm.PortID{18, 18}, "port 18 listed twice"},
+		{"duplicate apart", []hbm.PortID{0, 5, 31, 5}, "port 5 listed twice"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := RunReliability(t.Context(), ReliabilityConfig{
+				Board:     testBoard(t, board.Config{Scale: 1024}),
+				Ports:     tt.ports,
+				Grid:      []float64{0.90},
+				BatchSize: 1,
+			})
+			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+				t.Fatalf("err = %v, want one mentioning %q", err, tt.wantErr)
+			}
+		})
 	}
 }
 

@@ -72,6 +72,16 @@ func (c *ReliabilityConfig) fill() error {
 			c.Ports = append(c.Ports, hbm.PortID(i))
 		}
 	}
+	var seen [hbm.MaxPorts]bool
+	for _, p := range c.Ports {
+		if p < 0 || p >= hbm.MaxPorts {
+			return fmt.Errorf("core: port %d out of [0, %d)", p, hbm.MaxPorts)
+		}
+		if seen[p] {
+			return fmt.Errorf("core: port %d listed twice", p)
+		}
+		seen[p] = true
+	}
 	if c.Patterns == nil {
 		c.Patterns = []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()}
 	}

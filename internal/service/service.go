@@ -207,10 +207,15 @@ func (r *SweepRequest) Normalize() error {
 				r.Ports = append(r.Ports, p)
 			}
 		}
+		var seen [hbm.MaxPorts]bool
 		for _, p := range r.Ports {
 			if p < 0 || p >= hbm.MaxPorts {
 				return badRequest("port %d out of [0, %d)", p, hbm.MaxPorts)
 			}
+			if seen[p] {
+				return badRequest("port %d listed twice", p)
+			}
+			seen[p] = true
 		}
 	case KindPower:
 		// Reliability-only fields are rejected, not ignored: a stray

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -867,5 +868,34 @@ func TestSharedRequestKeyAndExecution(t *testing.T) {
 	if bytes.Equal(j.Payload(), j2.Payload()) {
 		// Sparse realizations differ (the request echo alone differs).
 		t.Fatal("shared and legacy payloads identical including request echo")
+	}
+}
+
+// TestNormalizeRejectsBadPorts: a duplicated or out-of-range port is a
+// 400-class *RequestError. A duplicate would otherwise be counted twice
+// in the sweep and key a distinct cache entry for the same sweep.
+func TestNormalizeRejectsBadPorts(t *testing.T) {
+	tests := []struct {
+		name    string
+		ports   []int
+		wantErr string
+	}{
+		{"duplicate", []int{3, 3}, "port 3 listed twice"},
+		{"duplicate apart", []int{0, 18, 31, 18}, "port 18 listed twice"},
+		{"past the last port", []int{32}, "port 32 out of [0, 32)"},
+		{"negative", []int{-1}, "port -1 out of [0, 32)"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			r := SweepRequest{Kind: KindReliability, Ports: tt.ports}
+			err := r.Normalize()
+			var reqErr *RequestError
+			if !errors.As(err, &reqErr) {
+				t.Fatalf("err = %v (%T), want a *RequestError", err, err)
+			}
+			if !strings.Contains(err.Error(), tt.wantErr) {
+				t.Fatalf("err = %v, want one mentioning %q", err, tt.wantErr)
+			}
+		})
 	}
 }
