@@ -405,9 +405,9 @@ func gridAround(hi, lo float64) []float64 {
 func runReliability(sys *hbmvolt.System) error {
 	// The default is the paper's whole-HBM methodology: every word of
 	// every pseudo channel, across the full voltage ladder. The sweep is
-	// sharded across -j board-fleet workers; with one worker the ports
-	// within each point run concurrently instead (both modes produce
-	// identical results — see the sweep scheduler's determinism tests).
+	// sharded across -j board-fleet workers; on one board (-j 1, or a
+	// single -volts point) core runs the ports within each point
+	// concurrently instead. Both produce identical results.
 	var grid []float64
 	where := "1.20V→0.81V sweep"
 	if *flagVolts != 0 {
@@ -418,11 +418,7 @@ func runReliability(sys *hbmvolt.System) error {
 		Grid:      grid,
 		BatchSize: *flagBatch,
 		Workers:   *flagJ,
-		// Port-level parallelism takes over where point-level sharding
-		// cannot: a single worker, or a single-voltage run whose one grid
-		// point would otherwise pin one core.
-		Parallel: *flagJ <= 1 || *flagVolts != 0,
-		OnPoint:  progressLine(),
+		OnPoint:   progressLine(),
 	})
 	if err != nil {
 		return err

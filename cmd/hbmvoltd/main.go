@@ -105,47 +105,50 @@ import (
 	tlog "hbmvolt/internal/telemetry/log"
 )
 
+// opts receives the flag values: most bind straight into the embedded
+// service and fleet configs. -peers and -join are comma-separated
+// lists, split in main.
 var (
-	flagAddr     = flag.String("addr", "127.0.0.1:8023", "listen address")
-	flagWorkers  = flag.Int("workers", 2, "concurrent sweep jobs")
-	flagQueue    = flag.Int("queue", 16, "queued-sweep backlog bound (extra submissions get 503)")
-	flagCache    = flag.Int("cache", 256, "result cache entries (memory LRU)")
-	flagCacheDir = flag.String("cache-dir", "", "durable result-cache directory: computed sweeps survive restarts and crashes (verified on read; empty = memory only)")
-	flagDiskMax  = flag.Int64("cache-disk-bytes", 0, "disk cache payload-byte bound, LRU-evicted (0 = unbounded; needs -cache-dir)")
-	flagMaxJobs  = flag.Int("max-jobs", 1024, "retained job records (oldest terminal jobs evicted)")
-	flagFleet    = flag.Int("j", runtime.GOMAXPROCS(0), "default board-fleet size per sharded sweep (request \"workers\" overrides)")
-	flagRate     = flag.Float64("rate", 0, "per-client submission rate limit in requests/second (0 = off); rejections get 429 with a latency-derived Retry-After")
-	flagBurst    = flag.Int("burst", 8, "per-client token-bucket burst (with -rate)")
-	flagDrain    = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: in-flight sweeps get this long to finish before being cancelled")
-	flagPprof    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; enables capturing CPU/heap profiles of campaign-scale runs in place)")
-	flagLogLevel = flag.String("log-level", "info", "structured log verbosity: debug, info, warn, or error")
-
-	flagMutexFrac = flag.Int("mutex-profile-fraction", 5, "with -pprof: sample 1/n of mutex contention events (0 = off)")
-	flagBlockRate = flag.Int("block-profile-rate", 10000, "with -pprof: sample blocking events lasting >= this many nanoseconds (0 = off)")
-
-	flagSelf       = flag.String("self", "", "fleet mode: this node's advertised base URL, e.g. http://10.0.0.1:8023 (requires -peers or -join)")
-	flagPeers      = flag.String("peers", "", "fleet mode: comma-separated peer base URLs; every node should get the identical list (own URL included is fine)")
-	flagJoin       = flag.String("join", "", "fleet mode: comma-separated seed URLs to announce this node to at startup via the membership admin API; the seeds' node set is adopted, so a new node needs no -peers and the fleet needs no restarts")
-	flagFwdTimeout = flag.Duration("forward-timeout", 2*time.Second, "fleet mode: hedging deadline per forwarded HTTP call; an owner slower than this degrades to local compute")
-	flagProbe      = flag.Duration("probe-interval", time.Second, "fleet mode: active health-check period per peer, jittered ±10% (0 = passive failure detection only)")
-	flagHedge      = flag.Duration("hedge-delay", 0, "fleet mode: how long a forward may run before the second-choice owner is raced (0 = adaptive p95 of observed forward latencies, floored at 50ms; negative = never race, fail over only on primary failure)")
-	flagRepBudget  = flag.Int64("replica-budget-bytes", 1<<30, "fleet mode: byte budget for writing forwarded payloads through to the local durable cache tier, so an owner's death serves its hot keys from local disk (negative = no replication)")
-	flagTrustProxy = flag.Bool("trust-proxy", false, "trust X-Forwarded-For for per-client admission buckets (only behind a proxy that overwrites it; the header is spoofable otherwise)")
+	opts      options
+	flagPeers = flag.String("peers", "", "fleet mode: comma-separated peer base URLs; every node should get the identical list (own URL included is fine)")
+	flagJoin  = flag.String("join", "", "fleet mode: comma-separated seed URLs to announce this node to at startup via the membership admin API; the seeds' node set is adopted, so a new node needs no -peers and the fleet needs no restarts")
 )
 
+func init() {
+	flag.StringVar(&opts.addr, "addr", "127.0.0.1:8023", "listen address")
+	flag.IntVar(&opts.Workers, "workers", 2, "concurrent sweep jobs")
+	flag.IntVar(&opts.QueueDepth, "queue", 16, "queued-sweep backlog bound (extra submissions get 503)")
+	flag.IntVar(&opts.CacheEntries, "cache", 256, "result cache entries (memory LRU)")
+	flag.StringVar(&opts.CacheDir, "cache-dir", "", "durable result-cache directory: computed sweeps survive restarts and crashes (verified on read; empty = memory only)")
+	flag.Int64Var(&opts.DiskCacheBytes, "cache-disk-bytes", 0, "disk cache payload-byte bound, LRU-evicted (0 = unbounded; needs -cache-dir)")
+	flag.IntVar(&opts.MaxJobs, "max-jobs", 1024, "retained job records (oldest terminal jobs evicted)")
+	flag.IntVar(&opts.FleetSize, "j", runtime.GOMAXPROCS(0), "default board-fleet size per sharded sweep (request \"workers\" overrides)")
+	flag.Float64Var(&opts.RatePerSec, "rate", 0, "per-client submission rate limit in requests/second (0 = off); rejections get 429 with a latency-derived Retry-After")
+	flag.IntVar(&opts.RateBurst, "burst", 8, "per-client token-bucket burst (with -rate)")
+	flag.DurationVar(&opts.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown budget: in-flight sweeps get this long to finish before being cancelled")
+	flag.BoolVar(&opts.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default; enables capturing CPU/heap profiles of campaign-scale runs in place)")
+	flag.StringVar(&opts.logLevel, "log-level", "info", "structured log verbosity: debug, info, warn, or error")
+
+	flag.IntVar(&opts.mutexFraction, "mutex-profile-fraction", 5, "with -pprof: sample 1/n of mutex contention events (0 = off)")
+	flag.IntVar(&opts.blockRate, "block-profile-rate", 10000, "with -pprof: sample blocking events lasting >= this many nanoseconds (0 = off)")
+
+	flag.StringVar(&opts.Self, "self", "", "fleet mode: this node's advertised base URL, e.g. http://10.0.0.1:8023 (requires -peers or -join)")
+	flag.DurationVar(&opts.ForwardTimeout, "forward-timeout", 2*time.Second, "fleet mode: hedging deadline per forwarded HTTP call; an owner slower than this degrades to local compute")
+	flag.DurationVar(&opts.ProbeInterval, "probe-interval", time.Second, "fleet mode: active health-check period per peer, jittered ±10% (0 = passive failure detection only)")
+	flag.DurationVar(&opts.HedgeDelay, "hedge-delay", 0, "fleet mode: how long a forward may run before the second-choice owner is raced (0 = adaptive p95 of observed forward latencies, floored at 50ms; negative = never race, fail over only on primary failure)")
+	flag.Int64Var(&opts.ReplicaBudget, "replica-budget-bytes", 1<<30, "fleet mode: byte budget for writing forwarded payloads through to the local durable cache tier, so an owner's death serves its hot keys from local disk (negative = no replication)")
+	flag.BoolVar(&opts.TrustProxy, "trust-proxy", false, "trust X-Forwarded-For for per-client admission buckets (only behind a proxy that overwrites it; the header is spoofable otherwise)")
+}
+
 // options is the daemon's full configuration, decoupled from the flag
-// set so tests can construct and validate it directly.
+// set so tests can construct and validate it directly. The embedded
+// service.Config and fleet.Options are handed to service.Open and
+// fleet.New as they are; the fleet is configured when Self is set.
 type options struct {
+	service.Config
+	fleet.Options
+
 	addr         string
-	workers      int
-	queue        int
-	cache        int
-	cacheDir     string
-	diskMax      int64
-	maxJobs      int
-	fleet        int
-	rate         float64
-	burst        int
 	drainTimeout time.Duration
 	pprof        bool
 
@@ -156,53 +159,13 @@ type options struct {
 	mutexFraction int
 	blockRate     int
 
-	// Fleet mode: self is this node's advertised URL, peers the other
-	// nodes'; empty self means standalone. join lists seed nodes to
-	// announce self to at startup instead of (or in addition to) a
-	// static peer list.
-	self           string
-	peers          []string
-	join           []string
-	forwardTimeout time.Duration
-	probeInterval  time.Duration
-	hedgeDelay     time.Duration
-	replicaBudget  int64
+	// join lists seed nodes to announce Self to at startup instead of
+	// (or in addition to) a static Peers list.
+	join []string
 
-	trustProxy bool
 	// logger receives the daemon's structured JSON records; nil builds a
 	// stderr logger at logLevel in newDaemon (tests inject their own).
 	logger *tlog.Logger
-}
-
-func optionsFromFlags() options {
-	return options{
-		addr:         *flagAddr,
-		workers:      *flagWorkers,
-		queue:        *flagQueue,
-		cache:        *flagCache,
-		cacheDir:     *flagCacheDir,
-		diskMax:      *flagDiskMax,
-		maxJobs:      *flagMaxJobs,
-		fleet:        *flagFleet,
-		rate:         *flagRate,
-		burst:        *flagBurst,
-		drainTimeout: *flagDrain,
-		pprof:        *flagPprof,
-
-		logLevel:      *flagLogLevel,
-		mutexFraction: *flagMutexFrac,
-		blockRate:     *flagBlockRate,
-
-		self:           *flagSelf,
-		peers:          splitPeers(*flagPeers),
-		join:           splitPeers(*flagJoin),
-		forwardTimeout: *flagFwdTimeout,
-		probeInterval:  *flagProbe,
-		hedgeDelay:     *flagHedge,
-		replicaBudget:  *flagRepBudget,
-
-		trustProxy: *flagTrustProxy,
-	}
 }
 
 // splitPeers parses the -peers flag: comma-separated URLs, empty
@@ -220,19 +183,19 @@ func splitPeers(raw string) []string {
 // validate rejects configurations that would misbehave at runtime
 // instead of letting them propagate into confusing failures.
 func (o options) validate() error {
-	if o.workers < 1 || o.queue < 1 || o.cache < 1 || o.maxJobs < 1 || o.fleet < 1 {
+	if o.Workers < 1 || o.QueueDepth < 1 || o.CacheEntries < 1 || o.MaxJobs < 1 || o.FleetSize < 1 {
 		return errors.New("-workers, -queue, -cache, -max-jobs and -j must all be >= 1")
 	}
-	if o.rate < 0 {
+	if o.RatePerSec < 0 {
 		return errors.New("-rate must be >= 0")
 	}
-	if o.rate > 0 && o.burst < 1 {
+	if o.RatePerSec > 0 && o.RateBurst < 1 {
 		return errors.New("-burst must be >= 1 when -rate is set")
 	}
-	if o.diskMax < 0 {
+	if o.DiskCacheBytes < 0 {
 		return errors.New("-cache-disk-bytes must be >= 0")
 	}
-	if o.diskMax > 0 && o.cacheDir == "" {
+	if o.DiskCacheBytes > 0 && o.CacheDir == "" {
 		return errors.New("-cache-disk-bytes needs -cache-dir")
 	}
 	if o.drainTimeout <= 0 {
@@ -249,20 +212,20 @@ func (o options) validate() error {
 	if o.blockRate < 0 {
 		return errors.New("-block-profile-rate must be >= 0")
 	}
-	if len(o.peers) > 0 && o.self == "" {
+	if len(o.Peers) > 0 && o.Self == "" {
 		return errors.New("-peers needs -self (peers must know this node by one agreed URL)")
 	}
-	if len(o.join) > 0 && o.self == "" {
+	if len(o.join) > 0 && o.Self == "" {
 		return errors.New("-join needs -self (seeds must learn this node by one agreed URL)")
 	}
-	if o.self != "" {
-		if len(o.peers) == 0 && len(o.join) == 0 {
+	if o.Self != "" {
+		if len(o.Peers) == 0 && len(o.join) == 0 {
 			return errors.New("-self needs -peers or -join (a fleet of one is just a daemon)")
 		}
-		if o.forwardTimeout <= 0 {
+		if o.ForwardTimeout <= 0 {
 			return errors.New("-forward-timeout must be > 0")
 		}
-		if o.probeInterval < 0 {
+		if o.ProbeInterval < 0 {
 			return errors.New("-probe-interval must be >= 0")
 		}
 	}
@@ -295,38 +258,20 @@ func newDaemon(o options) (*daemon, error) {
 	// report into it, so the two surfaces cannot drift.
 	reg := telemetry.NewRegistry()
 	var fwd *fleet.Forwarder
-	if o.self != "" {
+	if o.Self != "" {
+		o.Options.Logger = o.logger
 		var err error
-		fwd, err = fleet.New(fleet.Options{
-			Self:           o.self,
-			Peers:          o.peers,
-			ForwardTimeout: o.forwardTimeout,
-			ProbeInterval:  o.probeInterval,
-			HedgeDelay:     o.hedgeDelay,
-			ReplicaBudget:  o.replicaBudget,
-			Logger:         o.logger,
-		})
-		if err != nil {
+		if fwd, err = fleet.New(o.Options); err != nil {
 			return nil, err
 		}
 		fwd.RegisterMetrics(reg)
 		o.logger.Info("fleet mode", tlog.F("self", fwd.Self()), tlog.F("nodes", len(fwd.Nodes())))
 	}
-	srv, err := service.Open(service.Config{
-		Workers:        o.workers,
-		QueueDepth:     o.queue,
-		CacheEntries:   o.cache,
-		CacheDir:       o.cacheDir,
-		DiskCacheBytes: o.diskMax,
-		MaxJobs:        o.maxJobs,
-		FleetSize:      o.fleet,
-		RatePerSec:     o.rate,
-		RateBurst:      o.burst,
-		TrustProxy:     o.trustProxy,
-		Forwarder:      forwarderOrNil(fwd),
-		Metrics:        reg,
-		Logger:         o.logger,
-	})
+	cfg := o.Config
+	cfg.Forwarder = forwarderOrNil(fwd)
+	cfg.Metrics = reg
+	cfg.Logger = o.logger
+	srv, err := service.Open(cfg)
 	if err != nil {
 		if fwd != nil {
 			fwd.Close()
@@ -399,9 +344,9 @@ func (d *daemon) serve(ctx context.Context, ln net.Listener) error {
 	errc := make(chan error, 1)
 	go func() {
 		d.log.Info("listening",
-			tlog.F("addr", ln.Addr().String()), tlog.F("workers", o.workers),
-			tlog.F("queue", o.queue), tlog.F("cache", o.cache),
-			tlog.F("fleet", o.fleet), tlog.F("cache_dir", o.cacheDir))
+			tlog.F("addr", ln.Addr().String()), tlog.F("workers", o.Workers),
+			tlog.F("queue", o.QueueDepth), tlog.F("cache", o.CacheEntries),
+			tlog.F("fleet", o.FleetSize), tlog.F("cache_dir", o.CacheDir))
 		errc <- d.http.Serve(ln)
 	}()
 	if d.fwd != nil && len(o.join) > 0 {
@@ -493,7 +438,8 @@ func main() {
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, optionsFromFlags()); err != nil {
+	opts.Peers, opts.join = splitPeers(*flagPeers), splitPeers(*flagJoin)
+	if err := run(ctx, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "hbmvoltd:", err)
 		os.Exit(1)
 	}

@@ -32,8 +32,8 @@ func testLogger(t *testing.T) *tlog.Logger {
 
 func TestOptionsValidate(t *testing.T) {
 	base := options{
-		addr: "127.0.0.1:0", workers: 2, queue: 16, cache: 256,
-		maxJobs: 1024, fleet: 2, drainTimeout: time.Second,
+		addr: "127.0.0.1:0", drainTimeout: time.Second,
+		Config: service.Config{Workers: 2, QueueDepth: 16, CacheEntries: 256, MaxJobs: 1024, FleetSize: 2},
 	}
 	cases := []struct {
 		name    string
@@ -41,38 +41,38 @@ func TestOptionsValidate(t *testing.T) {
 		wantErr string
 	}{
 		{"defaults", func(o *options) {}, ""},
-		{"zero workers", func(o *options) { o.workers = 0 }, ">= 1"},
-		{"zero queue", func(o *options) { o.queue = 0 }, ">= 1"},
-		{"zero cache", func(o *options) { o.cache = 0 }, ">= 1"},
-		{"negative rate", func(o *options) { o.rate = -1 }, "-rate"},
-		{"rate without burst", func(o *options) { o.rate = 2; o.burst = 0 }, "-burst"},
-		{"rate with burst", func(o *options) { o.rate = 2; o.burst = 4 }, ""},
-		{"disk bound without dir", func(o *options) { o.diskMax = 1 << 20 }, "-cache-dir"},
-		{"disk bound with dir", func(o *options) { o.diskMax = 1 << 20; o.cacheDir = "/tmp/x" }, ""},
-		{"negative disk bound", func(o *options) { o.diskMax = -1 }, "-cache-disk-bytes"},
+		{"zero workers", func(o *options) { o.Workers = 0 }, ">= 1"},
+		{"zero queue", func(o *options) { o.QueueDepth = 0 }, ">= 1"},
+		{"zero cache", func(o *options) { o.CacheEntries = 0 }, ">= 1"},
+		{"negative rate", func(o *options) { o.RatePerSec = -1 }, "-rate"},
+		{"rate without burst", func(o *options) { o.RatePerSec = 2; o.RateBurst = 0 }, "-burst"},
+		{"rate with burst", func(o *options) { o.RatePerSec = 2; o.RateBurst = 4 }, ""},
+		{"disk bound without dir", func(o *options) { o.DiskCacheBytes = 1 << 20 }, "-cache-dir"},
+		{"disk bound with dir", func(o *options) { o.DiskCacheBytes = 1 << 20; o.CacheDir = "/tmp/x" }, ""},
+		{"negative disk bound", func(o *options) { o.DiskCacheBytes = -1 }, "-cache-disk-bytes"},
 		{"zero drain timeout", func(o *options) { o.drainTimeout = 0 }, "-drain-timeout"},
-		{"peers without self", func(o *options) { o.peers = []string{"http://n2:1"} }, "-self"},
+		{"peers without self", func(o *options) { o.Peers = []string{"http://n2:1"} }, "-self"},
 		{"join without self", func(o *options) { o.join = []string{"http://n2:1"} }, "-self"},
-		{"self without peers", func(o *options) { o.self = "http://n1:1" }, "-peers"},
+		{"self without peers", func(o *options) { o.Self = "http://n1:1" }, "-peers"},
 		{"join instead of peers", func(o *options) {
-			o.self = "http://n1:1"
+			o.Self = "http://n1:1"
 			o.join = []string{"http://n2:1"}
-			o.forwardTimeout = time.Second
+			o.ForwardTimeout = time.Second
 		}, ""},
 		{"fleet ok", func(o *options) {
-			o.self = "http://n1:1"
-			o.peers = []string{"http://n2:1"}
-			o.forwardTimeout = time.Second
+			o.Self = "http://n1:1"
+			o.Peers = []string{"http://n2:1"}
+			o.ForwardTimeout = time.Second
 		}, ""},
 		{"fleet zero forward timeout", func(o *options) {
-			o.self = "http://n1:1"
-			o.peers = []string{"http://n2:1"}
+			o.Self = "http://n1:1"
+			o.Peers = []string{"http://n2:1"}
 		}, "-forward-timeout"},
 		{"fleet negative probe interval", func(o *options) {
-			o.self = "http://n1:1"
-			o.peers = []string{"http://n2:1"}
-			o.forwardTimeout = time.Second
-			o.probeInterval = -time.Second
+			o.Self = "http://n1:1"
+			o.Peers = []string{"http://n2:1"}
+			o.ForwardTimeout = time.Second
+			o.ProbeInterval = -time.Second
 		}, "-probe-interval"},
 	}
 	for _, tc := range cases {
@@ -117,8 +117,8 @@ func startDaemon(t *testing.T, o options) (client *service.Client, cancel contex
 
 func testOptions() options {
 	return options{
-		addr: "127.0.0.1:0", workers: 1, queue: 16, cache: 256,
-		maxJobs: 64, fleet: 1, drainTimeout: 30 * time.Second,
+		addr: "127.0.0.1:0", drainTimeout: 30 * time.Second,
+		Config: service.Config{Workers: 1, QueueDepth: 16, CacheEntries: 256, MaxJobs: 64, FleetSize: 1},
 	}
 }
 
@@ -147,7 +147,7 @@ func waitServe(t *testing.T, done chan error) {
 func TestDaemonCacheDirWiring(t *testing.T) {
 	dir := t.TempDir()
 	o := testOptions()
-	o.cacheDir = dir
+	o.CacheDir = dir
 
 	c, cancel, done := startDaemon(t, o)
 	ctx := context.Background()
@@ -226,10 +226,10 @@ func TestDaemonFleetWiring(t *testing.T) {
 	for i := range lns {
 		o := testOptions()
 		o.logger = testLogger(t)
-		o.self = urls[i]
-		o.peers = urls
-		o.forwardTimeout = 2 * time.Second
-		o.probeInterval = 0 // passive only: no probe goroutines in this test
+		o.Self = urls[i]
+		o.Peers = urls
+		o.ForwardTimeout = 2 * time.Second
+		o.ProbeInterval = 0 // passive only: no probe goroutines in this test
 		if err := o.validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -308,9 +308,9 @@ func TestDaemonJoinWiring(t *testing.T) {
 	boot := func(i int, mutate func(*options)) {
 		o := testOptions()
 		o.logger = testLogger(t)
-		o.self = urls[i]
-		o.forwardTimeout = 2 * time.Second
-		o.probeInterval = 0
+		o.Self = urls[i]
+		o.ForwardTimeout = 2 * time.Second
+		o.ProbeInterval = 0
 		mutate(&o)
 		if err := o.validate(); err != nil {
 			t.Fatal(err)
@@ -325,8 +325,8 @@ func TestDaemonJoinWiring(t *testing.T) {
 		go func() { done <- d.serve(ctx, ln) }()
 		t.Cleanup(func() { cancel(); waitServe(t, done) })
 	}
-	boot(0, func(o *options) { o.peers = urls[:2] })
-	boot(1, func(o *options) { o.peers = urls[:2] })
+	boot(0, func(o *options) { o.Peers = urls[:2] })
+	boot(1, func(o *options) { o.Peers = urls[:2] })
 	boot(2, func(o *options) { o.join = urls[:2] })
 
 	membership := func(url string) (fleet.Membership, error) {

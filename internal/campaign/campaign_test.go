@@ -388,6 +388,49 @@ func TestBuiltinPaperRepro(t *testing.T) {
 	}
 }
 
+// TestAdmissionBucketSharedWithSweeps: sweep and campaign submissions
+// spend tokens from one per-client bucket, so a client cannot dodge its
+// rate by wrapping sweeps in a campaign.
+func TestAdmissionBucketSharedWithSweeps(t *testing.T) {
+	srv, err := service.Open(service.Config{Workers: 1, RatePerSec: 0.001, RateBurst: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	mux := http.NewServeMux()
+	NewAPI(srv.Manager()).Register(mux)
+	mux.Handle("/", srv)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	post := func(path, client, body string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Client-ID", client)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < 2; i++ {
+		if code := post("/v1/sweeps", "alice", `{"kind":"faultmap","grid":[0.90]}`); code >= 300 {
+			t.Fatalf("sweep %d: HTTP %d", i, code)
+		}
+	}
+	if code := post("/v1/campaigns", "alice", `{}`); code != http.StatusTooManyRequests {
+		t.Fatalf("campaign after the sweeps spent alice's burst: HTTP %d, want 429", code)
+	}
+	// A fresh client is admitted, then refused for the empty body.
+	if code := post("/v1/campaigns", "bob", `{}`); code != http.StatusBadRequest {
+		t.Fatalf("bob's campaign: HTTP %d, want 400", code)
+	}
+}
+
 // TestHTTPCampaignAPI drives the daemon-facing routes end to end and
 // checks the HTTP path produces the same manifest as a direct run.
 func TestHTTPCampaignAPI(t *testing.T) {

@@ -133,10 +133,7 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// rate by wrapping sweeps in campaigns. The manager's key honors
 	// TrustProxy, so clients behind a trusted proxy get their own
 	// buckets here too.
-	client := a.mgr.ClientKey(r)
-	if ok, retryAfter := a.mgr.AllowClient(client); !ok {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-		service.WriteError(w, http.StatusTooManyRequests, "client %s over submission rate", client)
+	if !a.mgr.Admit(w, r) {
 		return
 	}
 	var body SubmitBody

@@ -2,11 +2,11 @@
 // primary contribution of Nabavi Larimi et al. (DATE 2021) recast as a
 // reusable library:
 //
-//   - Tester runs Algorithm 1 (batched sequential write/read-check over a
-//     voltage ladder) against a simulated VCU128 board;
-//   - SweepScheduler shards a sweep's voltage points across a fleet of
-//     board clones (bit-identical to the sequential path at any worker
-//     count, with context cancellation and progress callbacks);
+//   - RunReliability runs Algorithm 1 (batched sequential write/read-check
+//     over a voltage ladder) against a simulated VCU128 board, sharding
+//     the voltage points across a fleet of board clones when Workers > 1
+//     (bit-identical to the single-board path at any worker count, with
+//     context cancellation and progress callbacks);
 //   - PowerSweep regenerates the power study (Fig. 2) and the effective
 //     switched-capacitance analysis (Fig. 3);
 //   - ReliabilitySweep regenerates the per-stack fault-fraction curves

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -661,33 +662,30 @@ func TestCapacityStudyValidation(t *testing.T) {
 	}
 }
 
+// TestRunReliabilityParallelMatchesSequential: a one-board sweep runs
+// its ports concurrently (with GOMAXPROCS > 1); its observations must
+// equal the in-order port passes of runPorts bit for bit.
 func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
-	run := func(parallel bool) *ReliabilityResult {
-		b := testBoard(t, board.Config{Scale: 256, Seed: 4})
-		res, err := RunReliability(t.Context(), ReliabilityConfig{
-			Board:     b,
-			Grid:      []float64{0.90},
-			BatchSize: 3,
-			Parallel:  parallel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg := board.Config{Scale: 256, Seed: 4}
+	res, err := RunReliability(t.Context(), ReliabilityConfig{
+		Board:     testBoard(t, cfg),
+		Grid:      []float64{0.90},
+		BatchSize: 3,
+		Workers:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := run(false)
-	par := run(true)
-	sp, pp := seq.Points[0], par.Points[0]
-	if sp.MeanFlips != pp.MeanFlips || sp.Flips10 != pp.Flips10 || sp.Flips01 != pp.Flips01 {
-		t.Fatalf("parallel execution changed results: %+v vs %+v", sp, pp)
+	var ports []hbm.PortID
+	for p := 0; p < hbm.MaxPorts; p++ {
+		ports = append(ports, hbm.PortID(p))
 	}
-	if len(sp.Observations) != len(pp.Observations) {
-		t.Fatal("observation counts differ")
+	var seq []PortObservation
+	for _, step := range portPasses(t, cfg, ports, []float64{0.90}, 3, false) {
+		seq = append(seq, step...)
 	}
-	for i := range sp.Observations {
-		if sp.Observations[i].MeanFlips != pp.Observations[i].MeanFlips {
-			t.Fatalf("port %d differs", sp.Observations[i].Port)
-		}
+	if !reflect.DeepEqual(res.Points[0].Observations, seq) {
+		t.Fatal("one-board sweep differs from in-order port passes")
 	}
 }
 
@@ -703,7 +701,6 @@ func TestMeasuredUnsafeRegionShape(t *testing.T) {
 		Ports:     ports,
 		Grid:      []float64{0.93, 0.90, 0.87},
 		BatchSize: 2,
-		Parallel:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,37 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"hbmvolt/internal/board"
 	"hbmvolt/internal/hbm"
+	"hbmvolt/internal/pattern"
 )
+
+// portPasses runs runPorts for every (voltage, pattern) step of grid on
+// a fresh board of cfg, pooled or in order, and returns each step's
+// observations — patterns inner, in Algorithm 1's order.
+func portPasses(t *testing.T, cfg board.Config, ports []hbm.PortID, grid []float64, batch int, parallel bool) [][]PortObservation {
+	t.Helper()
+	b := testBoard(t, cfg)
+	var steps [][]PortObservation
+	for _, v := range grid {
+		if err := b.SetHBMVoltage(v); err != nil {
+			t.Fatal(err)
+		}
+		for _, pat := range []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()} {
+			obs, err := runPorts(b, ports, pat, b.Org.WordsPerPC, batch, parallel, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps = append(steps, slices.Clone(obs))
+		}
+	}
+	return steps
+}
 
 // TestRunPortsWorkerPool forces the bounded worker pool on (even on a
 // single-CPU machine) and checks that pooled execution is result-
@@ -16,35 +41,17 @@ func TestRunPortsWorkerPool(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
-	run := func(parallel bool) *ReliabilityResult {
-		b := testBoard(t, board.Config{Scale: 256, Seed: 8})
-		res, err := RunReliability(t.Context(), ReliabilityConfig{
-			Board:     b,
-			Ports:     []hbm.PortID{1, 4, 5, 18, 19, 20, 31},
-			Grid:      []float64{0.93, 0.89},
-			BatchSize: 4,
-			Parallel:  parallel,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	cfg := board.Config{Scale: 256, Seed: 8}
+	ports := []hbm.PortID{1, 4, 5, 18, 19, 20, 31}
+	grid := []float64{0.93, 0.89}
+	seq := portPasses(t, cfg, ports, grid, 4, false)
+	par := portPasses(t, cfg, ports, grid, 4, true)
+	if len(seq) != len(par) {
+		t.Fatalf("step counts differ: %d vs %d", len(seq), len(par))
 	}
-	seq := run(false)
-	par := run(true)
-	if len(seq.Points) != len(par.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(seq.Points), len(par.Points))
-	}
-	for i := range seq.Points {
-		sp, pp := seq.Points[i], par.Points[i]
-		if sp.MeanFlips != pp.MeanFlips || sp.Flips10 != pp.Flips10 || sp.Flips01 != pp.Flips01 {
-			t.Fatalf("pooled execution changed results at %vV: %+v vs %+v", sp.Volts, sp, pp)
-		}
-		for j := range sp.Observations {
-			so, po := sp.Observations[j], pp.Observations[j]
-			if so.Port != po.Port || so.MeanFlips != po.MeanFlips || so.MeanFaulty != po.MeanFaulty {
-				t.Fatalf("port %d at %vV differs under pool", so.Port, sp.Volts)
-			}
+	for i := range seq {
+		if !reflect.DeepEqual(seq[i], par[i]) {
+			t.Fatalf("pooled execution changed step %d: %+v vs %+v", i, seq[i], par[i])
 		}
 	}
 }

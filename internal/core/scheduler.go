@@ -1,18 +1,19 @@
 package core
 
-// SweepScheduler: board-fleet parallelism for Algorithm 1 sweeps.
+// Board-fleet parallelism for Algorithm 1 sweeps.
 //
 // A reliability sweep is embarrassingly parallel across voltage points —
 // each point programs the rail, writes patterns and reads them back, and
 // every random draw underneath (cell critical voltages, metastability
 // jitter, sparse row realizations, aggregate count draws) is a pure
 // function of (seed, PC, address, rep, voltage), never of evaluation
-// order. The scheduler exploits that: it instantiates one independent
-// board clone per worker and distributes the grid points over a bounded
-// worker pool, so a full-grid sweep scales with cores instead of pinning
-// one. Because the draws are keyed rather than streamed, sharded output
-// is bit-identical to the sequential path at any worker count — the
-// determinism tests pin this across worker counts and patterns.
+// order. RunReliability exploits that: with cfg.Workers > 1 it
+// instantiates one independent board clone per worker and distributes
+// the grid points over a bounded worker pool, so a full-grid sweep
+// scales with cores instead of pinning one. Because the draws are keyed
+// rather than streamed, sharded output is bit-identical to the
+// sequential path at any worker count — the determinism tests pin this
+// across worker counts and patterns.
 //
 // Cloned boards share the memoized analytic rate atlas (same config
 // fingerprint), so the fleet duplicates electrical state but never
@@ -20,11 +21,9 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 
 	"hbmvolt/internal/board"
-	"hbmvolt/internal/stats"
 )
 
 // SweepProgress reports one completed voltage point of a running sweep.
@@ -50,22 +49,9 @@ type SweepProgress struct {
 	Watts float64 `json:"watts,omitempty"`
 }
 
-// ProgressFunc receives sweep progress. Calls are serialized; the
-// callback must not invoke the scheduler reentrantly.
+// ProgressFunc receives sweep progress. Calls are serialized, so a slow
+// callback holds up the sweep's workers.
 type ProgressFunc func(SweepProgress)
-
-// SweepScheduler shards a reliability sweep across a fleet of
-// independently instantiated simulated boards — one clone per worker —
-// with bounded concurrency, context cancellation and progress callbacks.
-// The zero value is valid and runs GOMAXPROCS workers.
-type SweepScheduler struct {
-	// Workers is the board-fleet size; 0 means GOMAXPROCS. The fleet is
-	// never larger than the grid.
-	Workers int
-	// OnProgress, when non-nil, is called after every completed voltage
-	// point (serialized, completion order).
-	OnProgress ProgressFunc
-}
 
 // progressTracker serializes completion callbacks and owns the monotone
 // Done counter.
@@ -92,50 +78,13 @@ func (p *progressTracker) completed(pt VoltagePoint) {
 	})
 }
 
-// RunReliability executes Algorithm 1 over cfg's grid, sharding the
-// voltage points across the scheduler's board fleet. cfg.Board is the
-// fleet template (and first worker's board); it is restored to nominal
-// voltage on every exit, as are all clones. Results are bit-identical to
-// the sequential single-board sweep regardless of worker count.
-func (s *SweepScheduler) RunReliability(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	if err := cfg.fill(); err != nil {
-		return nil, err
-	}
-	margin, err := stats.MarginOfError(cfg.BatchSize, DefaultConfidence)
-	if err != nil {
-		return nil, err
-	}
-	res := &ReliabilityResult{
-		Margin: margin,
-		Points: make([]VoltagePoint, len(cfg.Grid)),
-	}
-	prog := &progressTracker{total: len(cfg.Grid), fn: s.OnProgress}
-
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfg.Grid) {
-		workers = len(cfg.Grid)
-	}
-	if workers <= 1 {
-		if err := runSequential(ctx, &cfg, res, prog); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-
-	if err := s.runSharded(ctx, &cfg, res, prog, workers); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// runSharded drives the fleet. Grid indices flow through an unbuffered
-// channel so a cancelled context stops dispatch immediately; each worker
-// owns its board exclusively, writes results into its grid slot, and the
-// first error cancels the rest of the sweep.
-func (s *SweepScheduler) runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, workers int) (err error) {
+// runSharded drives a fleet of workers boards: cfg.Board (the fleet
+// template) plus workers-1 clones. Grid indices flow through an
+// unbuffered channel so a cancelled context stops dispatch immediately;
+// each worker owns its board exclusively, writes results into its grid
+// slot, and the first error cancels the rest of the sweep. The ports of
+// a point run in order here: the fleet already keeps the cores busy.
+func runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, workers int) (err error) {
 	boards := make([]*board.Board, workers)
 	boards[0] = cfg.Board
 	for w := 1; w < workers; w++ {
@@ -181,7 +130,7 @@ func (s *SweepScheduler) runSharded(ctx context.Context, cfg *ReliabilityConfig,
 		go func(b *board.Board) {
 			defer wg.Done()
 			for i := range tasks {
-				pt, perr := runVoltagePoint(ctx, b, cfg, cfg.Grid[i])
+				pt, perr := runVoltagePoint(ctx, b, cfg, cfg.Grid[i], false)
 				if perr != nil {
 					fail(perr)
 					return

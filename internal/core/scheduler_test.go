@@ -21,11 +21,11 @@ func shardGrid() []float64 {
 	return []float64{0.99, 0.95, 0.91, 0.89, 0.87, 0.85, 0.80}
 }
 
-// runSweepWorkers runs the full-ladder sweep with the given worker count
+// sweepAtWorkers runs the full-ladder sweep with the given worker count
 // on a fresh board of the given config. A port subset spanning both
 // stacks and the sensitive PCs keeps the bit-exact collapse points
 // affordable; port independence is covered by TestRunPortsWorkerPool.
-func runSweepWorkers(t *testing.T, bcfg board.Config, workers int, pats []pattern.Pattern) *ReliabilityResult {
+func sweepAtWorkers(t *testing.T, bcfg board.Config, workers int, pats []pattern.Pattern) *ReliabilityResult {
 	t.Helper()
 	res, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:     testBoard(t, bcfg),
@@ -59,7 +59,7 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			seq := runSweepWorkers(t, c.bcfg, 1, c.pats)
+			seq := sweepAtWorkers(t, c.bcfg, 1, c.pats)
 			crashes := 0
 			for _, pt := range seq.Points {
 				if pt.Crashed {
@@ -70,7 +70,7 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 				t.Fatal("grid never crashed the board; crash-marker equality is vacuous")
 			}
 			for _, workers := range []int{2, 8} {
-				sharded := runSweepWorkers(t, c.bcfg, workers, c.pats)
+				sharded := sweepAtWorkers(t, c.bcfg, workers, c.pats)
 				if !reflect.DeepEqual(seq, sharded) {
 					for i := range seq.Points {
 						if !reflect.DeepEqual(seq.Points[i], sharded.Points[i]) {
@@ -150,17 +150,15 @@ func TestShardedSweepCancellation(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	sch := &SweepScheduler{
-		Workers: 2,
-		OnProgress: func(SweepProgress) {
-			once.Do(cancel) // cancel after the first completed point
-		},
-	}
-	_, err := sch.RunReliability(ctx, ReliabilityConfig{
+	_, err := RunReliability(ctx, ReliabilityConfig{
 		Board:     b,
 		Ports:     []hbm.PortID{0, 1, 2, 3},
 		Grid:      faults.VoltageGrid(1.20, 0.90),
 		BatchSize: 2,
+		Workers:   2,
+		OnPoint: func(SweepProgress) {
+			once.Do(cancel) // cancel after the first completed point
+		},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -210,15 +208,16 @@ func TestSweepProgressCallback(t *testing.T) {
 	}
 }
 
-// TestSchedulerZeroValue: the zero-value scheduler (GOMAXPROCS workers,
-// no progress) must work and cap its fleet at the grid size.
+// TestSchedulerZeroValue: a sweep with more workers than grid points
+// and no progress callback must work, cap its fleet at the grid size
+// and return the points in grid order.
 func TestSchedulerZeroValue(t *testing.T) {
-	var sch SweepScheduler
-	res, err := sch.RunReliability(t.Context(), ReliabilityConfig{
+	res, err := RunReliability(t.Context(), ReliabilityConfig{
 		Board:     testBoard(t, board.Config{Scale: 1024}),
 		Ports:     []hbm.PortID{18},
 		Grid:      []float64{0.90, 0.89}, // fleet capped at 2
 		BatchSize: 2,
+		Workers:   8,
 	})
 	if err != nil {
 		t.Fatal(err)

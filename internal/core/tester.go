@@ -34,16 +34,13 @@ type ReliabilityConfig struct {
 	// Grid is the voltage ladder, descending; nil means the paper's
 	// 1.20 V → 0.81 V sweep.
 	Grid []float64
-	// Parallel runs the ports of each (voltage, pattern) step
-	// concurrently, as the 32 hardware traffic generators do. Results
-	// are identical to sequential execution (ports are independent and
-	// the fault model is deterministic); only wall time changes.
-	Parallel bool
-	// Workers shards the sweep's voltage points across a fleet of board
-	// clones (see SweepScheduler). 0 or 1 runs the classic sequential
-	// sweep on Board; larger values distribute grid points over that many
-	// workers, each driving its own clone of Board. Results are
-	// bit-identical at every worker count; only wall time changes.
+	// Workers is the sweep's only parallelism setting. 0 or 1 runs the
+	// grid on Board alone, and then the ports of each (voltage, pattern)
+	// step run concurrently, as the 32 hardware traffic generators do.
+	// Larger values shard the voltage points over min(Workers, len(Grid))
+	// boards — Board plus clones — each running its ports in order.
+	// Results are bit-identical at every worker count; only wall time
+	// changes.
 	Workers int
 	// SharedEnumeration evaluates every pattern of a voltage point from
 	// one pattern-agnostic stuck-cell enumeration (faults.Enumeration)
@@ -166,14 +163,35 @@ func (r *ReliabilityResult) Point(v float64) *VoltagePoint {
 // down), repeat batchSize times {reset ports; write pattern; read back
 // and count mismatches}, for every configured pattern and port. A crash
 // (voltage below V_critical) is recorded and the board power-cycled, as
-// the paper's procedure requires. With cfg.Workers > 1 the grid is
-// sharded across a board fleet (see SweepScheduler); results are
-// bit-identical either way. Every exit — success, mid-sweep error, or
-// cancellation — leaves the board back at nominal voltage. A cancelled
-// ctx stops the sweep between voltage points and returns ctx.Err().
+// the paper's procedure requires. cfg.Workers alone sets the
+// parallelism: more than one worker shards the grid across a board fleet
+// (see runSharded), one worker drives the ports of each step
+// concurrently on cfg.Board; results are bit-identical either way. Every
+// exit — success, mid-sweep error, or cancellation — leaves the board
+// (and every fleet clone) back at nominal voltage. A cancelled ctx stops
+// the sweep between voltage points and returns ctx.Err().
 func RunReliability(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	sch := &SweepScheduler{Workers: max(cfg.Workers, 1), OnProgress: cfg.OnPoint}
-	return sch.RunReliability(ctx, cfg)
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
+	margin, err := stats.MarginOfError(cfg.BatchSize, DefaultConfidence)
+	if err != nil {
+		return nil, err
+	}
+	res := &ReliabilityResult{
+		Margin: margin,
+		Points: make([]VoltagePoint, len(cfg.Grid)),
+	}
+	prog := &progressTracker{total: len(cfg.Grid), fn: cfg.OnPoint}
+	if workers := min(max(cfg.Workers, 1), len(cfg.Grid)); workers > 1 {
+		err = runSharded(ctx, &cfg, res, prog, workers)
+	} else {
+		err = runSequential(ctx, &cfg, res, prog)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // restoreNominal re-programs the board to V_nom, joining a restore
@@ -186,8 +204,8 @@ func restoreNominal(b *board.Board, err *error) {
 }
 
 // runSequential is the single-board reference path: grid points visited
-// in order on one board. The sharded scheduler must match its output
-// bit for bit.
+// in order on one board, the ports of each step run concurrently. The
+// sharded path must match its output bit for bit.
 func runSequential(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker) (err error) {
 	b := cfg.Board
 	defer restoreNominal(b, &err)
@@ -195,7 +213,7 @@ func runSequential(ctx context.Context, cfg *ReliabilityConfig, res *Reliability
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pt, err := runVoltagePoint(ctx, b, cfg, v)
+		pt, err := runVoltagePoint(ctx, b, cfg, v, true)
 		if err != nil {
 			return err
 		}
@@ -222,8 +240,9 @@ func voltageBand(v float64) string {
 // of a fleet evaluates it nor on which points ran before, which is the
 // invariant that makes sharded sweeps bit-identical to sequential ones.
 // ctx carries profiling labels (mode, voltage band) and the telemetry
-// trace for the enum-store lookups; it never influences the outcome.
-func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, v float64) (VoltagePoint, error) {
+// trace for the enum-store lookups; it never influences the outcome, and
+// neither does parallelPorts (see runPorts).
+func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, v float64, parallelPorts bool) (VoltagePoint, error) {
 	if err := b.SetHBMVoltage(v); err != nil {
 		return VoltagePoint{}, fmt.Errorf("core: setting %vV: %w", v, err)
 	}
@@ -247,7 +266,7 @@ func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig
 		if cfg.SharedEnumeration {
 			pt, err = sharedVoltagePoint(ctx, b, cfg, pt)
 		} else {
-			pt, err = isolatedVoltagePoint(ctx, b, cfg, pt)
+			pt, err = isolatedVoltagePoint(ctx, b, cfg, pt, parallelPorts)
 		}
 	})
 	if err != nil {
@@ -259,13 +278,13 @@ func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig
 // isolatedVoltagePoint finishes one non-crashed voltage point on the
 // legacy per-pattern enumeration path, labeling each pattern's
 // fill/check pass for the profiler.
-func isolatedVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint) (VoltagePoint, error) {
+func isolatedVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint, parallelPorts bool) (VoltagePoint, error) {
 	scratch := newPortScratch(len(cfg.Ports), cfg.BatchSize)
 	for _, pat := range cfg.Patterns {
 		var observations []PortObservation
 		var err error
 		pprof.Do(ctx, pprof.Labels("hbmvolt_pattern", pat.Name()), func(context.Context) {
-			observations, err = runPorts(b, cfg.Ports, pat, cfg.WordsPerPort, cfg.BatchSize, cfg.Parallel, scratch)
+			observations, err = runPorts(b, cfg.Ports, pat, cfg.WordsPerPort, cfg.BatchSize, parallelPorts, scratch)
 		})
 		if err != nil {
 			return VoltagePoint{}, fmt.Errorf("core: pattern %s at %vV: %w", pat.Name(), pt.Volts, err)
@@ -330,8 +349,9 @@ func (s *portScratch) reset() {
 // runPorts runs the batched fill/check of Algorithm 1 on the given
 // ports, optionally driving them concurrently within each batch
 // repetition (the hardware's natural mode: all traffic generators run
-// at once). Parallel execution reuses one bounded worker pool across
-// every (port × repetition) task — repetitions form a barrier, because
+// at once). Parallel execution, which RunReliability asks for on the
+// single-board path, reuses one pool of min(len(ports), GOMAXPROCS)
+// goroutines across every (port × repetition) task — repetitions form a barrier, because
 // the batch-rep register is device-global state, but the goroutines and
 // result buffers live once for the whole batch instead of being respawned
 // per repetition. The returned slice aliases scratch.out; callers copy

@@ -223,7 +223,6 @@ func New(opts Options) (*Forwarder, error) {
 		httpc: httpc,
 		stopc: make(chan struct{}),
 	}
-	f.hedge.window.init(hedgeWindowSize)
 	f.rep.budget = opts.ReplicaBudget
 	v := &view{
 		version: 1,
@@ -263,7 +262,6 @@ func (f *Forwarder) newPeer(name string) *peer {
 	// attempt per call, fail fast, fall back to local compute. The
 	// forwarded-once marker keeps a misconfigured ring from looping.
 	c.Retries = -1
-	c.PollInterval = f.opts.PollInterval
 	c.Header = http.Header{
 		service.HeaderNoForward: []string{"1"},
 		"X-Client-ID":           []string{"fleet:" + f.self},

@@ -4,12 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"hbmvolt/internal/service"
+	"hbmvolt/internal/stats"
 )
 
 // Hedged forwarding: a forward that is slow past the hedge delay races
@@ -24,58 +23,18 @@ import (
 const (
 	// hedgeWindowSize bounds the sliding window of forward latencies
 	// the adaptive hedge delay derives from.
-	hedgeWindowSize = 64
+	hedgeWindowSize = stats.LatencyWindowSize
 	// hedgeDelayFloor is the minimum adaptive hedge delay: below this,
 	// racing costs more in duplicate compute than it saves in tail
 	// latency.
 	hedgeDelayFloor = 50 * time.Millisecond
 )
 
-// latencyWindow is a bounded sliding window of forward latencies.
-type latencyWindow struct {
-	mu      sync.Mutex
-	samples []time.Duration // ring buffer
-	idx     int
-	n       int // live samples, ≤ len(samples)
-}
-
-func (w *latencyWindow) init(size int) {
-	w.samples = make([]time.Duration, size)
-}
-
-// Observe records one successful forward's total latency.
-func (w *latencyWindow) Observe(d time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.samples[w.idx] = d
-	w.idx = (w.idx + 1) % len(w.samples)
-	if w.n < len(w.samples) {
-		w.n++
-	}
-}
-
-// P95 returns the window's 95th-percentile latency (0 while empty).
-func (w *latencyWindow) P95() time.Duration {
-	w.mu.Lock()
-	live := make([]time.Duration, w.n)
-	copy(live, w.samples[:w.n])
-	w.mu.Unlock()
-	if len(live) == 0 {
-		return 0
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
-	i := (len(live)*95 + 99) / 100
-	if i > 0 {
-		i--
-	}
-	return live[i]
-}
-
 // hedgeState is the forwarder's hedging state: the latency window the
 // adaptive delay derives from, plus the outcome counters /healthz and
 // /metrics render.
 type hedgeState struct {
-	window                         latencyWindow
+	window                         stats.LatencyWindow
 	launched, wins, losses, failed atomic.Uint64
 }
 

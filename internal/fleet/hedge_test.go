@@ -24,35 +24,6 @@ func TestJitterIntervalBounds(t *testing.T) {
 	}
 }
 
-func TestLatencyWindowP95(t *testing.T) {
-	var w latencyWindow
-	w.init(hedgeWindowSize)
-	if w.P95() != 0 {
-		t.Fatal("empty window must report 0")
-	}
-	w.Observe(100 * time.Millisecond)
-	if w.P95() != 100*time.Millisecond {
-		t.Fatalf("single-sample p95 = %v, want the sample", w.P95())
-	}
-	// 20 samples at 10..200ms: p95 lands on the 19th (190ms).
-	var w2 latencyWindow
-	w2.init(hedgeWindowSize)
-	for i := 1; i <= 20; i++ {
-		w2.Observe(time.Duration(i) * 10 * time.Millisecond)
-	}
-	if got := w2.P95(); got != 190*time.Millisecond {
-		t.Fatalf("p95 of 10..200ms = %v, want 190ms", got)
-	}
-	// Overflow wraps: after 2×size observations of a new value, the old
-	// samples are fully displaced.
-	for i := 0; i < 2*hedgeWindowSize; i++ {
-		w2.Observe(time.Millisecond)
-	}
-	if got := w2.P95(); got != time.Millisecond {
-		t.Fatalf("p95 after displacement = %v, want 1ms", got)
-	}
-}
-
 func TestHedgeDelayAdaptive(t *testing.T) {
 	f, err := New(Options{Self: "http://n1:1", Peers: []string{"http://n2:1"}, ForwardTimeout: 3 * time.Second})
 	if err != nil {

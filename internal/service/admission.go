@@ -2,66 +2,11 @@ package service
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
 	"hbmvolt/internal/telemetry"
 )
-
-// latencyTracker keeps a sliding window of recent job durations and
-// answers the question overload handling needs: "how long until a queue
-// slot frees up?" — the observed median job latency, not a guess.
-type latencyTracker struct {
-	mu sync.Mutex
-	// window is a ring of the most recent job durations.
-	window []time.Duration
-	next   int
-	filled bool
-}
-
-// latencyWindow is the number of recent jobs the median is computed
-// over — large enough to smooth one outlier sweep, small enough to
-// track a workload shift within a few dozen jobs.
-const latencyWindow = 64
-
-func newLatencyTracker() *latencyTracker {
-	return &latencyTracker{window: make([]time.Duration, latencyWindow)}
-}
-
-// Observe records one completed job's duration.
-func (t *latencyTracker) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.window[t.next] = d
-	t.next++
-	if t.next == len(t.window) {
-		t.next = 0
-		t.filled = true
-	}
-}
-
-// Median returns the median duration over the window, or 0 before any
-// observation (callers supply their own floor).
-func (t *latencyTracker) Median() time.Duration {
-	t.mu.Lock()
-	n := t.next
-	if t.filled {
-		n = len(t.window)
-	}
-	if n == 0 {
-		t.mu.Unlock()
-		return 0
-	}
-	samples := make([]time.Duration, n)
-	copy(samples, t.window[:n])
-	t.mu.Unlock()
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	return samples[n/2]
-}
 
 // retryAfterSeconds converts "depth jobs ahead of you, served by
 // workers workers, at median latency per job" into the whole seconds a

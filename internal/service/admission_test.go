@@ -11,26 +11,6 @@ import (
 	"time"
 )
 
-func TestLatencyTrackerMedian(t *testing.T) {
-	tr := newLatencyTracker()
-	if tr.Median() != 0 {
-		t.Fatal("median of no observations should be 0")
-	}
-	for _, d := range []time.Duration{10, 20, 30, 40, 1000} {
-		tr.Observe(d * time.Millisecond)
-	}
-	if got := tr.Median(); got != 30*time.Millisecond {
-		t.Fatalf("median = %v, want 30ms (outlier-resistant)", got)
-	}
-	// The window slides: flood with 5ms jobs and the median follows.
-	for i := 0; i < latencyWindow; i++ {
-		tr.Observe(5 * time.Millisecond)
-	}
-	if got := tr.Median(); got != 5*time.Millisecond {
-		t.Fatalf("median = %v after window turnover, want 5ms", got)
-	}
-}
-
 func TestRetryAfterSeconds(t *testing.T) {
 	cases := []struct {
 		depth, workers int

@@ -15,6 +15,7 @@ import (
 	"hbmvolt/internal/hbm"
 	"hbmvolt/internal/pattern"
 	"hbmvolt/internal/report"
+	"hbmvolt/internal/stats"
 	"hbmvolt/internal/telemetry"
 	tlog "hbmvolt/internal/telemetry/log"
 )
@@ -345,9 +346,11 @@ var errShutdown = errors.New("service: manager is shut down")
 // driving sweeps through internal/core, and the result LRU. It
 // coalesces identical submissions: one live job per cache key.
 type Manager struct {
-	cfg     Config
-	cache   *resultCache
-	latency *latencyTracker
+	cfg   Config
+	cache *resultCache
+	// latency is the sliding window of recent job durations whose
+	// median sizes the Retry-After hints.
+	latency stats.LatencyWindow
 	limiter *rateLimiter
 	// forward, when non-nil, is the fleet routing hook consulted before
 	// computing a job locally (Config.Forwarder).
@@ -409,7 +412,6 @@ func OpenManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:     cfg,
 		cache:   newResultCache(met, NewMemoryTier(cfg.CacheEntries, cfg.CacheBytes), disk),
-		latency: newLatencyTracker(),
 		limiter: newRateLimiter(cfg.RatePerSec, cfg.RateBurst, met.rejected.With("rate")),
 		forward: cfg.Forwarder,
 		reg:     reg,
@@ -672,14 +674,6 @@ func (m *Manager) Runs() uint64 { return m.met.sweepRuns.Value() }
 func (m *Manager) Cached(key uint64) ([]byte, bool) {
 	payload, _, ok := m.cache.Get(key)
 	return payload, ok
-}
-
-// AllowClient spends one admission token for client (the per-client
-// token bucket). It reports false plus a Retry-After hint in whole
-// seconds when the client is over its rate; with rate limiting disabled
-// it always admits.
-func (m *Manager) AllowClient(client string) (ok bool, retryAfter int) {
-	return m.limiter.Allow(client)
 }
 
 // RetryAfterSeconds is the server's backpressure hint when a

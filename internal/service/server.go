@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -132,22 +133,6 @@ type SubmitResponse struct {
 }
 
 // ClientKey identifies the client a request's admission tokens are
-// charged to: the X-Client-ID header when present (trusted deployments
-// behind a proxy), otherwise the remote host. This is the
-// proxy-agnostic form; Manager.ClientKey adds the opt-in
-// X-Forwarded-For handling.
-func ClientKey(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
-		return id
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
-// ClientKey identifies the client a request's admission tokens are
 // charged to, honoring Config.TrustProxy: X-Client-ID wins when
 // present; with TrustProxy set, the leftmost X-Forwarded-For entry —
 // the originating client as recorded by the proxy — comes next, so
@@ -173,14 +158,14 @@ func (m *Manager) ClientKey(r *http.Request) string {
 	return host
 }
 
-// Admit spends one of the request's client admission tokens, answering
-// 429 with a Retry-After itself when the client is over rate. It
-// reports whether the request may proceed. Shared with the campaign
-// API, so sweep and campaign submissions draw from one bucket per
-// client.
-func (s *Server) Admit(w http.ResponseWriter, r *http.Request) bool {
-	client := s.mgr.ClientKey(r)
-	ok, retryAfter := s.mgr.AllowClient(client)
+// Admit spends one of the request's client admission tokens (the
+// per-client token bucket, keyed by ClientKey), answering 429 with a
+// Retry-After itself when the client is over rate. It reports whether
+// the request may proceed. The sweep and campaign APIs both gate their
+// submissions here, so a client draws from one bucket for both.
+func (m *Manager) Admit(w http.ResponseWriter, r *http.Request) bool {
+	client := m.ClientKey(r)
+	ok, retryAfter := m.limiter.Allow(client)
 	if !ok {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		WriteError(w, http.StatusTooManyRequests, "client %s over submission rate", client)
@@ -188,14 +173,22 @@ func (s *Server) Admit(w http.ResponseWriter, r *http.Request) bool {
 	return ok
 }
 
+// decodeSweepRequest decodes a POST /v1/sweeps body. Unknown fields are
+// an error: a misspelled field must not silently select a default.
+func decodeSweepRequest(body io.Reader) (SweepRequest, error) {
+	var req SweepRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.Admit(w, r) {
+	if !s.mgr.Admit(w, r) {
 		return
 	}
-	var req SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeSweepRequest(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

