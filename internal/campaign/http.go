@@ -173,11 +173,7 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// sweep edge: every cell submission carries it, so one ID follows
 	// the whole campaign through coalescing, cache tiers, and fleet
 	// forwards. Observability only — never a cache key or manifest input.
-	trace := r.Header.Get(telemetry.HeaderTraceID)
-	if !telemetry.ValidTraceID(trace) {
-		trace = telemetry.NewTraceID()
-	}
-	w.Header().Set(telemetry.HeaderTraceID, trace)
+	trace := telemetry.AdoptTrace(w, r)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	run := &apiRun{spec: spec, fleet: body.Fleet, shared: body.Shared, trace: trace, cancel: cancel, state: "running", total: spec.Executions()}

@@ -341,7 +341,7 @@ func TestForwardToOwner(t *testing.T) {
 	if runs := nodes[1].srv.Manager().Runs(); runs != 1 {
 		t.Fatalf("owner ran %d sweeps, want 1", runs)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.Forwarded != 1 || h.DegradedServes != 0 {
 		t.Fatalf("health = %+v, want 1 forwarded, 0 degraded", h)
 	}
@@ -372,7 +372,7 @@ func TestDegradeWhenOwnerDown(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[0].url || !info.Degraded {
 		t.Fatalf("ServeInfo = %+v, want degraded local serve", info)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.DegradedServes != 1 {
 		t.Fatalf("health = %+v, want 1 degraded serve", h)
 	}
@@ -428,7 +428,7 @@ func TestCircuitOpensAfterConsecutiveFailures(t *testing.T) {
 	if state, err := nodes[0].fwd.PeerState(owner); err != nil || state != circuitOpen {
 		t.Fatalf("peer state = %q, %v; want open", state, err)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.DegradedServes != 3 {
 		t.Fatalf("degraded = %d, want 3", h.DegradedServes)
 	}
@@ -475,7 +475,7 @@ func TestProbeRecoveryClosesCircuit(t *testing.T) {
 	waitState(circuitOpen)   // refused probes accumulate to the threshold
 	waitState(circuitClosed) // chaos window exhausted: a probe succeeds and closes
 
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.Peers[0].Probes < 4 || h.Peers[0].ProbeFailures < 2 {
 		t.Fatalf("probe counters = %+v, want >=4 probes with >=2 failures", h.Peers[0])
 	}
@@ -499,7 +499,7 @@ func TestForwardedRequestsNeverReforward(t *testing.T) {
 	if runs := nodes[0].srv.Manager().Runs(); runs != 1 {
 		t.Fatalf("receiving node ran %d sweeps, want 1 (pinned local)", runs)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.Forwarded != 0 || h.DegradedServes != 0 {
 		t.Fatalf("health = %+v, want no forward activity", h)
 	}

@@ -117,7 +117,7 @@ func TestHedgeWinServesFromSecondChoice(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[2].url || info.Degraded {
 		t.Fatalf("ServeInfo = %+v, want un-degraded serve by second choice %s", info, nodes[2].url)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.Forwarded != 1 || h.DegradedServes != 0 {
 		t.Fatalf("health = %+v, want 1 forwarded, 0 degraded", h)
 	}
@@ -155,7 +155,7 @@ func TestHedgeLossPrimaryStillWins(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[1].url || info.Degraded {
 		t.Fatalf("ServeInfo = %+v, want un-degraded serve by primary %s", info, nodes[1].url)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.Hedge.Launched != 1 || h.Hedge.Wins != 0 || h.Hedge.Losses != 1 {
 		t.Fatalf("hedge counters = %+v, want exactly one launched-and-lost hedge", h.Hedge)
 	}
@@ -188,7 +188,7 @@ func TestFailoverOnDeadPrimary(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[2].url || info.Degraded {
 		t.Fatalf("ServeInfo = %+v, want un-degraded serve by second choice %s", info, nodes[2].url)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.Forwarded != 1 || h.DegradedServes != 0 {
 		t.Fatalf("health = %+v, want 1 forwarded, 0 degraded", h)
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -13,6 +14,7 @@ import (
 
 	"hbmvolt/internal/campaign"
 	"hbmvolt/internal/chaos"
+	"hbmvolt/internal/service"
 )
 
 // The partition suite pins the fleet's headline guarantee: a campaign
@@ -153,22 +155,18 @@ func TestPartitionedOwnerManifestByteIdentical(t *testing.T) {
 			}
 
 			remote := owned[nodes[1].url] + owned[nodes[2].url]
-			h := nodes[0].fwd.Health().(Health)
+			h := nodes[0].fwd.Health()
 			if h.LocalOwned != uint64(owned[nodes[0].url]) || h.Forwarded != 0 || h.DegradedServes != uint64(remote) {
 				t.Fatalf("health = %+v, want %d local, 0 forwarded, %d degraded", h, owned[nodes[0].url], remote)
 			}
 
 			// The same counters must be visible over the wire.
-			resp, err := http.Get(nodes[0].url + "/healthz")
+			hb, err := service.NewClient(nodes[0].url).Health(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer resp.Body.Close()
-			var hb struct {
-				Fleet Health `json:"fleet"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&hb); err != nil {
-				t.Fatal(err)
+			if hb.Fleet == nil {
+				t.Fatal("/healthz has no fleet block")
 			}
 			if hb.Fleet.DegradedServes != uint64(remote) || len(hb.Fleet.Peers) != 2 {
 				t.Fatalf("/healthz fleet block = %+v, want %d degraded serves and 2 peers", hb.Fleet, remote)
@@ -277,7 +275,7 @@ func TestJoinLeaveMidCampaign(t *testing.T) {
 	if len(m.Nodes) != 3 {
 		t.Fatalf("membership = %+v, want 3 nodes (4th joined, founder left)", m)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.LocalOwned+h.Forwarded+h.DegradedServes != 6 {
 		t.Fatalf("health = %+v, want counters summing to the campaign's 6 cells", h)
 	}
@@ -304,7 +302,7 @@ func TestKillEachPeerMidCampaign(t *testing.T) {
 			if !bytes.Equal(manifest, golden) {
 				t.Fatalf("manifest with node %d killed mid-campaign differs from single-node golden", victim)
 			}
-			h := nodes[0].fwd.Health().(Health)
+			h := nodes[0].fwd.Health()
 			if h.LocalOwned+h.Forwarded+h.DegradedServes != 6 {
 				t.Fatalf("health = %+v, want counters summing to the campaign's 6 cells", h)
 			}

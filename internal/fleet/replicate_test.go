@@ -64,7 +64,7 @@ func TestReplicatedPayloadServedFromDiskAfterOwnerDeath(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[1].url || !info.Replicated {
 		t.Fatalf("ServeInfo = %+v, want a forwarded serve admitted for replication", info)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.Replication.Payloads != 1 || h.Replication.Bytes != int64(len(want)) || h.Replication.Skipped != 0 {
 		t.Fatalf("replication ledger = %+v, want exactly this payload's bytes admitted", h.Replication)
 	}
@@ -131,7 +131,7 @@ func TestReplicationBudgetExhaustedStaysOffDisk(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[1].url || info.Replicated {
 		t.Fatalf("ServeInfo = %+v, want a forwarded serve NOT admitted for replication", info)
 	}
-	h := nodes[0].fwd.Health().(Health)
+	h := nodes[0].fwd.Health()
 	if h.Replication.Payloads != 0 || h.Replication.Skipped != 1 || h.Replication.BudgetBytes != 1 {
 		t.Fatalf("replication ledger = %+v, want the payload skipped under a 1-byte budget", h.Replication)
 	}

@@ -720,8 +720,8 @@ type Stats struct {
 	SharedEnums faults.EnumStats `json:"shared_enums"`
 	// Fleet is the peer-mode block, present only when a fleet forwarder
 	// is configured: this node's name, per-peer circuit/probe state, and
-	// the forwarded/degraded serve counters (see fleet.Health).
-	Fleet any `json:"fleet,omitempty"`
+	// the forwarded/degraded serve counters.
+	Fleet *FleetHealth `json:"fleet,omitempty"`
 }
 
 // Stats gathers current counters.
@@ -745,7 +745,8 @@ func (m *Manager) Stats() Stats {
 		SharedEnums:       faults.EnumStoreStats(),
 	}
 	if m.forward != nil {
-		st.Fleet = m.forward.Health()
+		fh := m.forward.Health()
+		st.Fleet = &fh
 	}
 	st.CacheHits, st.CacheMisses = m.cache.Stats()
 	if disk := m.cache.disk; disk != nil {

@@ -197,18 +197,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// disagreeing peer lists must degrade to an extra local compute,
 	// never bounce a request between each other.
 	//
-	// Every submission gets a trace: a valid client- or peer-supplied
-	// X-Hbmvolt-Trace-Id is adopted (one trace spans the whole fleet
-	// path), anything else is replaced by a freshly minted ID. The ID is
-	// echoed on the response so the client learns it either way.
-	trace := r.Header.Get(telemetry.HeaderTraceID)
-	if !telemetry.ValidTraceID(trace) {
-		trace = telemetry.NewTraceID()
-	}
-	w.Header().Set(telemetry.HeaderTraceID, trace)
+	// Every submission gets a trace, minted or adopted at this edge.
 	opts := SubmitOptions{
 		NoForward: r.Header.Get(HeaderNoForward) != "",
-		TraceID:   trace,
+		TraceID:   telemetry.AdoptTrace(w, r),
 	}
 	j, coalesced, cacheHit, err := s.mgr.SubmitOpts(req, opts)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"net/http"
 	"sync"
 	"time"
 )
@@ -40,6 +41,19 @@ func ValidTraceID(s string) bool {
 		}
 	}
 	return true
+}
+
+// AdoptTrace returns the request's trace ID: a valid X-Hbmvolt-Trace-Id
+// is adopted (one trace spans the whole fleet path), anything else is
+// replaced by a freshly minted ID. The ID is echoed on the response so
+// the client learns it either way.
+func AdoptTrace(w http.ResponseWriter, r *http.Request) string {
+	trace := r.Header.Get(HeaderTraceID)
+	if !ValidTraceID(trace) {
+		trace = NewTraceID()
+	}
+	w.Header().Set(HeaderTraceID, trace)
+	return trace
 }
 
 type traceKey struct{}
