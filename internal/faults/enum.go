@@ -136,6 +136,7 @@ func (m *Model) Enumerate(stack, pc int, v float64, rep, words uint64) *Enumerat
 		s.RangeFaults(0, words, add)
 		return e
 	}
+	b := getRowBits(s.wordsPerRow)
 	s.segments(0, words, func(lo, hi uint64, in bool) {
 		p, t := s.regionParams(in)
 		if p <= 0 {
@@ -143,17 +144,7 @@ func (m *Model) Enumerate(stack, pc int, v float64, rep, words uint64) *Enumerat
 		}
 		n := hi - lo
 		if lam := float64(n) * 256 * p; lam <= sparseEnumThreshold {
-			wpr := s.wordsPerRow
-			for r := lo / wpr; r*wpr < hi; r++ {
-				rlo, rhi := r*wpr, (r+1)*wpr
-				if rlo < lo {
-					rlo = lo
-				}
-				if rhi > hi {
-					rhi = hi
-				}
-				s.sparseRowFaults(r, rlo, rhi, p, t, add)
-			}
+			s.sparseRows(lo, hi, s.rowDraw(p, t), b, add)
 			return
 		}
 		// Aggregate regime: draw the segment's stuck-at-0/1 cell counts
@@ -170,6 +161,7 @@ func (m *Model) Enumerate(stack, pc int, v float64, rep, words uint64) *Enumerat
 			key: key,
 		})
 	})
+	rowBitsPool.Put(b)
 	return e
 }
 

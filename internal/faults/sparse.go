@@ -12,6 +12,20 @@ package faults
 // word pair, so the two pattern tests draw independent measurement
 // noise).
 //
+// Faults are independent per-cell events, so a row's faults form a set
+// per cell rather than a list: the per-row kernel marks its draws in two
+// bitmaps of one 256-bit mask per word of the row — "faulty" and
+// "stuck-at-1" — instead of sorting them. Two draws landing on one cell
+// are one fault, and the first draw wins: a marked cell is skipped, so
+// its polarity is the one its earliest draw gave it (the outcome a
+// stable sort by position would keep). Readers then take the row's
+// faulted words in ascending order, either as whole-word masks (the
+// uniform check: read = stored &^ faulty | stuck-at-1) or bit by bit
+// (range scans and the shared enumeration), which is already ascending
+// (address, bit) order. The bitmaps are scratch taken from a pool and
+// left all-zero by the readers, so a Sampler stays immutable and safe
+// for concurrent use, and a range scan allocates nothing per row.
+//
 // Every draw here is a pure function of its key — there is no stream
 // shared across voltages, patterns or pseudo channels — which is the
 // property that lets the sweep scheduler shard voltage points across a
@@ -26,7 +40,8 @@ package faults
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"sync"
 
 	"hbmvolt/internal/pattern"
 	"hbmvolt/internal/prf"
@@ -86,92 +101,169 @@ func (s *Sampler) segments(start, end uint64, visit func(lo, hi uint64, in bool)
 	}
 }
 
+// rowDraw holds what every row of one homogeneous segment shares in the
+// per-row draw: rows there have the same cell count n and per-cell
+// stuck probability p, so exp(-n·p) — the Poisson inversion's first
+// term — and the stuck-at-1 share are computed once per segment.
+type rowDraw struct {
+	p       float64 // per-cell stuck probability
+	p1Share float64 // share of drawn faults that are stuck-at-1
+	q0      float64 // exp(-n·p) for a row of n cells
+}
+
+// rowDraw returns the segment constants for a region with per-cell
+// stuck probability p > 0 and always-stuck-at-0 tail t (regionParams).
+func (s *Sampler) rowDraw(p, t float64) rowDraw {
+	lam := float64(int(s.wordsPerRow)*256) * p
+	return rowDraw{p: p, p1Share: (p - t) * pStuckAt1 / p, q0: math.Exp(-lam)}
+}
+
+// rowBits is one row's fault bitmaps: per word of the row, the mask of
+// its faulty cells and the mask of those stuck at 1, plus one bit per
+// word marking the words that hold any fault. Readers clear every word
+// they take, so a rowBits is all-zero between rows.
+type rowBits struct {
+	set, one []pattern.Word
+	hit      []uint64
+}
+
+// rowBitsPool recycles row bitmaps across range scans. Scratch cannot
+// live on the Sampler, which concurrent callers share.
+var rowBitsPool = sync.Pool{New: func() any { return new(rowBits) }}
+
+// getRowBits returns all-zero bitmaps sized for rows of wpr words.
+// Return them with rowBitsPool.Put once every marked row is read.
+func getRowBits(wpr uint64) *rowBits {
+	b := rowBitsPool.Get().(*rowBits)
+	n, h := int(wpr), int((wpr+63)/64)
+	if cap(b.set) < n {
+		b.set, b.one = make([]pattern.Word, n), make([]pattern.Word, n)
+	}
+	if cap(b.hit) < h {
+		b.hit = make([]uint64, h)
+	}
+	b.set, b.one, b.hit = b.set[:n], b.one[:n], b.hit[:h]
+	return b
+}
+
+// next returns the lowest marked word of the row and unmarks it in the
+// word index; ok is false once no marked word remains.
+func (b *rowBits) next() (w int, ok bool) {
+	for i, h := range b.hit {
+		if h != 0 {
+			b.hit[i] = h & (h - 1)
+			return i<<6 + bits.TrailingZeros64(h), true
+		}
+	}
+	return 0, false
+}
+
+// take returns word w's faulty and stuck-at-1 masks and clears them.
+func (b *rowBits) take(w int) (set, one pattern.Word) {
+	set, one = b.set[w], b.one[w]
+	b.set[w], b.one[w] = pattern.Word{}, pattern.Word{}
+	return set, one
+}
+
+// drain yields the row's marked faults in ascending (address, bit)
+// order and leaves the bitmaps all-zero. rowBase is the row's first
+// word address.
+func (b *rowBits) drain(rowBase uint64, visit func(addr uint64, f CellFault)) {
+	for w, ok := b.next(); ok; w, ok = b.next() {
+		set, one := b.take(w)
+		addr := rowBase + uint64(w)
+		for lane, m := range set {
+			for ; m != 0; m &= m - 1 {
+				i := bits.TrailingZeros64(m)
+				visit(addr, CellFault{Bit: lane<<6 + i, Polarity: Polarity(one[lane] >> i & 1)})
+			}
+		}
+	}
+}
+
 // sparseRange enumerates the sparse-mode faults of [start, start+count)
 // in ascending (address, bit) order.
 func (s *Sampler) sparseRange(start, count uint64, visit func(addr uint64, f CellFault)) {
-	end := start + count
-	wpr := s.wordsPerRow
-	s.segments(start, end, func(lo, hi uint64, in bool) {
-		p, t := s.regionParams(in)
-		if p <= 0 {
-			return
-		}
-		for r := lo / wpr; r*wpr < hi; r++ {
-			rlo, rhi := r*wpr, (r+1)*wpr
-			if rlo < lo {
-				rlo = lo
-			}
-			if rhi > hi {
-				rhi = hi
-			}
-			s.sparseRowFaults(r, rlo, rhi, p, t, visit)
+	b := getRowBits(s.wordsPerRow)
+	s.segments(start, start+count, func(lo, hi uint64, in bool) {
+		if p, t := s.regionParams(in); p > 0 {
+			s.sparseRows(lo, hi, s.rowDraw(p, t), b, visit)
 		}
 	})
+	rowBitsPool.Put(b)
 }
 
-// sparseRowFaults draws row's fault count and positions and yields the
-// faults whose word address falls in [lo, hi). The draws depend only on
-// (seed, PC, row, rep, voltage), never on the query window or on any
-// previously evaluated voltage point, so overlapping range scans — and
-// sweeps sharded across a board fleet in any order — observe one
-// consistent device.
-func (s *Sampler) sparseRowFaults(row, lo, hi uint64, p, t float64, visit func(addr uint64, f CellFault)) {
-	if lo >= hi || p <= 0 {
-		return
+// sparseRows enumerates the faults of one homogeneous segment [lo, hi)
+// in ascending (address, bit) order, row by row through b.
+func (s *Sampler) sparseRows(lo, hi uint64, d rowDraw, b *rowBits, visit func(addr uint64, f CellFault)) {
+	wpr := s.wordsPerRow
+	for r := lo / wpr; r*wpr < hi; r++ {
+		if s.sparseRowFaults(r, lo, hi, d, b) {
+			b.drain(r*wpr, visit)
+		}
 	}
-	nBits := int(s.wordsPerRow) * 256
+}
+
+// sparseRowFaults draws row's fault count and positions and marks, in
+// b, the faults whose word address falls in [lo, hi); it reports
+// whether it marked any. A cell drawn twice keeps its first draw's
+// polarity. The draws depend only on (seed, PC, row, rep, voltage),
+// never on the query window or on any previously evaluated voltage
+// point, so overlapping range scans — and sweeps sharded across a board
+// fleet in any order — observe one consistent device.
+func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) bool {
+	wpr := s.wordsPerRow
+	nBits := wpr * 256
 	src := prf.NewSource(prf.Hash5(s.seed^saltSparse, uint64(s.idx), row, s.rep, s.vbits))
-	k := binomialDraw(src, nBits, p)
+	k := binomialDraw(src, int(nBits), d.p, d.q0)
 	if k == 0 {
-		return
+		return false
 	}
-	p1Share := (p - t) * pStuckAt1 / p
-	type posFault struct {
-		pos int
-		pol Polarity
+	// The window as word offsets within the row.
+	rowBase := row * wpr
+	wlo, whi := uint64(0), wpr
+	if lo > rowBase {
+		wlo = lo - rowBase
+	}
+	if hi < rowBase+wpr {
+		whi = hi - rowBase
 	}
 	// Each fault consumes exactly two stream words (position, polarity),
 	// so the draws are pulled in blocks via Fill — identical values to
 	// sequential Intn/Float64 calls, without the per-draw call setup.
-	buf := make([]posFault, 0, k)
+	marked := false
 	var draws [256]uint64
 	for j := 0; j < k; {
-		chunk := k - j
-		if chunk > len(draws)/2 {
-			chunk = len(draws) / 2
-		}
-		d := draws[:2*chunk]
-		src.Fill(d)
+		chunk := min(k-j, len(draws)/2)
+		dr := draws[:2*chunk]
+		src.Fill(dr)
 		for c := 0; c < chunk; c++ {
-			pos := int(d[2*c] % uint64(nBits))
-			pol := StuckAt0
-			if prf.Float64(d[2*c+1]) < p1Share {
-				pol = StuckAt1
+			pos := dr[2*c] % nBits
+			w := pos / 256
+			if w < wlo || w >= whi {
+				continue
 			}
-			buf = append(buf, posFault{pos, pol})
+			lane, m := pos/64%4, uint64(1)<<(pos%64)
+			if b.set[w][lane]&m != 0 {
+				continue // collision: one cell, one fault; the first draw wins
+			}
+			b.set[w][lane] |= m
+			if prf.Float64(dr[2*c+1]) < d.p1Share {
+				b.one[w][lane] |= m
+			}
+			b.hit[w/64] |= 1 << (w % 64)
+			marked = true
 		}
 		j += chunk
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].pos < buf[j].pos })
-	rowBase := row * s.wordsPerRow
-	prev := -1
-	for _, pf := range buf {
-		if pf.pos == prev {
-			continue // collision: one cell, one fault
-		}
-		prev = pf.pos
-		addr := rowBase + uint64(pf.pos)/256
-		if addr < lo || addr >= hi {
-			continue
-		}
-		visit(addr, CellFault{Bit: pf.pos % 256, Polarity: pf.pol})
-	}
+	return marked
 }
 
 // binomialDraw returns a deterministic Binomial(n, p) variate from src:
 // Poisson inversion in the sparse regime, a clamped normal approximation
-// otherwise.
-func binomialDraw(src *prf.Source, n int, p float64) int {
+// otherwise. q0 must be exp(-n·p), which callers drawing many rows of
+// one (n, p) compute once.
+func binomialDraw(src *prf.Source, n int, p, q0 float64) int {
 	if p <= 0 || n <= 0 {
 		return 0
 	}
@@ -181,7 +273,7 @@ func binomialDraw(src *prf.Source, n int, p float64) int {
 	lam := float64(n) * p
 	if lam < 32 && p < 0.1 {
 		u := src.Float64()
-		acc := math.Exp(-lam)
+		acc := q0
 		cum := acc
 		k := 0
 		for u > cum && k < n {
@@ -202,26 +294,32 @@ func binomialDraw(src *prf.Source, n int, p float64) int {
 }
 
 // adjuster corrects a uniform expected/stored baseline for a stream of
-// faulted words: each one is re-read with its overlay and its Compare
-// result replaces the baseline's contribution.
+// faulted words: each one is read back through its faults and its
+// Compare result replaces the baseline's contribution to flips/faulty.
 type adjuster struct {
 	expected, stored pattern.Word
 	base             pattern.Flips
-	flips            *pattern.Flips
-	faulty           *uint64
+	flips            pattern.Flips
+	faulty           uint64
 }
 
-func (a *adjuster) word(_ uint64, fs []CellFault) {
-	f := pattern.Compare(a.expected, Overlay(a.stored, fs))
+// read replaces one word's baseline contribution with the compare
+// result of reading it back as observed.
+func (a *adjuster) read(observed pattern.Word) {
+	f := pattern.Compare(a.expected, observed)
 	a.flips.OneToZero += f.OneToZero - a.base.OneToZero
 	a.flips.ZeroToOne += f.ZeroToOne - a.base.ZeroToOne
 	if a.base.Total() > 0 {
 		if f.Total() == 0 {
-			*a.faulty-- // the overlay happened to restore the expected word
+			a.faulty-- // the faults happened to restore the expected word
 		}
 	} else if f.Total() > 0 {
-		*a.faulty++
+		a.faulty++
 	}
+}
+
+func (a *adjuster) word(_ uint64, fs []CellFault) {
+	a.read(Overlay(a.stored, fs))
 }
 
 // CheckUniformRange returns the flip statistics of reading the uniform
@@ -233,52 +331,59 @@ func (a *adjuster) word(_ uint64, fs []CellFault) {
 // draw the counters in aggregate.
 func (s *Sampler) CheckUniformRange(start, count uint64, expected, stored pattern.Word) (pattern.Flips, uint64) {
 	base := pattern.Compare(expected, stored)
-	flips := pattern.Flips{
-		OneToZero: base.OneToZero * int(count),
-		ZeroToOne: base.ZeroToOne * int(count),
+	a := adjuster{
+		expected: expected, stored: stored, base: base,
+		flips: pattern.Flips{
+			OneToZero: base.OneToZero * int(count),
+			ZeroToOne: base.ZeroToOne * int(count),
+		},
 	}
-	var faulty uint64
 	if base.Total() > 0 {
-		faulty = count
+		a.faulty = count
 	}
 	if count == 0 || !s.anyFaults {
-		return flips, faulty
+		return a.flips, a.faulty
 	}
 	if !s.sparse {
-		adj := adjuster{expected: expected, stored: stored, base: base, flips: &flips, faulty: &faulty}
-		s.RangeFaultWords(start, count, adj.word)
-		return flips, faulty
+		return s.checkWords(start, count, a)
 	}
+	b := getRowBits(s.wordsPerRow)
 	s.segments(start, start+count, func(lo, hi uint64, in bool) {
-		s.checkSegment(lo, hi, in, expected, stored, base, &flips, &faulty)
+		s.checkSegment(lo, hi, in, &a, b)
 	})
-	return flips, faulty
+	rowBitsPool.Put(b)
+	return a.flips, a.faulty
+}
+
+// checkWords is CheckUniformRange on the bit-exact path: every faulted
+// word is read back through its grouped faults. It takes a by value so
+// that only this path's copy escapes to the heap through the grouper.
+func (s *Sampler) checkWords(start, count uint64, a adjuster) (pattern.Flips, uint64) {
+	s.RangeFaultWords(start, count, a.word)
+	return a.flips, a.faulty
 }
 
 // checkSegment accumulates one homogeneous segment's sparse-mode flip
-// statistics into flips/faulty (which already hold the fault-free
-// baseline for the whole window).
-func (s *Sampler) checkSegment(lo, hi uint64, in bool, expected, stored pattern.Word, base pattern.Flips, flips *pattern.Flips, faulty *uint64) {
+// statistics into a (which already holds the fault-free baseline for
+// the whole window), reading marked rows through b.
+func (s *Sampler) checkSegment(lo, hi uint64, in bool, a *adjuster, b *rowBits) {
 	p, t := s.regionParams(in)
 	if p <= 0 {
 		return // baseline already accounts for a fault-free segment
 	}
 	n := hi - lo
 	if lam := float64(n) * 256 * p; lam <= sparseEnumThreshold {
-		adj := adjuster{expected: expected, stored: stored, base: base, flips: flips, faulty: faulty}
-		g := grouper{visit: adj.word}
+		d := s.rowDraw(p, t)
 		wpr := s.wordsPerRow
 		for r := lo / wpr; r*wpr < hi; r++ {
-			rlo, rhi := r*wpr, (r+1)*wpr
-			if rlo < lo {
-				rlo = lo
+			if !s.sparseRowFaults(r, lo, hi, d, b) {
+				continue
 			}
-			if rhi > hi {
-				rhi = hi
+			for w, ok := b.next(); ok; w, ok = b.next() {
+				set, one := b.take(w)
+				a.read(a.stored.AndNot(set).Or(one))
 			}
-			s.sparseRowFaults(r, rlo, rhi, p, t, g.add)
 		}
-		g.flush()
 		return
 	}
 
@@ -290,14 +395,14 @@ func (s *Sampler) checkSegment(lo, hi uint64, in bool, expected, stored pattern.
 	// them.
 	p0 := t + (p-t)*(1-pStuckAt1) // per-cell stuck-at-0 probability
 	p1 := (p - t) * pStuckAt1     // per-cell stuck-at-1 probability
-	n11 := expected.And(stored).OnesCount()
-	n10 := expected.AndNot(stored).OnesCount()
-	n01 := stored.AndNot(expected).OnesCount()
+	n11 := a.expected.And(a.stored).OnesCount()
+	n10 := a.expected.AndNot(a.stored).OnesCount()
+	n01 := a.stored.AndNot(a.expected).OnesCount()
 	n00 := 256 - n11 - n10 - n01
 	fn := float64(n)
 
 	src := prf.NewSource(prf.Hash5(s.seed^saltAggregate, uint64(s.idx), lo, s.rep,
-		s.vbits^wordPairSig(expected, stored)))
+		s.vbits^wordPairSig(a.expected, a.stored)))
 	mean10 := fn * (float64(n11)*p0 + float64(n10)*(1-p1))
 	var10 := fn * (float64(n11)*p0*(1-p0) + float64(n10)*(1-p1)*p1)
 	d10 := gaussCount(src, mean10, var10, n*uint64(n11+n10))
@@ -338,12 +443,12 @@ func (s *Sampler) checkSegment(lo, hi uint64, in bool, expected, stored pattern.
 	}
 
 	// Replace this segment's baseline contribution with the draws.
-	flips.OneToZero += int(d10) - base.OneToZero*int(n)
-	flips.ZeroToOne += int(d01) - base.ZeroToOne*int(n)
-	if base.Total() > 0 {
-		*faulty = *faulty - n + fw
+	a.flips.OneToZero += int(d10) - a.base.OneToZero*int(n)
+	a.flips.ZeroToOne += int(d01) - a.base.ZeroToOne*int(n)
+	if a.base.Total() > 0 {
+		a.faulty = a.faulty - n + fw
 	} else {
-		*faulty += fw
+		a.faulty += fw
 	}
 }
 

@@ -1,10 +1,14 @@
 package faults
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"hbmvolt/internal/pattern"
+	"hbmvolt/internal/prf"
 )
 
 func sparseModel(t testing.TB, seed uint64, words uint64) *Model {
@@ -191,5 +195,297 @@ func TestSparseAggregateFaultyWordsPlausible(t *testing.T) {
 	_, fw := s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord)
 	if float64(fw) < 0.99*words {
 		t.Fatalf("collapse voltage left %d of %d words clean", words-fw, words)
+	}
+}
+
+// oracleRowFaults is the sort-based per-row kernel the bitmap kernel
+// replaced, kept as the test oracle with a stable sort in place of the
+// unstable one: the same draws from the same stream, sorted by position,
+// keeping the first draw of each position.
+func oracleRowFaults(s *Sampler, row, lo, hi uint64, p, t float64, visit func(addr uint64, f CellFault)) {
+	if lo >= hi || p <= 0 {
+		return
+	}
+	nBits := int(s.wordsPerRow) * 256
+	src := prf.NewSource(prf.Hash5(s.seed^saltSparse, uint64(s.idx), row, s.rep, s.vbits))
+	k := binomialDraw(src, nBits, p, math.Exp(-(float64(nBits) * p)))
+	if k == 0 {
+		return
+	}
+	p1Share := (p - t) * pStuckAt1 / p
+	type posFault struct {
+		pos int
+		pol Polarity
+	}
+	buf := make([]posFault, 0, k)
+	for j := 0; j < k; j++ {
+		pos := int(src.Uint64() % uint64(nBits))
+		pol := StuckAt0
+		if src.Float64() < p1Share {
+			pol = StuckAt1
+		}
+		buf = append(buf, posFault{pos, pol})
+	}
+	slices.SortStableFunc(buf, func(a, b posFault) int { return cmp.Compare(a.pos, b.pos) })
+	rowBase := row * s.wordsPerRow
+	prev := -1
+	for _, pf := range buf {
+		if pf.pos == prev {
+			continue // collision: one cell, one fault
+		}
+		prev = pf.pos
+		addr := rowBase + uint64(pf.pos)/256
+		if addr < lo || addr >= hi {
+			continue
+		}
+		visit(addr, CellFault{Bit: pf.pos % 256, Polarity: pf.pol})
+	}
+}
+
+// oracleRange is sparseRange over oracleRowFaults.
+func oracleRange(s *Sampler, start, count uint64, visit func(addr uint64, f CellFault)) {
+	wpr := s.wordsPerRow
+	s.segments(start, start+count, func(lo, hi uint64, in bool) {
+		p, t := s.regionParams(in)
+		for r := lo / wpr; r*wpr < hi; r++ {
+			oracleRowFaults(s, r, max(lo, r*wpr), min(hi, (r+1)*wpr), p, t, visit)
+		}
+	})
+}
+
+// oracleCheck is sparse CheckUniformRange with the enumerated regime
+// read through oracleRowFaults and per-word Overlay; aggregate segments,
+// which draw no positions, go through checkSegment unchanged.
+func oracleCheck(s *Sampler, start, count uint64, expected, stored pattern.Word) (pattern.Flips, uint64) {
+	base := pattern.Compare(expected, stored)
+	a := adjuster{expected: expected, stored: stored, base: base, flips: pattern.Flips{
+		OneToZero: base.OneToZero * int(count),
+		ZeroToOne: base.ZeroToOne * int(count),
+	}}
+	if base.Total() > 0 {
+		a.faulty = count
+	}
+	if count == 0 || !s.anyFaults {
+		return a.flips, a.faulty
+	}
+	wpr := s.wordsPerRow
+	s.segments(start, start+count, func(lo, hi uint64, in bool) {
+		p, t := s.regionParams(in)
+		if p <= 0 {
+			return
+		}
+		if float64(hi-lo)*256*p > sparseEnumThreshold {
+			s.checkSegment(lo, hi, in, &a, nil)
+			return
+		}
+		g := grouper{visit: a.word}
+		for r := lo / wpr; r*wpr < hi; r++ {
+			oracleRowFaults(s, r, max(lo, r*wpr), min(hi, (r+1)*wpr), p, t, g.add)
+		}
+		g.flush()
+	})
+	return a.flips, a.faulty
+}
+
+// packStream collects a fault enumeration as packed (addr, bit,
+// polarity) words.
+func packStream(enum func(visit func(addr uint64, f CellFault))) []uint64 {
+	var out []uint64
+	enum(func(addr uint64, f CellFault) { out = append(out, packFault(addr, f)) })
+	return out
+}
+
+// TestBitmapKernelMatchesStableSortOracle pins the bitmap kernel's only
+// difference from the sort-based one it replaced to the tie-break: with
+// the sort made stable, the (addr, bit, polarity) streams, uniform
+// checks and shared enumerations are identical over random seeds,
+// voltages, reps, partial-row windows and row widths.
+func TestBitmapKernelMatchesStableSortOracle(t *testing.T) {
+	rnd := prf.NewSource(0x5eed)
+	checks := [][2]pattern.Word{
+		{pattern.AllOnesWord, pattern.AllOnesWord},
+		{pattern.AllZerosWord, pattern.AllZerosWord},
+		{pattern.AllOnesWord, pattern.AllZerosWord},
+		{{0xf0f0f0f0f0f0f0f0, 0, ^uint64(0), 0x0123456789abcdef}, {0xff00ff00ff00ff00, 0, 0x00ff00ff00ff00ff, 0x0123456789abcdef}},
+	}
+	faults := 0
+	for _, wpr := range []uint64{32, 1, 8, 48, 96} {
+		words := 512 * wpr
+		for trial := 0; trial < 6; trial++ {
+			seed := rnd.Uint64()
+			cfg := DefaultConfig()
+			cfg.Seed = seed
+			cfg.Geometry = Geometry{WordsPerPC: words, WordsPerRow: wpr}
+			cfg.SparseEnumeration = true
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stack, pc := rnd.Intn(2), rnd.Intn(16)
+			if trial%2 == 0 {
+				stack, pc = 1, 2 // a sensitive PC, so low voltages are not all aggregate
+			}
+			v := 0.86 + 0.01*float64(rnd.Intn(8))
+			rep := uint64(rnd.Intn(4))
+			s := m.NewBatchSampler(stack, pc, v, rep)
+
+			// Whole window plus windows that start and end mid-row.
+			windows := [][2]uint64{{0, words}}
+			for w := 0; w < 4; w++ {
+				lo := rnd.Uint64() % words
+				windows = append(windows, [2]uint64{lo, 1 + rnd.Uint64()%(words-lo)})
+			}
+			windows = append(windows, [2]uint64{wpr / 2, wpr}, [2]uint64{words - 1, 1})
+			for _, w := range windows {
+				got := packStream(func(visit func(uint64, CellFault)) { s.RangeFaults(w[0], w[1], visit) })
+				want := packStream(func(visit func(uint64, CellFault)) { oracleRange(s, w[0], w[1], visit) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("wpr %d seed %#x pc %d/%d %vV rep %d window %v: bitmap stream (%d faults) != stable-sort oracle (%d)",
+						wpr, seed, stack, pc, v, rep, w, len(got), len(want))
+				}
+				faults += len(got)
+				for _, c := range checks {
+					gf, gw := s.CheckUniformRange(w[0], w[1], c[0], c[1])
+					wf, ww := oracleCheck(s, w[0], w[1], c[0], c[1])
+					if gf != wf || gw != ww {
+						t.Fatalf("wpr %d seed %#x pc %d/%d %vV rep %d window %v: CheckUniformRange %+v/%d, oracle %+v/%d",
+							wpr, seed, stack, pc, v, rep, w, gf, gw, wf, ww)
+					}
+				}
+			}
+			if e := m.Enumerate(stack, pc, v, rep, words); !e.Aggregated() {
+				want := packStream(func(visit func(uint64, CellFault)) { oracleRange(s, 0, words, visit) })
+				if !slices.Equal(e.faults, want) {
+					t.Fatalf("wpr %d seed %#x pc %d/%d %vV rep %d: Enumerate differs from the stable-sort oracle",
+						wpr, seed, stack, pc, v, rep)
+				}
+			}
+		}
+	}
+	if faults == 0 {
+		t.Fatal("no faults drawn in any case; the comparison is vacuous")
+	}
+}
+
+// TestBitmapKernelFirstDrawWins forces collisions of differing polarity
+// — one-word rows at a stuck probability of 0.2 draw about 51 faults
+// into 256 cells — and checks that each such cell keeps the polarity of
+// its first draw, as the stable-sort oracle does.
+func TestBitmapKernelFirstDrawWins(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 3
+	cfg.Geometry = Geometry{WordsPerPC: 1024, WordsPerRow: 1}
+	cfg.SparseEnumeration = true
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.NewBatchSampler(1, 2, 0.90, 0)
+	const p, tail = 0.2, 0.0
+	d := s.rowDraw(p, tail)
+	b := getRowBits(1)
+	defer rowBitsPool.Put(b)
+	mixed := 0
+	for row := uint64(0); row < 64; row++ {
+		// Replay the raw draws: the first polarity seen at each cell.
+		src := prf.NewSource(prf.Hash5(s.seed^saltSparse, uint64(s.idx), row, s.rep, s.vbits))
+		k := binomialDraw(src, 256, p, d.q0)
+		first := map[int]Polarity{}
+		for j := 0; j < k; j++ {
+			pos := int(src.Uint64() % 256)
+			pol := StuckAt0
+			if src.Float64() < d.p1Share {
+				pol = StuckAt1
+			}
+			if prev, seen := first[pos]; !seen {
+				first[pos] = pol
+			} else if prev != pol {
+				mixed++
+			}
+		}
+		var got []uint64
+		if s.sparseRowFaults(row, row, row+1, d, b) {
+			b.drain(row, func(addr uint64, f CellFault) { got = append(got, packFault(addr, f)) })
+		}
+		if len(got) != len(first) {
+			t.Fatalf("row %d: %d faults marked, %d distinct cells drawn", row, len(got), len(first))
+		}
+		for _, f := range got {
+			bit, pol := int(f>>1&255), Polarity(f&1)
+			if pol != first[bit] {
+				t.Fatalf("row %d bit %d: polarity %v, first draw was %v", row, bit, pol, first[bit])
+			}
+		}
+		want := packStream(func(visit func(uint64, CellFault)) { oracleRowFaults(s, row, row, row+1, p, tail, visit) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("row %d: bitmap kernel differs from the stable-sort oracle", row)
+		}
+	}
+	if mixed == 0 {
+		t.Fatal("no collision of differing polarity was drawn; the test is vacuous")
+	}
+}
+
+// TestCheckUniformRangeSparseZeroAllocs pins the sparse uniform check
+// of a faulted window in the enumerated regime to zero allocations: the
+// row bitmaps come from a pool and nothing per fault reaches the heap.
+func TestCheckUniformRangeSparseZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled items at random, so pooled scratch allocates")
+	}
+	const words = 1 << 16
+	m := sparseModel(t, 23, words)
+	if e := m.Enumerate(1, 2, 0.90, 0, words); e.FaultCount() == 0 || e.Aggregated() {
+		t.Fatalf("window has %d enumerated faults (aggregated %v); want a faulted enumerated-regime window",
+			e.FaultCount(), e.Aggregated())
+	}
+	s := m.NewBatchSampler(1, 2, 0.90, 0)
+	var f pattern.Flips
+	allocs := testing.AllocsPerRun(100, func() {
+		f, _ = s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord)
+	})
+	if f.Total() == 0 {
+		t.Fatal("no flips; the window is not faulted")
+	}
+	if allocs != 0 {
+		t.Fatalf("CheckUniformRange allocated %v times per call, want 0", allocs)
+	}
+}
+
+// TestSparseSamplerConcurrent reads one Sampler from several goroutines
+// (under -race in CI): the pooled row bitmaps must keep concurrent range
+// scans and uniform checks independent and equal to a sequential read.
+func TestSparseSamplerConcurrent(t *testing.T) {
+	const words = 1 << 14
+	m := sparseModel(t, 31, words)
+	s := m.NewBatchSampler(1, 2, 0.89, 1)
+	wantFlips, wantFaulty := s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord)
+	wantStream := packStream(func(visit func(uint64, CellFault)) { s.RangeFaults(0, words, visit) })
+	if len(wantStream) == 0 {
+		t.Fatal("no faults drawn; the test is vacuous")
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if f, fw := s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord); f != wantFlips || fw != wantFaulty {
+					errs <- "concurrent CheckUniformRange differs from the sequential read"
+					return
+				}
+				got := packStream(func(visit func(uint64, CellFault)) { s.RangeFaults(0, words, visit) })
+				if !slices.Equal(got, wantStream) {
+					errs <- "concurrent RangeFaults differs from the sequential read"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

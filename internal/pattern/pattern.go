@@ -59,6 +59,11 @@ func (w Word) And(o Word) Word {
 	return Word{w[0] & o[0], w[1] & o[1], w[2] & o[2], w[3] & o[3]}
 }
 
+// Or returns the bitwise OR of two words.
+func (w Word) Or(o Word) Word {
+	return Word{w[0] | o[0], w[1] | o[1], w[2] | o[2], w[3] | o[3]}
+}
+
 // AndNot returns w &^ o.
 func (w Word) AndNot(o Word) Word {
 	return Word{w[0] &^ o[0], w[1] &^ o[1], w[2] &^ o[2], w[3] &^ o[3]}
