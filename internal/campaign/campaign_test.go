@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -310,6 +311,59 @@ func TestExecuteBackpressure(t *testing.T) {
 	if res.Manifest.Cells != len(seeds) {
 		t.Fatalf("cells = %d, want %d", res.Manifest.Cells, len(seeds))
 	}
+}
+
+// TestSubmitCellRetriesAfterDrain forces the queue-full race: a submit
+// fails on a full queue, and by the time the engine scans for a pending
+// execution of its own the worker has drained them all. The engine must
+// retry the submit once rather than report the queue full; a second full
+// queue with nothing of ours pending is other clients' load, and fails.
+func TestSubmitCellRetriesAfterDrain(t *testing.T) {
+	mgr := openManager(t, service.Config{Workers: 1, QueueDepth: 1})
+	req := func(v float64) service.SweepRequest {
+		return service.SweepRequest{
+			Kind: service.KindReliability, Scale: 1024, Ports: []int{0},
+			Patterns: []string{"all1"}, Grid: []float64{v}, Batch: 1,
+		}
+	}
+	drained, _, _, err := mgr.SubmitOpts(req(0.90), service.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := drained.Wait(t.Context()); err != nil || st != service.StateDone {
+		t.Fatalf("drained execution: state %s, err %v", st, err)
+	}
+	execs := []execution{{cell: 0, job: drained}}
+
+	t.Run("retry after drain succeeds", func(t *testing.T) {
+		calls := 0
+		j, err := submitCell(t.Context(), execs, func() (*service.Job, error) {
+			if calls++; calls == 1 {
+				return nil, service.ErrQueueFull
+			}
+			j, _, _, err := mgr.SubmitOpts(req(0.91), service.SubmitOptions{})
+			return j, err
+		})
+		if err != nil {
+			t.Fatalf("submit after the queue drained: %v", err)
+		}
+		if j == nil || calls != 2 {
+			t.Fatalf("job %v after %d submits, want a job after 2", j, calls)
+		}
+	})
+	t.Run("second full queue fails", func(t *testing.T) {
+		calls := 0
+		_, err := submitCell(t.Context(), execs, func() (*service.Job, error) {
+			calls++
+			return nil, service.ErrQueueFull
+		})
+		if !errors.Is(err, service.ErrQueueFull) {
+			t.Fatalf("err = %v, want ErrQueueFull", err)
+		}
+		if calls != 2 {
+			t.Fatalf("%d submits, want 2 (one retry)", calls)
+		}
+	})
 }
 
 // TestCancelStopsSubmittedCells pins Execute's cleanup contract: when

@@ -260,23 +260,15 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 		for rep := 0; rep < c.Repeat; rep++ {
 			req := c.Request
 			req.Workers = fleet
-			for {
-				j, _, _, serr := mgr.SubmitOpts(req, service.SubmitOptions{TraceID: opts.TraceID})
-				if serr == nil {
-					execs = append(execs, execution{cell: i, job: j})
-					break
-				}
-				if !errors.Is(serr, service.ErrQueueFull) {
-					return nil, fmt.Errorf("campaign %s: scenario %q cell %d: %w",
-						spec.Name, c.Scenario, c.Index, serr)
-				}
-				// Queue full: drain our oldest still-pending execution,
-				// then retry. If we have nothing outstanding the queue is
-				// saturated by other clients — surface that.
-				if err := waitOldest(ctx, execs); err != nil {
-					return nil, fmt.Errorf("campaign %s: queue full: %w", spec.Name, err)
-				}
+			j, serr := submitCell(ctx, execs, func() (*service.Job, error) {
+				j, _, _, err := mgr.SubmitOpts(req, service.SubmitOptions{TraceID: opts.TraceID})
+				return j, err
+			})
+			if serr != nil {
+				return nil, fmt.Errorf("campaign %s: scenario %q cell %d: %w",
+					spec.Name, c.Scenario, c.Index, serr)
 			}
+			execs = append(execs, execution{cell: i, job: j})
 		}
 	}
 
@@ -336,6 +328,33 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 type execution struct {
 	cell int // index into the campaign's cell list
 	job  *service.Job
+}
+
+// submitCell submits one execution, applying backpressure on a full
+// queue: it waits for the oldest of execs still pending, then retries.
+// When none is pending the worker may have drained them all between the
+// failed submit and the scan, so the submit is retried once more; a
+// second full queue with nothing of ours pending means other clients
+// saturate it, and that is surfaced.
+func submitCell(ctx context.Context, execs []execution, submit func() (*service.Job, error)) (*service.Job, error) {
+	retried := false
+	for {
+		j, err := submit()
+		if err == nil {
+			return j, nil
+		}
+		if !errors.Is(err, service.ErrQueueFull) {
+			return nil, err
+		}
+		switch werr := waitOldest(ctx, execs); {
+		case werr == nil:
+			retried = false
+		case errors.Is(werr, service.ErrQueueFull) && !retried:
+			retried = true
+		default:
+			return nil, fmt.Errorf("queue full: %w", werr)
+		}
+	}
 }
 
 // waitOldest blocks until the first non-terminal job among execs
