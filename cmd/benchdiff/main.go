@@ -3,7 +3,7 @@
 // beyond a tolerance band. It closes the loop cmd/benchjson opened: CI
 // used to emit benchmark artifacts that nothing ever read; with a
 // baseline committed in the repository, every run now diffs its
-// points/sec and cells/sec metrics against it.
+// points/sec and cells/sec metrics, and its allocs/op, against it.
 //
 // Usage:
 //
@@ -26,6 +26,11 @@
 //     gates on raw ratios alone; with fewer than three comparable
 //     metrics normalization is skipped, since a median of the
 //     regressing metric would mask it.)
+//   - allocation counts (default "allocs/op"; override with -lower) are
+//     lower-is-better and do not depend on runner hardware, so they
+//     gate on the raw current/baseline ratio alone, never normalized: a
+//     count above 1+tolerance of its baseline regresses. A zero
+//     baseline has no ratio and is not compared.
 //   - regressions exit 1; improvements are reported and never fail;
 //   - benchmarks present on only one side are reported but tolerated,
 //     so adding or renaming a benchmark does not require a lockstep
@@ -64,6 +69,7 @@ var (
 	flagCurrent   = flag.String("current", "", "freshly generated report to check (required)")
 	flagTolerance = flag.Float64("tolerance", 0.25, "allowed fractional regression of a (normalized) throughput metric")
 	flagMetrics   = flag.String("metrics", "points/sec,cells/sec", "comma-separated throughput metrics to compare")
+	flagLower     = flag.String("lower", "allocs/op", "comma-separated lower-is-better, hardware-independent metrics, gated on raw ratios")
 	flagNormalize = flag.Bool("normalize", true, "divide each ratio by the median ratio, cancelling uniform machine-speed differences")
 )
 
@@ -74,13 +80,13 @@ func main() {
 		os.Exit(2)
 	}
 	regressions, err := run(*flagBaseline, *flagCurrent, *flagTolerance,
-		strings.Split(*flagMetrics, ","), *flagNormalize)
+		strings.Split(*flagMetrics, ","), strings.Split(*flagLower, ","), *flagNormalize)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d throughput regression(s) beyond the %.0f%% band\n",
+		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) beyond the %.0f%% band\n",
 			regressions, *flagTolerance*100)
 		os.Exit(1)
 	}
@@ -121,7 +127,10 @@ type comparison struct {
 	ratio        float64
 }
 
-func run(basePath, curPath string, tolerance float64, metrics []string, normalize bool) (regressions int, err error) {
+// run compares the throughput metrics (higher is better, normalized)
+// and the lower-is-better metrics (raw ratios) of two reports and
+// returns how many regressed beyond tolerance.
+func run(basePath, curPath string, tolerance float64, metrics, lower []string, normalize bool) (regressions int, err error) {
 	base, err := load(basePath)
 	if err != nil {
 		return 0, err
@@ -137,7 +146,7 @@ func run(basePath, curPath string, tolerance float64, metrics []string, normaliz
 	}
 	sort.Strings(names)
 
-	var comps []comparison
+	var comps, counts []comparison
 	for _, name := range names {
 		b := base[name]
 		c, ok := cur[name]
@@ -145,19 +154,12 @@ func run(basePath, curPath string, tolerance float64, metrics []string, normaliz
 			fmt.Printf("MISSING  %-55s (in baseline only; tolerated)\n", name)
 			continue
 		}
-		for _, metric := range metrics {
-			metric = strings.TrimSpace(metric)
-			bv, bok := b.Metrics[metric]
-			cv, cok := c.Metrics[metric]
-			if !bok || !cok || bv <= 0 {
-				continue
-			}
-			comps = append(comps, comparison{name: name, metric: metric, base: bv, cur: cv, ratio: cv / bv})
-		}
+		comps = appendComparisons(comps, name, b, c, metrics)
+		counts = appendComparisons(counts, name, b, c, lower)
 	}
-	if len(comps) == 0 {
-		return 0, fmt.Errorf("no comparable throughput metrics (%v) between %s and %s",
-			metrics, basePath, curPath)
+	if len(comps) == 0 && len(counts) == 0 {
+		return 0, fmt.Errorf("no comparable metrics (%v, %v) between %s and %s",
+			metrics, lower, basePath, curPath)
 	}
 
 	scale := 1.0
@@ -181,12 +183,39 @@ func run(basePath, curPath string, tolerance float64, metrics []string, normaliz
 				c.name, c.metric, c.base, c.cur, c.ratio*100, rel*100)
 		}
 	}
+	for _, c := range counts {
+		verdict := "OK      "
+		switch {
+		case c.ratio > 1+tolerance:
+			regressions++
+			verdict = "REGRESS "
+		case c.ratio < 1-tolerance:
+			verdict = "IMPROVE "
+		}
+		fmt.Printf("%s %-55s %-12s %12.4g -> %-12.4g (raw %.0f%%)\n",
+			verdict, c.name, c.metric, c.base, c.cur, c.ratio*100)
+	}
 	for name := range cur {
 		if _, ok := base[name]; !ok {
 			fmt.Printf("NEW      %-55s (not in baseline; tolerated)\n", name)
 		}
 	}
 	return regressions, nil
+}
+
+// appendComparisons appends one comparison per metric present on both
+// sides of benchmark name with a positive baseline.
+func appendComparisons(comps []comparison, name string, b, c Benchmark, metrics []string) []comparison {
+	for _, metric := range metrics {
+		metric = strings.TrimSpace(metric)
+		bv, bok := b.Metrics[metric]
+		cv, cok := c.Metrics[metric]
+		if !bok || !cok || bv <= 0 {
+			continue
+		}
+		comps = append(comps, comparison{name: name, metric: metric, base: bv, cur: cv, ratio: cv / bv})
+	}
+	return comps
 }
 
 // medianRatio returns the median current/baseline ratio — the uniform

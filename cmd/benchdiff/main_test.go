@@ -99,7 +99,7 @@ func TestDiffToleranceBand(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cur := write(t, dir, "cur.json", tc.current)
-			got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, tc.normalize)
+			got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, nil, tc.normalize)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("expected an error for an incomparable report")
@@ -125,7 +125,7 @@ func TestFewMetricsSkipsNormalization(t *testing.T) {
 		`{"benchmarks":[{"name":"BenchmarkOnly","runs":1,"metrics":{"points/sec":100}}]}`)
 	cur := write(t, dir, "cur.json",
 		`{"benchmarks":[{"name":"BenchmarkOnly","runs":1,"metrics":{"points/sec":10}}]}`)
-	got, err := run(base, cur, 0.25, []string{"points/sec"}, true)
+	got, err := run(base, cur, 0.25, []string{"points/sec"}, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestProcsSuffixNormalized(t *testing.T) {
 		{"name":"BenchmarkCampaignRun/shared-4","runs":2,"metrics":{"cells/sec":1000}},
 		{"name":"BenchmarkCampaignRun/isolated-4","runs":2,"metrics":{"cells/sec":50}}
 	]}`)
-	got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, true)
+	got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, nil, true)
 	if err != nil {
 		t.Fatalf("suffixed names did not match the baseline: %v", err)
 	}
@@ -157,5 +157,57 @@ func TestProcsSuffixNormalized(t *testing.T) {
 	// suffix is stripped.
 	if normalizeName("BenchmarkReliabilitySweep/j=2-8") != "BenchmarkReliabilitySweep/j=2" {
 		t.Fatal("normalizeName mangled the sub-benchmark name")
+	}
+}
+
+// TestAllocsGate: allocs/op is lower-is-better and independent of the
+// runner, so it gates on its raw ratio, never on one normalized by the
+// throughput metrics' median.
+func TestAllocsGate(t *testing.T) {
+	dir := t.TempDir()
+	base := write(t, dir, "base.json", `{"benchmarks":[
+		{"name":"BenchmarkReliabilitySweep/j=1","runs":2,"metrics":{"points/sec":100,"allocs/op":1000}},
+		{"name":"BenchmarkReliabilitySweep/j=2","runs":2,"metrics":{"points/sec":200,"allocs/op":1000}},
+		{"name":"BenchmarkCampaignRun/shared","runs":2,"metrics":{"cells/sec":1000,"allocs/op":0}}
+	]}`)
+	cases := []struct {
+		name        string
+		current     string
+		regressions int
+	}{
+		{
+			// A uniformly 2x faster runner leaves every normalized
+			// throughput ratio at 1; the doubled allocs/op still regress.
+			name: "regressing allocs line on a faster machine",
+			current: `{"benchmarks":[
+				{"name":"BenchmarkReliabilitySweep/j=1","runs":2,"metrics":{"points/sec":200,"allocs/op":2000}},
+				{"name":"BenchmarkReliabilitySweep/j=2","runs":2,"metrics":{"points/sec":400,"allocs/op":1000}},
+				{"name":"BenchmarkCampaignRun/shared","runs":2,"metrics":{"cells/sec":2000,"allocs/op":0}}
+			]}`,
+			regressions: 1,
+		},
+		{
+			// Far fewer allocations on a slower runner: an improvement,
+			// and the throughputs pass normalized.
+			name: "improving allocs line on a slower machine",
+			current: `{"benchmarks":[
+				{"name":"BenchmarkReliabilitySweep/j=1","runs":2,"metrics":{"points/sec":50,"allocs/op":10}},
+				{"name":"BenchmarkReliabilitySweep/j=2","runs":2,"metrics":{"points/sec":100,"allocs/op":1100}},
+				{"name":"BenchmarkCampaignRun/shared","runs":2,"metrics":{"cells/sec":500,"allocs/op":3}}
+			]}`,
+			regressions: 0,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := write(t, dir, "cur.json", tc.current)
+			got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, []string{"allocs/op"}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.regressions {
+				t.Fatalf("regressions = %d, want %d", got, tc.regressions)
+			}
+		})
 	}
 }
