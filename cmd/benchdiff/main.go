@@ -26,11 +26,10 @@
 //     gates on raw ratios alone; with fewer than three comparable
 //     metrics normalization is skipped, since a median of the
 //     regressing metric would mask it.)
-//   - allocation counts (default "allocs/op"; override with -lower) are
-//     lower-is-better and do not depend on runner hardware, so they
-//     gate on the raw current/baseline ratio alone, never normalized: a
-//     count above 1+tolerance of its baseline regresses. A zero
-//     baseline has no ratio and is not compared.
+//   - allocation counts ("allocs/op") are lower-is-better and do not
+//     depend on runner hardware, so they gate on raw values alone,
+//     never normalized: a count above 1+tolerance times its baseline
+//     regresses, and so does any count above a zero baseline.
 //   - regressions exit 1; improvements are reported and never fail;
 //   - benchmarks present on only one side are reported but tolerated,
 //     so adding or renaming a benchmark does not require a lockstep
@@ -69,7 +68,6 @@ var (
 	flagCurrent   = flag.String("current", "", "freshly generated report to check (required)")
 	flagTolerance = flag.Float64("tolerance", 0.25, "allowed fractional regression of a (normalized) throughput metric")
 	flagMetrics   = flag.String("metrics", "points/sec,cells/sec", "comma-separated throughput metrics to compare")
-	flagLower     = flag.String("lower", "allocs/op", "comma-separated lower-is-better, hardware-independent metrics, gated on raw ratios")
 	flagNormalize = flag.Bool("normalize", true, "divide each ratio by the median ratio, cancelling uniform machine-speed differences")
 )
 
@@ -80,7 +78,7 @@ func main() {
 		os.Exit(2)
 	}
 	regressions, err := run(*flagBaseline, *flagCurrent, *flagTolerance,
-		strings.Split(*flagMetrics, ","), strings.Split(*flagLower, ","), *flagNormalize)
+		strings.Split(*flagMetrics, ","), *flagNormalize)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
@@ -127,10 +125,15 @@ type comparison struct {
 	ratio        float64
 }
 
+// lowerIsBetter is the allocation-count metric gated alongside the
+// throughput metrics. It does not depend on the runner, so it compares
+// raw values.
+const lowerIsBetter = "allocs/op"
+
 // run compares the throughput metrics (higher is better, normalized)
-// and the lower-is-better metrics (raw ratios) of two reports and
-// returns how many regressed beyond tolerance.
-func run(basePath, curPath string, tolerance float64, metrics, lower []string, normalize bool) (regressions int, err error) {
+// and the allocation counts (raw) of two reports and returns how many
+// regressed beyond tolerance.
+func run(basePath, curPath string, tolerance float64, metrics []string, normalize bool) (regressions int, err error) {
 	base, err := load(basePath)
 	if err != nil {
 		return 0, err
@@ -155,11 +158,15 @@ func run(basePath, curPath string, tolerance float64, metrics, lower []string, n
 			continue
 		}
 		comps = appendComparisons(comps, name, b, c, metrics)
-		counts = appendComparisons(counts, name, b, c, lower)
+		bv, bok := b.Metrics[lowerIsBetter]
+		cv, cok := c.Metrics[lowerIsBetter]
+		if bok && cok {
+			counts = append(counts, comparison{name: name, metric: lowerIsBetter, base: bv, cur: cv})
+		}
 	}
 	if len(comps) == 0 && len(counts) == 0 {
-		return 0, fmt.Errorf("no comparable metrics (%v, %v) between %s and %s",
-			metrics, lower, basePath, curPath)
+		return 0, fmt.Errorf("no comparable metrics (%v, %s) between %s and %s",
+			metrics, lowerIsBetter, basePath, curPath)
 	}
 
 	scale := 1.0
@@ -184,16 +191,18 @@ func run(basePath, curPath string, tolerance float64, metrics, lower []string, n
 		}
 	}
 	for _, c := range counts {
+		// Compared as products, not a ratio, so a zero baseline gates
+		// too: any allocation above it regresses.
 		verdict := "OK      "
 		switch {
-		case c.ratio > 1+tolerance:
+		case c.cur > c.base*(1+tolerance):
 			regressions++
 			verdict = "REGRESS "
-		case c.ratio < 1-tolerance:
+		case c.cur < c.base*(1-tolerance):
 			verdict = "IMPROVE "
 		}
-		fmt.Printf("%s %-55s %-12s %12.4g -> %-12.4g (raw %.0f%%)\n",
-			verdict, c.name, c.metric, c.base, c.cur, c.ratio*100)
+		fmt.Printf("%s %-55s %-12s %12.4g -> %-12.4g (raw)\n",
+			verdict, c.name, c.metric, c.base, c.cur)
 	}
 	for name := range cur {
 		if _, ok := base[name]; !ok {

@@ -99,7 +99,7 @@ func TestDiffToleranceBand(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cur := write(t, dir, "cur.json", tc.current)
-			got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, nil, tc.normalize)
+			got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, tc.normalize)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("expected an error for an incomparable report")
@@ -125,7 +125,7 @@ func TestFewMetricsSkipsNormalization(t *testing.T) {
 		`{"benchmarks":[{"name":"BenchmarkOnly","runs":1,"metrics":{"points/sec":100}}]}`)
 	cur := write(t, dir, "cur.json",
 		`{"benchmarks":[{"name":"BenchmarkOnly","runs":1,"metrics":{"points/sec":10}}]}`)
-	got, err := run(base, cur, 0.25, []string{"points/sec"}, nil, true)
+	got, err := run(base, cur, 0.25, []string{"points/sec"}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestProcsSuffixNormalized(t *testing.T) {
 		{"name":"BenchmarkCampaignRun/shared-4","runs":2,"metrics":{"cells/sec":1000}},
 		{"name":"BenchmarkCampaignRun/isolated-4","runs":2,"metrics":{"cells/sec":50}}
 	]}`)
-	got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, nil, true)
+	got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, true)
 	if err != nil {
 		t.Fatalf("suffixed names did not match the baseline: %v", err)
 	}
@@ -161,8 +161,8 @@ func TestProcsSuffixNormalized(t *testing.T) {
 }
 
 // TestAllocsGate: allocs/op is lower-is-better and independent of the
-// runner, so it gates on its raw ratio, never on one normalized by the
-// throughput metrics' median.
+// runner, so it gates on raw values, never on a ratio normalized by the
+// throughput metrics' median, and a zero baseline gates too.
 func TestAllocsGate(t *testing.T) {
 	dir := t.TempDir()
 	base := write(t, dir, "base.json", `{"benchmarks":[
@@ -188,20 +188,32 @@ func TestAllocsGate(t *testing.T) {
 		},
 		{
 			// Far fewer allocations on a slower runner: an improvement,
-			// and the throughputs pass normalized.
+			// and the throughputs pass normalized. A zero baseline that
+			// stays at zero passes.
 			name: "improving allocs line on a slower machine",
 			current: `{"benchmarks":[
 				{"name":"BenchmarkReliabilitySweep/j=1","runs":2,"metrics":{"points/sec":50,"allocs/op":10}},
 				{"name":"BenchmarkReliabilitySweep/j=2","runs":2,"metrics":{"points/sec":100,"allocs/op":1100}},
-				{"name":"BenchmarkCampaignRun/shared","runs":2,"metrics":{"cells/sec":500,"allocs/op":3}}
+				{"name":"BenchmarkCampaignRun/shared","runs":2,"metrics":{"cells/sec":500,"allocs/op":0}}
 			]}`,
 			regressions: 0,
+		},
+		{
+			// An allocation-free benchmark that starts allocating has no
+			// ratio to its zero baseline, and regresses all the same.
+			name: "allocs rising from a zero baseline",
+			current: `{"benchmarks":[
+				{"name":"BenchmarkReliabilitySweep/j=1","runs":2,"metrics":{"points/sec":100,"allocs/op":1000}},
+				{"name":"BenchmarkReliabilitySweep/j=2","runs":2,"metrics":{"points/sec":200,"allocs/op":1000}},
+				{"name":"BenchmarkCampaignRun/shared","runs":2,"metrics":{"cells/sec":1000,"allocs/op":3}}
+			]}`,
+			regressions: 1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cur := write(t, dir, "cur.json", tc.current)
-			got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, []string{"allocs/op"}, true)
+			got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
