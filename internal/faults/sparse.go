@@ -119,12 +119,10 @@ func (s *Sampler) rowDraw(p, t float64) rowDraw {
 }
 
 // rowBits is one row's fault bitmaps: per word of the row, the mask of
-// its faulty cells and the mask of those stuck at 1, plus one bit per
-// word marking the words that hold any fault. Readers clear every word
-// they take, so a rowBits is all-zero between rows.
+// its faulty cells and the mask of those stuck at 1. Readers clear every
+// word they take, so a rowBits is all-zero between rows.
 type rowBits struct {
 	set, one []pattern.Word
-	hit      []uint64
 }
 
 // rowBitsPool recycles row bitmaps across range scans. Scratch cannot
@@ -135,42 +133,34 @@ var rowBitsPool = sync.Pool{New: func() any { return new(rowBits) }}
 // Return them with rowBitsPool.Put once every marked row is read.
 func getRowBits(wpr uint64) *rowBits {
 	b := rowBitsPool.Get().(*rowBits)
-	n, h := int(wpr), int((wpr+63)/64)
+	n := int(wpr)
 	if cap(b.set) < n {
 		b.set, b.one = make([]pattern.Word, n), make([]pattern.Word, n)
 	}
-	if cap(b.hit) < h {
-		b.hit = make([]uint64, h)
-	}
-	b.set, b.one, b.hit = b.set[:n], b.one[:n], b.hit[:h]
+	b.set, b.one = b.set[:n], b.one[:n]
 	return b
 }
 
-// next returns the lowest marked word of the row and unmarks it in the
-// word index; ok is false once no marked word remains.
-func (b *rowBits) next() (w int, ok bool) {
-	for i, h := range b.hit {
-		if h != 0 {
-			b.hit[i] = h & (h - 1)
-			return i<<6 + bits.TrailingZeros64(h), true
-		}
-	}
-	return 0, false
-}
-
-// take returns word w's faulty and stuck-at-1 masks and clears them.
-func (b *rowBits) take(w int) (set, one pattern.Word) {
+// take returns word w's faulty and stuck-at-1 masks and clears them; ok
+// is false when the word holds no fault.
+func (b *rowBits) take(w int) (set, one pattern.Word, ok bool) {
 	set, one = b.set[w], b.one[w]
+	if set[0]|set[1]|set[2]|set[3] == 0 {
+		return set, one, false
+	}
 	b.set[w], b.one[w] = pattern.Word{}, pattern.Word{}
-	return set, one
+	return set, one, true
 }
 
-// drain yields the row's marked faults in ascending (address, bit)
-// order and leaves the bitmaps all-zero. rowBase is the row's first
-// word address.
-func (b *rowBits) drain(rowBase uint64, visit func(addr uint64, f CellFault)) {
-	for w, ok := b.next(); ok; w, ok = b.next() {
-		set, one := b.take(w)
+// drain yields the faults marked in words [first, end) of the row in
+// ascending (address, bit) order and leaves the bitmaps all-zero.
+// rowBase is the row's first word address.
+func (b *rowBits) drain(rowBase uint64, first, end int, visit func(addr uint64, f CellFault)) {
+	for w := first; w < end; w++ {
+		set, one, ok := b.take(w)
+		if !ok {
+			continue
+		}
 		addr := rowBase + uint64(w)
 		for lane, m := range set {
 			for ; m != 0; m &= m - 1 {
@@ -198,26 +188,26 @@ func (s *Sampler) sparseRange(start, count uint64, visit func(addr uint64, f Cel
 func (s *Sampler) sparseRows(lo, hi uint64, d rowDraw, b *rowBits, visit func(addr uint64, f CellFault)) {
 	wpr := s.wordsPerRow
 	for r := lo / wpr; r*wpr < hi; r++ {
-		if s.sparseRowFaults(r, lo, hi, d, b) {
-			b.drain(r*wpr, visit)
-		}
+		first, end := s.sparseRowFaults(r, lo, hi, d, b)
+		b.drain(r*wpr, first, end, visit)
 	}
 }
 
 // sparseRowFaults draws row's fault count and positions and marks, in
-// b, the faults whose word address falls in [lo, hi); it reports
-// whether it marked any. A cell drawn twice keeps its first draw's
-// polarity. The draws depend only on (seed, PC, row, rep, voltage),
-// never on the query window or on any previously evaluated voltage
-// point, so overlapping range scans — and sweeps sharded across a board
-// fleet in any order — observe one consistent device.
-func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) bool {
+// b, the faults whose word address falls in [lo, hi); every marked word
+// lies in [first, end) of the row, which is empty when none is marked.
+// A cell drawn twice keeps its first draw's polarity. The draws depend
+// only on (seed, PC, row, rep, voltage), never on the query window or
+// on any previously evaluated voltage point, so overlapping range
+// scans — and sweeps sharded across a board fleet in any order —
+// observe one consistent device.
+func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) (first, end int) {
 	wpr := s.wordsPerRow
 	nBits := wpr * 256
 	src := prf.NewSource(prf.Hash5(s.seed^saltSparse, uint64(s.idx), row, s.rep, s.vbits))
 	k := binomialDraw(src, int(nBits), d.p, d.q0)
 	if k == 0 {
-		return false
+		return 0, 0
 	}
 	// The window as word offsets within the row.
 	rowBase := row * wpr
@@ -231,7 +221,7 @@ func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) boo
 	// Each fault consumes exactly two stream words (position, polarity),
 	// so the draws are pulled in blocks via Fill — identical values to
 	// sequential Intn/Float64 calls, without the per-draw call setup.
-	marked := false
+	first = int(wpr)
 	var draws [256]uint64
 	for j := 0; j < k; {
 		chunk := min(k-j, len(draws)/2)
@@ -251,12 +241,11 @@ func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) boo
 			if prf.Float64(dr[2*c+1]) < d.p1Share {
 				b.one[w][lane] |= m
 			}
-			b.hit[w/64] |= 1 << (w % 64)
-			marked = true
+			first, end = min(first, int(w)), max(end, int(w)+1)
 		}
 		j += chunk
 	}
-	return marked
+	return first, end
 }
 
 // binomialDraw returns a deterministic Binomial(n, p) variate from src:
@@ -376,12 +365,11 @@ func (s *Sampler) checkSegment(lo, hi uint64, in bool, a *adjuster, b *rowBits) 
 		d := s.rowDraw(p, t)
 		wpr := s.wordsPerRow
 		for r := lo / wpr; r*wpr < hi; r++ {
-			if !s.sparseRowFaults(r, lo, hi, d, b) {
-				continue
-			}
-			for w, ok := b.next(); ok; w, ok = b.next() {
-				set, one := b.take(w)
-				a.read(a.stored.AndNot(set).Or(one))
+			first, end := s.sparseRowFaults(r, lo, hi, d, b)
+			for w := first; w < end; w++ {
+				if set, one, ok := b.take(w); ok {
+					a.read(a.stored.AndNot(set).Or(one))
+				}
 			}
 		}
 		return

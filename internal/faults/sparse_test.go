@@ -403,9 +403,8 @@ func TestBitmapKernelFirstDrawWins(t *testing.T) {
 			}
 		}
 		var got []uint64
-		if s.sparseRowFaults(row, row, row+1, d, b) {
-			b.drain(row, func(addr uint64, f CellFault) { got = append(got, packFault(addr, f)) })
-		}
+		from, end := s.sparseRowFaults(row, row, row+1, d, b)
+		b.drain(row, from, end, func(addr uint64, f CellFault) { got = append(got, packFault(addr, f)) })
 		if len(got) != len(first) {
 			t.Fatalf("row %d: %d faults marked, %d distinct cells drawn", row, len(got), len(first))
 		}
