@@ -13,7 +13,9 @@
 //	GET    /v1/sweeps/{id}/result raw result payload (byte-stable)
 //	GET    /v1/sweeps/{id}/events NDJSON progress stream
 //	DELETE /v1/sweeps/{id}        cancel
-//	GET    /healthz               liveness + statistics
+//	GET    /healthz               liveness: {"status":"ok"}, plus
+//	                              "draining":true once a drain begins
+//	GET    /metrics               every counter (see Observability)
 //
 // Campaign routes (see internal/campaign) fan declarative multi-
 // scenario experiment specs into the same job manager:
@@ -58,8 +60,8 @@
 //
 //   - GET /metrics serves the telemetry registry in Prometheus text
 //     exposition format: job, cache-tier, enum-store, admission,
-//     campaign, and fleet families. /healthz statistics are views over
-//     the same registry, so the two surfaces cannot drift.
+//     campaign, and fleet families. It is the node's one statistics
+//     surface; fleet membership is GET /v1/fleet/peers.
 //   - Every submission gets a trace ID — minted at this edge or adopted
 //     from an X-Hbmvolt-Trace-Id request header — that follows the job
 //     through coalescing, cache lookups, enum-store singleflight, and

@@ -15,6 +15,7 @@ import (
 
 	"hbmvolt/internal/report"
 	"hbmvolt/internal/service"
+	"hbmvolt/internal/telemetry/telemetrytest"
 )
 
 // tinySpec is a fast multi-scenario spec exercising every kind and a
@@ -406,15 +407,16 @@ func TestCancelStopsSubmittedCells(t *testing.T) {
 	// nothing may stay queued or running on the shared manager.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		st := mgr.Stats()
-		if st.Queued == 0 && st.Running == 0 {
-			if st.Cancelled == 0 {
-				t.Fatalf("no sweeps were cancelled: %+v", st)
+		jobs := telemetrytest.Scrape(t, mgr.Metrics().Handler())
+		if jobs[`hbmvolt_jobs{state="queued"}`] == 0 && jobs[`hbmvolt_jobs{state="running"}`] == 0 {
+			if jobs[`hbmvolt_jobs{state="cancelled"}`] == 0 {
+				t.Fatal("no sweeps were cancelled")
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("sweeps still active after campaign cancellation: %+v", mgr.Stats())
+			t.Fatalf("sweeps still active after campaign cancellation: %v queued, %v running",
+				jobs[`hbmvolt_jobs{state="queued"}`], jobs[`hbmvolt_jobs{state="running"}`])
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -168,9 +168,8 @@ func New(o Options) (*Daemon, error) {
 		}
 		o.Logger = tlog.New(os.Stderr, level)
 	}
-	// One registry serves /metrics and backs /healthz: the manager, the
-	// campaign engine (via the manager), and the fleet forwarder all
-	// report into it, so the two surfaces cannot drift.
+	// One registry serves /metrics: the manager, the campaign engine
+	// (via the manager), and the fleet forwarder all report into it.
 	reg := telemetry.NewRegistry()
 	var fwd *fleet.Forwarder
 	if o.Self != "" {

@@ -16,6 +16,7 @@ import (
 	"hbmvolt/internal/fleet"
 	"hbmvolt/internal/service"
 	tlog "hbmvolt/internal/telemetry/log"
+	"hbmvolt/internal/telemetry/telemetrytest"
 )
 
 // testLogWriter forwards the daemon's structured records to t.Logf.
@@ -94,7 +95,7 @@ func TestOptionsValidate(t *testing.T) {
 
 // startDaemon builds a daemon on an ephemeral port and serves it until
 // the returned cancel function is called; done receives Serve's error.
-func startDaemon(t *testing.T, o Options) (client *service.Client, cancel context.CancelFunc, done chan error) {
+func startDaemon(t *testing.T, o Options) (d *Daemon, client *service.Client, cancel context.CancelFunc, done chan error) {
 	t.Helper()
 	o.Logger = testLogger(t)
 	d, err := New(o)
@@ -108,7 +109,7 @@ func startDaemon(t *testing.T, o Options) (client *service.Client, cancel contex
 	ctx, cancelCtx := context.WithCancel(context.Background())
 	done = make(chan error, 1)
 	go func() { done <- d.Serve(ctx, ln) }()
-	return service.NewClient("http://" + ln.Addr().String()), cancelCtx, done
+	return d, service.NewClient("http://" + ln.Addr().String()), cancelCtx, done
 }
 
 func testOptions() Options {
@@ -145,7 +146,7 @@ func TestDaemonCacheDirWiring(t *testing.T) {
 	o := testOptions()
 	o.CacheDir = dir
 
-	c, cancel, done := startDaemon(t, o)
+	_, c, cancel, done := startDaemon(t, o)
 	ctx := context.Background()
 	sub, err := c.Submit(ctx, smokeSweep())
 	if err != nil {
@@ -161,14 +162,10 @@ func TestDaemonCacheDirWiring(t *testing.T) {
 	cancel()
 	waitServe(t, done)
 
-	c2, cancel2, done2 := startDaemon(t, o)
+	d2, c2, cancel2, done2 := startDaemon(t, o)
 	defer func() { cancel2(); waitServe(t, done2) }()
-	h, err := c2.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.DiskCache == nil || h.DiskCache.Recovered != 1 {
-		t.Fatalf("restarted daemon disk cache = %+v, want 1 recovered entry", h.DiskCache)
+	if got := telemetrytest.Scrape(t, d2.Server())["hbmvolt_disk_recovered_entries_total"]; got != 1 {
+		t.Fatalf("restarted daemon recovered %v disk entries, want 1", got)
 	}
 	sub2, err := c2.Submit(ctx, smokeSweep())
 	if err != nil {
@@ -184,12 +181,8 @@ func TestDaemonCacheDirWiring(t *testing.T) {
 	if string(payload) != string(payload2) {
 		t.Fatal("restarted daemon served different bytes")
 	}
-	h, err = c2.Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.SweepRuns != 0 {
-		t.Fatalf("restarted daemon recomputed: sweep_runs = %d, want 0", h.SweepRuns)
+	if got := telemetrytest.Scrape(t, d2.Server())["hbmvolt_sweep_runs_total"]; got != 0 {
+		t.Fatalf("restarted daemon recomputed: hbmvolt_sweep_runs_total = %v, want 0", got)
 	}
 }
 
@@ -206,7 +199,7 @@ func TestSplitPeers(t *testing.T) {
 // TestDaemonFleetWiring boots two complete daemons in peer mode — the
 // -self/-peers path end to end — submits a sweep to the node that does
 // NOT own its key, and checks the owner computed it, the serve marker
-// says so, and /healthz carries the fleet block.
+// says so, and the node's registry carries the fleet families.
 func TestDaemonFleetWiring(t *testing.T) {
 	lns := make([]net.Listener, 2)
 	urls := make([]string, 2)
@@ -219,6 +212,7 @@ func TestDaemonFleetWiring(t *testing.T) {
 		urls[i] = "http://" + ln.Addr().String()
 	}
 	clients := make([]*service.Client, 2)
+	daemons := make([]*Daemon, 2)
 	for i := range lns {
 		o := testOptions()
 		o.Logger = testLogger(t)
@@ -234,7 +228,7 @@ func TestDaemonFleetWiring(t *testing.T) {
 		ln := lns[i]
 		go func() { done <- d.Serve(ctx, ln) }()
 		t.Cleanup(func() { cancel(); waitServe(t, done) })
-		clients[i] = service.NewClient(urls[i])
+		clients[i], daemons[i] = service.NewClient(urls[i]), d
 	}
 
 	// Route the request like the daemons will, then submit it to the
@@ -273,12 +267,8 @@ func TestDaemonFleetWiring(t *testing.T) {
 	if st.ServedBy != owner || st.Degraded {
 		t.Fatalf("status served_by=%q degraded=%v, want healthy serve by owner %s", st.ServedBy, st.Degraded, owner)
 	}
-	h, err := clients[submitTo].Health(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Fleet == nil {
-		t.Fatal("/healthz has no fleet block in fleet mode")
+	if got := telemetrytest.Scrape(t, daemons[submitTo].Server())["hbmvolt_fleet_nodes"]; got != 2 {
+		t.Fatalf("hbmvolt_fleet_nodes = %v in fleet mode, want 2", got)
 	}
 }
 

@@ -46,17 +46,17 @@ type EnumKey struct {
 // enumerate, keeping entries small.
 const DefaultEnumCacheBytes = 128 << 20
 
-// EnumStats reports the shared enumeration store's counters, for
-// health endpoints and the memo tests.
+// EnumStats reports the shared enumeration store's counters, for the
+// hbmvolt_enum_store_* families and the memo tests.
 type EnumStats struct {
-	Entries   int    `json:"entries"`
-	Bytes     int64  `json:"bytes"`
-	MaxBytes  int64  `json:"max_bytes"`
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Coalesced uint64 `json:"coalesced"`
-	Computes  uint64 `json:"computes"`
-	Evictions uint64 `json:"evictions"`
+	Entries   int
+	Bytes     int64
+	MaxBytes  int64
+	Hits      uint64
+	Misses    uint64
+	Coalesced uint64
+	Computes  uint64
+	Evictions uint64
 }
 
 // enumCall is one in-flight computation; waiters block on wg and read
@@ -203,8 +203,7 @@ func (m *Model) SharedEnumerationCtx(ctx context.Context, stack, pc int, v float
 func EnumStoreStats() EnumStats { return sharedEnums.stats() }
 
 // RegisterEnumMetrics surfaces the process-wide enumeration store in a
-// telemetry registry as sampler-backed families, so /metrics and the
-// /healthz shared_enums block read the same counters.
+// telemetry registry as sampler-backed families.
 func RegisterEnumMetrics(r *telemetry.Registry) {
 	one := func(v float64) []telemetry.Sample { return []telemetry.Sample{{Value: v}} }
 	r.CounterSampler("hbmvolt_enum_store_requests_total",

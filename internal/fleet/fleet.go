@@ -34,8 +34,7 @@
 // Every fallback is observable: X-Hbmvolt-Served-By /
 // X-Hbmvolt-Degraded response headers, per-job served_by/degraded
 // status fields, and per-peer circuit state plus degraded-serve,
-// hedge, replication, and membership-version counters in /healthz and
-// /metrics.
+// hedge, replication, and membership-version counters in /metrics.
 package fleet
 
 import (
@@ -165,7 +164,7 @@ type peer struct {
 // view is one immutable membership snapshot: the sorted node set, the
 // peer table, and the version that stamps it. The forwarder swaps
 // views atomically (copy-on-write), so every reader — Owner, the
-// forward path, the prober, the metrics samplers, /healthz — sees one
+// forward path, the prober, the metrics samplers — sees one
 // consistent membership with no locks on the hot path.
 type view struct {
 	version uint64
@@ -367,7 +366,7 @@ func (f *Forwarder) log() *tlog.Logger {
 // the caller is never blamed on a peer.
 //
 // The routing decision is observable three ways, all fed here: the
-// serves/hedge/replication counters (/metrics, /healthz), a fleet.*
+// serves/hedge/replication counters (/metrics), a fleet.*
 // span on the submission's trace when ctx carries one, and a
 // structured log record for every degraded serve.
 func (f *Forwarder) ExecuteSweep(ctx context.Context, key uint64, req service.SweepRequest, local func(context.Context) ([]byte, error)) ([]byte, service.ServeInfo, error) {
@@ -505,8 +504,8 @@ func (f *Forwarder) PeerState(name string) (string, error) {
 
 // RegisterMetrics surfaces the forwarder's routing, hedge, replication
 // and peer-health counters in a telemetry registry as sampler-backed
-// families — the very atomics /healthz's fleet block reads, so the two
-// surfaces agree by construction.
+// families over the forwarder's own atomics: /metrics is the one place
+// they are read.
 func (f *Forwarder) RegisterMetrics(r *telemetry.Registry) {
 	r.CounterSampler("hbmvolt_fleet_serves_total",
 		"Sweep executions by routing outcome: local (this node owned the key), forwarded (served by a remote peer, hedges included), degraded (no remote choice reachable; computed locally, byte-identical).",

@@ -12,7 +12,21 @@ import (
 
 	"hbmvolt/internal/chaos"
 	"hbmvolt/internal/service"
+	"hbmvolt/internal/telemetry"
+	"hbmvolt/internal/telemetry/telemetrytest"
 )
+
+// The routing-outcome series of a node's registry.
+const (
+	servesLocal     = `hbmvolt_fleet_serves_total{mode="local"}`
+	servesForwarded = `hbmvolt_fleet_serves_total{mode="forwarded"}`
+	servesDegraded  = `hbmvolt_fleet_serves_total{mode="degraded"}`
+)
+
+// peerSeries names a per-peer family's series for peer.
+func peerSeries(family, peer string) string {
+	return family + `{peer="` + peer + `"}`
+}
 
 // testNode is one in-process fleet member: a real service server on a
 // real TCP listener, its manager routed through a Forwarder.
@@ -55,8 +69,10 @@ func startNodes(t *testing.T, n int, tune func(i int, o *Options)) []*testNode {
 
 // startNodesOn builds one fleet node per pre-opened listener, each
 // serving the sweep API plus the membership admin API (the same mux
-// shape the daemon mounts). svcCfg, when non-nil, tunes each node's
-// service config (e.g. a CacheDir for replication tests).
+// shape the daemon mounts), with the forwarder's families in the
+// service's registry as the daemon wires them. svcCfg, when non-nil,
+// tunes each node's service config (e.g. a CacheDir for replication
+// tests).
 func startNodesOn(t *testing.T, lns []net.Listener, urls []string, tune func(i int, o *Options), svcCfg func(i int, c *service.Config)) []*testNode {
 	t.Helper()
 	nodes := make([]*testNode, len(lns))
@@ -74,7 +90,9 @@ func startNodesOn(t *testing.T, lns []net.Listener, urls []string, tune func(i i
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := service.Config{Workers: 2, QueueDepth: 64, Forwarder: fwd}
+		reg := telemetry.NewRegistry()
+		fwd.RegisterMetrics(reg)
+		cfg := service.Config{Workers: 2, QueueDepth: 64, Forwarder: fwd, Metrics: reg}
 		if svcCfg != nil {
 			svcCfg(i, &cfg)
 		}
@@ -267,7 +285,7 @@ func TestBreakerTransitions(t *testing.T) {
 	if recovered := b.Success(); !recovered || b.State() != circuitClosed {
 		t.Fatal("successful trial must close")
 	}
-	if _, consecutive := b.Snapshot(); consecutive != 0 {
+	if b.consecutive != 0 {
 		t.Fatal("success must reset the failure streak")
 	}
 }
@@ -341,9 +359,8 @@ func TestForwardToOwner(t *testing.T) {
 	if runs := nodes[1].srv.Manager().Runs(); runs != 1 {
 		t.Fatalf("owner ran %d sweeps, want 1", runs)
 	}
-	h := nodes[0].fwd.Health()
-	if h.Forwarded != 1 || h.DegradedServes != 0 {
-		t.Fatalf("health = %+v, want 1 forwarded, 0 degraded", h)
+	if m := telemetrytest.Scrape(t, nodes[0].srv); m[servesForwarded] != 1 || m[servesDegraded] != 0 {
+		t.Fatalf("forwarded = %v, degraded = %v; want 1, 0", m[servesForwarded], m[servesDegraded])
 	}
 }
 
@@ -372,9 +389,8 @@ func TestDegradeWhenOwnerDown(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[0].url || !info.Degraded {
 		t.Fatalf("ServeInfo = %+v, want degraded local serve", info)
 	}
-	h := nodes[0].fwd.Health()
-	if h.DegradedServes != 1 {
-		t.Fatalf("health = %+v, want 1 degraded serve", h)
+	if got := telemetrytest.Scrape(t, nodes[0].srv)[servesDegraded]; got != 1 {
+		t.Fatalf("degraded = %v, want 1", got)
 	}
 
 	// The fallback is observable on the wire: served-by + degraded
@@ -428,13 +444,15 @@ func TestCircuitOpensAfterConsecutiveFailures(t *testing.T) {
 	if state, err := nodes[0].fwd.PeerState(owner); err != nil || state != circuitOpen {
 		t.Fatalf("peer state = %q, %v; want open", state, err)
 	}
-	h := nodes[0].fwd.Health()
-	if h.DegradedServes != 3 {
-		t.Fatalf("degraded = %d, want 3", h.DegradedServes)
+	m := telemetrytest.Scrape(t, nodes[0].srv)
+	if m[servesDegraded] != 3 {
+		t.Fatalf("degraded = %v, want 3", m[servesDegraded])
 	}
 	// Attempts stopped once the circuit opened: 2 failures, not 3.
-	if h.Peers[0].Forwards != 2 || h.Peers[0].ForwardFailures != 2 {
-		t.Fatalf("peer counters = %+v, want 2 forwards / 2 failures (third skipped open-circuit)", h.Peers[0])
+	forwards := m[peerSeries("hbmvolt_fleet_peer_forwards_total", owner)]
+	failures := m[peerSeries("hbmvolt_fleet_peer_forward_failures_total", owner)]
+	if forwards != 2 || failures != 2 {
+		t.Fatalf("peer counters = %v forwards / %v failures, want 2 / 2 (third skipped open-circuit)", forwards, failures)
 	}
 }
 
@@ -475,9 +493,11 @@ func TestProbeRecoveryClosesCircuit(t *testing.T) {
 	waitState(circuitOpen)   // refused probes accumulate to the threshold
 	waitState(circuitClosed) // chaos window exhausted: a probe succeeds and closes
 
-	h := nodes[0].fwd.Health()
-	if h.Peers[0].Probes < 4 || h.Peers[0].ProbeFailures < 2 {
-		t.Fatalf("probe counters = %+v, want >=4 probes with >=2 failures", h.Peers[0])
+	m := telemetrytest.Scrape(t, nodes[0].srv)
+	probes := m[peerSeries("hbmvolt_fleet_peer_probes_total", owner)]
+	failures := m[peerSeries("hbmvolt_fleet_peer_probe_failures_total", owner)]
+	if probes < 4 || failures < 2 {
+		t.Fatalf("probe counters = %v probes / %v failures, want >=4 with >=2 failures", probes, failures)
 	}
 }
 
@@ -499,9 +519,8 @@ func TestForwardedRequestsNeverReforward(t *testing.T) {
 	if runs := nodes[0].srv.Manager().Runs(); runs != 1 {
 		t.Fatalf("receiving node ran %d sweeps, want 1 (pinned local)", runs)
 	}
-	h := nodes[0].fwd.Health()
-	if h.Forwarded != 0 || h.DegradedServes != 0 {
-		t.Fatalf("health = %+v, want no forward activity", h)
+	if m := telemetrytest.Scrape(t, nodes[0].srv); m[servesForwarded] != 0 || m[servesDegraded] != 0 {
+		t.Fatalf("forwarded = %v, degraded = %v; want no forward activity", m[servesForwarded], m[servesDegraded])
 	}
 	if info := j.ServeInfo(); info.ServedBy != nodes[0].url || info.Degraded {
 		t.Fatalf("ServeInfo = %+v, want plain local serve", info)

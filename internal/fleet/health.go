@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"hbmvolt/internal/service"
 	tlog "hbmvolt/internal/telemetry/log"
 )
 
@@ -107,13 +106,6 @@ func (b *breaker) State() string {
 	return b.state
 }
 
-// Snapshot returns the state and the current failure streak.
-func (b *breaker) Snapshot() (state string, consecutive int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state, b.consecutive
-}
-
 // jitterInterval maps u ∈ [0,1) onto [0.9d, 1.1d): the ±10% spread
 // that keeps N daemons started together from probing in lockstep and
 // synchronizing their circuit-breaker transitions.
@@ -167,46 +159,4 @@ func (f *Forwarder) probe(p *peer) {
 		f.log().Info("peer recovered; circuit closed",
 			tlog.F("subsys", "fleet"), tlog.F("peer", p.name))
 	}
-}
-
-// Health implements service.Forwarder's /healthz hook.
-func (f *Forwarder) Health() service.FleetHealth {
-	v := f.live.Load()
-	h := service.FleetHealth{
-		Self:              f.self,
-		Nodes:             len(v.nodes),
-		MembershipVersion: v.version,
-		LocalOwned:        f.localOwned.Load(),
-		Forwarded:         f.forwarded.Load(),
-		DegradedServes:    f.degraded.Load(),
-		Hedge: service.HedgeHealth{
-			Launched: f.hedge.launched.Load(),
-			Wins:     f.hedge.wins.Load(),
-			Losses:   f.hedge.losses.Load(),
-			Failed:   f.hedge.failed.Load(),
-		},
-		Replication: service.ReplicationHealth{
-			BudgetBytes: f.rep.budget,
-			Payloads:    f.rep.payloads.Load(),
-			Bytes:       f.rep.bytes.Load(),
-			Skipped:     f.rep.skipped.Load(),
-		},
-	}
-	for _, n := range v.nodes {
-		p, ok := v.peers[n]
-		if !ok {
-			continue // self
-		}
-		state, consecutive := p.breaker.Snapshot()
-		h.Peers = append(h.Peers, service.PeerHealth{
-			Peer:                p.name,
-			Circuit:             state,
-			ConsecutiveFailures: consecutive,
-			Probes:              p.probes.Load(),
-			ProbeFailures:       p.probeFailures.Load(),
-			Forwards:            p.forwards.Load(),
-			ForwardFailures:     p.forwardFailures.Load(),
-		})
-	}
-	return h
 }

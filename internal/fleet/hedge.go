@@ -31,11 +31,13 @@ const (
 )
 
 // hedgeState is the forwarder's hedging state: the latency window the
-// adaptive delay derives from, plus the outcome counters /healthz and
-// /metrics render.
+// adaptive delay derives from, plus the outcome counters /metrics
+// renders. A launched hedge that runs to an outcome counts in exactly
+// one of them; one cut short by its request's cancellation counts in
+// none.
 type hedgeState struct {
-	window                         stats.LatencyWindow
-	launched, wins, losses, failed atomic.Uint64
+	window               stats.LatencyWindow
+	wins, losses, failed atomic.Uint64
 }
 
 // hedgeDelay picks how long the primary forward may run before the
@@ -114,7 +116,6 @@ func (f *Forwarder) forward(ctx context.Context, req service.SweepRequest, prima
 			return
 		}
 		hedged = true
-		f.hedge.launched.Add(1)
 		inflight++
 		go run(second)
 	}

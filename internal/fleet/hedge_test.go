@@ -6,6 +6,17 @@ import (
 	"time"
 
 	"hbmvolt/internal/service"
+	"hbmvolt/internal/telemetry/telemetrytest"
+)
+
+// The hedge-outcome family and its series. Every launched hedge that
+// runs to an outcome lands in exactly one, so the family's sum counts
+// the hedges launched.
+const (
+	hedges      = "hbmvolt_fleet_hedges_total"
+	hedgeWin    = hedges + `{outcome="win"}`
+	hedgeLoss   = hedges + `{outcome="loss"}`
+	hedgeFailed = hedges + `{outcome="failed"}`
 )
 
 func TestJitterIntervalBounds(t *testing.T) {
@@ -117,12 +128,12 @@ func TestHedgeWinServesFromSecondChoice(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[2].url || info.Degraded {
 		t.Fatalf("ServeInfo = %+v, want un-degraded serve by second choice %s", info, nodes[2].url)
 	}
-	h := nodes[0].fwd.Health()
-	if h.Forwarded != 1 || h.DegradedServes != 0 {
-		t.Fatalf("health = %+v, want 1 forwarded, 0 degraded", h)
+	m := telemetrytest.Scrape(t, nodes[0].srv)
+	if m[servesForwarded] != 1 || m[servesDegraded] != 0 {
+		t.Fatalf("forwarded = %v, degraded = %v; want 1, 0", m[servesForwarded], m[servesDegraded])
 	}
-	if h.Hedge.Launched != 1 || h.Hedge.Wins != 1 || h.Hedge.Losses != 0 || h.Hedge.Failed != 0 {
-		t.Fatalf("hedge counters = %+v, want exactly one launched-and-won hedge", h.Hedge)
+	if m.Sum(hedges) != 1 || m[hedgeWin] != 1 || m[hedgeLoss] != 0 || m[hedgeFailed] != 0 {
+		t.Fatalf("hedge counters = %v, want exactly one launched-and-won hedge", m.Family(hedges))
 	}
 	if runs := nodes[0].srv.Manager().Runs(); runs != 0 {
 		t.Fatalf("requester ran %d sweeps locally, want 0", runs)
@@ -155,9 +166,9 @@ func TestHedgeLossPrimaryStillWins(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[1].url || info.Degraded {
 		t.Fatalf("ServeInfo = %+v, want un-degraded serve by primary %s", info, nodes[1].url)
 	}
-	h := nodes[0].fwd.Health()
-	if h.Hedge.Launched != 1 || h.Hedge.Wins != 0 || h.Hedge.Losses != 1 {
-		t.Fatalf("hedge counters = %+v, want exactly one launched-and-lost hedge", h.Hedge)
+	m := telemetrytest.Scrape(t, nodes[0].srv)
+	if m.Sum(hedges) != 1 || m[hedgeWin] != 0 || m[hedgeLoss] != 1 {
+		t.Fatalf("hedge counters = %v, want exactly one launched-and-lost hedge", m.Family(hedges))
 	}
 }
 
@@ -188,12 +199,12 @@ func TestFailoverOnDeadPrimary(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[2].url || info.Degraded {
 		t.Fatalf("ServeInfo = %+v, want un-degraded serve by second choice %s", info, nodes[2].url)
 	}
-	h := nodes[0].fwd.Health()
-	if h.Forwarded != 1 || h.DegradedServes != 0 {
-		t.Fatalf("health = %+v, want 1 forwarded, 0 degraded", h)
+	m := telemetrytest.Scrape(t, nodes[0].srv)
+	if m[servesForwarded] != 1 || m[servesDegraded] != 0 {
+		t.Fatalf("forwarded = %v, degraded = %v; want 1, 0", m[servesForwarded], m[servesDegraded])
 	}
-	if h.Hedge.Launched != 1 || h.Hedge.Wins != 1 {
-		t.Fatalf("hedge counters = %+v, want the failover counted as a launched, won hedge", h.Hedge)
+	if m.Sum(hedges) != 1 || m[hedgeWin] != 1 {
+		t.Fatalf("hedge counters = %v, want the failover counted as a launched, won hedge", m.Family(hedges))
 	}
 	if runs := nodes[0].srv.Manager().Runs(); runs != 0 {
 		t.Fatalf("requester ran %d sweeps locally, want 0 (failover, not degradation)", runs)

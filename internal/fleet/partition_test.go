@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -14,7 +13,7 @@ import (
 
 	"hbmvolt/internal/campaign"
 	"hbmvolt/internal/chaos"
-	"hbmvolt/internal/service"
+	"hbmvolt/internal/telemetry/telemetrytest"
 )
 
 // The partition suite pins the fleet's headline guarantee: a campaign
@@ -124,7 +123,7 @@ func runCampaign(t *testing.T, node *testNode, opts campaign.Options) []byte {
 // peers — four different ways — for an entire campaign: every
 // remote-owned cell must be served degraded from local compute, the
 // manifest must match the single-node golden byte for byte, and the
-// degradation must be visible in /healthz.
+// degradation must be visible in the node's /metrics.
 func TestPartitionedOwnerManifestByteIdentical(t *testing.T) {
 	golden := goldenManifest(t)
 	scenarios := []struct {
@@ -154,22 +153,13 @@ func TestPartitionedOwnerManifestByteIdentical(t *testing.T) {
 				t.Fatalf("partitioned fleet manifest differs from single-node golden:\n fleet: %s\ngolden: %s", manifest, golden)
 			}
 
-			remote := owned[nodes[1].url] + owned[nodes[2].url]
-			h := nodes[0].fwd.Health()
-			if h.LocalOwned != uint64(owned[nodes[0].url]) || h.Forwarded != 0 || h.DegradedServes != uint64(remote) {
-				t.Fatalf("health = %+v, want %d local, 0 forwarded, %d degraded", h, owned[nodes[0].url], remote)
+			local, remote := owned[nodes[0].url], owned[nodes[1].url]+owned[nodes[2].url]
+			m := telemetrytest.Scrape(t, nodes[0].srv)
+			if m[servesLocal] != float64(local) || m[servesForwarded] != 0 || m[servesDegraded] != float64(remote) {
+				t.Fatalf("serves = %v, want %d local, 0 forwarded, %d degraded", m.Family("hbmvolt_fleet_serves_total"), local, remote)
 			}
-
-			// The same counters must be visible over the wire.
-			hb, err := service.NewClient(nodes[0].url).Health(context.Background())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hb.Fleet == nil {
-				t.Fatal("/healthz has no fleet block")
-			}
-			if hb.Fleet.DegradedServes != uint64(remote) || len(hb.Fleet.Peers) != 2 {
-				t.Fatalf("/healthz fleet block = %+v, want %d degraded serves and 2 peers", hb.Fleet, remote)
+			if peers := m.Family("hbmvolt_fleet_peer_circuit_state"); len(peers) != 2 {
+				t.Fatalf("%d peer circuit series, want 2", len(peers))
 			}
 		})
 	}
@@ -275,9 +265,8 @@ func TestJoinLeaveMidCampaign(t *testing.T) {
 	if len(m.Nodes) != 3 {
 		t.Fatalf("membership = %+v, want 3 nodes (4th joined, founder left)", m)
 	}
-	h := nodes[0].fwd.Health()
-	if h.LocalOwned+h.Forwarded+h.DegradedServes != 6 {
-		t.Fatalf("health = %+v, want counters summing to the campaign's 6 cells", h)
+	if m := telemetrytest.Scrape(t, nodes[0].srv); m.Sum("hbmvolt_fleet_serves_total") != 6 {
+		t.Fatalf("serves = %v, want counters summing to the campaign's 6 cells", m.Family("hbmvolt_fleet_serves_total"))
 	}
 }
 
@@ -302,9 +291,8 @@ func TestKillEachPeerMidCampaign(t *testing.T) {
 			if !bytes.Equal(manifest, golden) {
 				t.Fatalf("manifest with node %d killed mid-campaign differs from single-node golden", victim)
 			}
-			h := nodes[0].fwd.Health()
-			if h.LocalOwned+h.Forwarded+h.DegradedServes != 6 {
-				t.Fatalf("health = %+v, want counters summing to the campaign's 6 cells", h)
+			if m := telemetrytest.Scrape(t, nodes[0].srv); m.Sum("hbmvolt_fleet_serves_total") != 6 {
+				t.Fatalf("serves = %v, want counters summing to the campaign's 6 cells", m.Family("hbmvolt_fleet_serves_total"))
 			}
 		})
 	}

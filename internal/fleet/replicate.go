@@ -17,8 +17,7 @@ import "sync/atomic"
 // every tier, the rest stay memory-only.
 
 // replicator is the admission ledger: a byte budget and the counters
-// /healthz's replication block and the hbmvolt_fleet_replicated_*
-// families render.
+// the hbmvolt_fleet_replicated_* families render.
 type replicator struct {
 	// budget is the total bytes of remote payloads this node will admit
 	// for durable write-through (<0 = replication disabled).

@@ -5,6 +5,15 @@ import (
 	"time"
 
 	"hbmvolt/internal/service"
+	"hbmvolt/internal/telemetry/telemetrytest"
+)
+
+// The replication ledger's series, and the disk tier's population.
+const (
+	replPayloads = "hbmvolt_fleet_replicated_payloads_total"
+	replBytes    = "hbmvolt_fleet_replicated_bytes_total"
+	replSkipped  = "hbmvolt_fleet_replica_skipped_total"
+	diskEntries  = `hbmvolt_cache_entries{tier="disk"}`
 )
 
 func TestReplicatorAdmit(t *testing.T) {
@@ -64,9 +73,10 @@ func TestReplicatedPayloadServedFromDiskAfterOwnerDeath(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[1].url || !info.Replicated {
 		t.Fatalf("ServeInfo = %+v, want a forwarded serve admitted for replication", info)
 	}
-	h := nodes[0].fwd.Health()
-	if h.Replication.Payloads != 1 || h.Replication.Bytes != int64(len(want)) || h.Replication.Skipped != 0 {
-		t.Fatalf("replication ledger = %+v, want exactly this payload's bytes admitted", h.Replication)
+	m := telemetrytest.Scrape(t, nodes[0].srv)
+	if m[replPayloads] != 1 || m[replBytes] != float64(len(want)) || m[replSkipped] != 0 {
+		t.Fatalf("replication ledger = %v payloads / %v bytes / %v skipped, want exactly this payload's %d bytes admitted",
+			m[replPayloads], m[replBytes], m[replSkipped], len(want))
 	}
 
 	// Restart the requester's service over the same cache dir — its job
@@ -96,9 +106,8 @@ func TestReplicatedPayloadServedFromDiskAfterOwnerDeath(t *testing.T) {
 	if runs := srv2.Manager().Runs(); runs != 0 {
 		t.Fatalf("sweep_runs = %d after owner death, want 0 (replicated key must serve from the disk tier)", runs)
 	}
-	st := srv2.Manager().Stats()
-	if st.DiskCache == nil || st.DiskCache.Recovered != 1 {
-		t.Fatalf("disk tier = %+v, want the replicated payload recovered at boot", st.DiskCache)
+	if got := telemetrytest.Scrape(t, srv2)["hbmvolt_disk_recovered_entries_total"]; got != 1 {
+		t.Fatalf("disk tier recovered %v entries, want the replicated payload recovered at boot", got)
 	}
 }
 
@@ -131,13 +140,13 @@ func TestReplicationBudgetExhaustedStaysOffDisk(t *testing.T) {
 	if info := j.ServeInfo(); info.ServedBy != nodes[1].url || info.Replicated {
 		t.Fatalf("ServeInfo = %+v, want a forwarded serve NOT admitted for replication", info)
 	}
-	h := nodes[0].fwd.Health()
-	if h.Replication.Payloads != 0 || h.Replication.Skipped != 1 || h.Replication.BudgetBytes != 1 {
-		t.Fatalf("replication ledger = %+v, want the payload skipped under a 1-byte budget", h.Replication)
+	m := telemetrytest.Scrape(t, nodes[0].srv)
+	if m[replPayloads] != 0 || m[replSkipped] != 1 || nodes[0].fwd.rep.budget != 1 {
+		t.Fatalf("replication ledger = %v payloads / %v skipped under budget %d, want the payload skipped under a 1-byte budget",
+			m[replPayloads], m[replSkipped], nodes[0].fwd.rep.budget)
 	}
-	st := nodes[0].srv.Manager().Stats()
-	if st.DiskCache == nil || st.DiskCache.Entries != 0 {
-		t.Fatalf("disk tier = %+v, want no entries (skipped payloads stay memory-only)", st.DiskCache)
+	if got, ok := m[diskEntries]; !ok || got != 0 {
+		t.Fatalf("disk tier holds %v entries, want none (skipped payloads stay memory-only)", got)
 	}
 	// The payload is still served hot from memory on a resubmit.
 	j2, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
@@ -175,8 +184,7 @@ func TestLocalPayloadsBypassReplicationBudget(t *testing.T) {
 	if st, err := j.Wait(t.Context()); err != nil || st != service.StateDone {
 		t.Fatalf("Wait = %v, %v", st, err)
 	}
-	st := nodes[0].srv.Manager().Stats()
-	if st.DiskCache == nil || st.DiskCache.Entries != 1 {
-		t.Fatalf("disk tier = %+v, want the locally owned payload durable despite replication off", st.DiskCache)
+	if got := telemetrytest.Scrape(t, nodes[0].srv)[diskEntries]; got != 1 {
+		t.Fatalf("disk tier holds %v entries, want the locally owned payload durable despite replication off", got)
 	}
 }

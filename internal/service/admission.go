@@ -51,7 +51,7 @@ type rateLimiter struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 	// denied is the hbmvolt_admission_rejected_total{reason="rate"}
-	// counter — /healthz reads the same series through Denied().
+	// counter.
 	denied *telemetry.Counter
 
 	// now is the clock, injectable in tests.
@@ -117,15 +117,6 @@ func (l *rateLimiter) Allow(client string) (ok bool, retryAfter int) {
 		secs = 1
 	}
 	return false, secs
-}
-
-// Denied returns the cumulative rejected-submission count, read from
-// the same counter /metrics renders.
-func (l *rateLimiter) Denied() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.denied.Value()
 }
 
 // evictIdleLocked drops buckets that have been idle long enough to have

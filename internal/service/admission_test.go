@@ -2,13 +2,14 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
+
+	"hbmvolt/internal/telemetry/telemetrytest"
 )
 
 func TestRetryAfterSeconds(t *testing.T) {
@@ -57,8 +58,8 @@ func TestRateLimiterBucket(t *testing.T) {
 	if ok, _ := l.Allow("alice"); !ok {
 		t.Fatal("refilled bucket still denying")
 	}
-	if l.Denied() != 1 {
-		t.Fatalf("denied = %d, want 1", l.Denied())
+	if l.denied.Value() != 1 {
+		t.Fatalf("denied = %d, want 1", l.denied.Value())
 	}
 }
 
@@ -77,7 +78,7 @@ func TestRateLimiterDisabled(t *testing.T) {
 
 // TestServerRateLimit429 drives the HTTP surface: a client over its
 // bucket gets 429 with a Retry-After header; a distinct client is
-// unaffected; /healthz counts the rejections.
+// unaffected; the rate-rejection series counts the rejections.
 func TestServerRateLimit429(t *testing.T) {
 	srv := openServer(t, Config{Workers: 1, RatePerSec: 0.001, RateBurst: 2})
 	ts := httptest.NewServer(srv)
@@ -113,17 +114,9 @@ func TestServerRateLimit429(t *testing.T) {
 		t.Fatalf("distinct client caught in alice's bucket: HTTP %d", got)
 	}
 
-	hr, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hr.Body.Close()
-	var h Health
-	if err := json.NewDecoder(hr.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if h.RateLimited != 1 {
-		t.Fatalf("healthz rate_limited = %d, want 1", h.RateLimited)
+	series := `hbmvolt_admission_rejected_total{reason="rate"}`
+	if got := telemetrytest.Scrape(t, srv)[series]; got != 1 {
+		t.Fatalf("%s = %v, want 1", series, got)
 	}
 }
 

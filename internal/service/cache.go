@@ -68,8 +68,7 @@ func (t *MemoryTier) Evictions() uint64 {
 // tier, memory-first and write-through: a Put lands in both tiers, a
 // Get tries memory then disk and promotes a disk hit into memory, so a
 // payload that survived a restart on disk is served from memory from
-// its second read on. It also owns the hit/miss accounting /healthz
-// reports.
+// its second read on. It also owns the per-tier hit/miss counters.
 //
 // Eviction pressure is measured in payload bytes (internal/lru),
 // uniformly across result kinds: a campaign analytic envelope (a
@@ -87,10 +86,8 @@ type resultCache struct {
 
 	// The hbmvolt_cache_requests_total series per tier: a hit answers
 	// from that tier, a miss falls through to the next (or, from the
-	// last tier, to compute). /healthz derives its cache_hits and
-	// cache_misses from these same counters — Touch counts as a memory
-	// hit, a composite miss is a last-tier miss. The disk pair is nil
-	// without a disk tier.
+	// last tier, to compute). Touch counts as a memory hit. The disk
+	// pair is nil without a disk tier.
 	memHit, memMiss, diskHit, diskMiss *telemetry.Counter
 }
 
@@ -174,16 +171,6 @@ func (c *resultCache) Touch(key uint64, payload []byte) {
 	defer c.mu.Unlock()
 	c.memHit.Inc()
 	c.putLocked(key, payload)
-}
-
-// Stats returns cumulative hit/miss counters, read from the same
-// telemetry series /metrics renders: hits across both tiers (Touch
-// included), misses of the last tier (a composite miss).
-func (c *resultCache) Stats() (hits, misses uint64) {
-	if c.disk == nil {
-		return c.memHit.Value(), c.memMiss.Value()
-	}
-	return c.memHit.Value() + c.diskHit.Value(), c.diskMiss.Value()
 }
 
 // Close flushes the disk tier, if any.

@@ -58,22 +58,19 @@ type DiskTier struct {
 	log *tlog.Logger
 }
 
-// DiskStats describes the disk tier for /healthz.
+// DiskStats snapshots the disk tier's population and counters, which
+// the hbmvolt_cache_* and hbmvolt_disk_* families sample.
 type DiskStats struct {
-	Dir     string `json:"dir"`
-	Entries int    `json:"entries"`
-	Bytes   int64  `json:"bytes"`
-	// Hits counts Gets answered by this tier (misses of the memory tier
-	// saved from recomputation); filled in by the manager.
-	Hits uint64 `json:"hits"`
+	Entries int
+	Bytes   int64
 	// Recovered counts entries the boot scan verified and repopulated.
-	Recovered int `json:"recovered"`
+	Recovered int
 	// Discarded counts torn/corrupt entries dropped (boot scan and
 	// read-time verification failures).
-	Discarded int `json:"discarded"`
+	Discarded int
 	// Evicted counts capacity evictions (files unlinked under MaxBytes
 	// pressure).
-	Evicted int `json:"evicted"`
+	Evicted int
 }
 
 // diskHeaderMagic identifies (and versions) the entry file format.
@@ -326,13 +323,11 @@ func (d *DiskTier) Bytes() int64 {
 	return d.index.Bytes()
 }
 
-// Stats snapshots the tier's counters (Hits is owned and filled by the
-// manager's composite cache).
+// Stats snapshots the tier's counters.
 func (d *DiskTier) Stats() DiskStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return DiskStats{
-		Dir:       d.dir,
 		Entries:   d.index.Len(),
 		Bytes:     d.index.Bytes(),
 		Recovered: d.recovered,

@@ -16,6 +16,7 @@ import (
 
 	"hbmvolt/internal/chaos"
 	tlog "hbmvolt/internal/telemetry/log"
+	"hbmvolt/internal/telemetry/telemetrytest"
 )
 
 // logCapture collects the tier's structured JSON log lines so tests
@@ -289,14 +290,14 @@ func TestTieredCacheWriteThroughAndPromotion(t *testing.T) {
 	if _, ok := mem.Get(1); !ok {
 		t.Fatal("disk hit not promoted to memory tier")
 	}
-	hits, misses := c.Stats()
+	hits, misses := c.memHit.Value()+c.diskHit.Value(), c.diskMiss.Value()
 	if hits != 1 || misses != 0 {
 		t.Fatalf("hits=%d misses=%d", hits, misses)
 	}
 	if _, _, ok := c.Get(99); ok {
 		t.Fatal("phantom entry")
 	}
-	if _, m := c.Stats(); m != 1 {
+	if m := c.diskMiss.Value(); m != 1 {
 		t.Fatalf("miss not counted: %d", m)
 	}
 }
@@ -332,8 +333,8 @@ func TestManagerDiskTierSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m2.Close()
-	if st := m2.Stats(); st.DiskCache == nil || st.DiskCache.Recovered != 1 {
-		t.Fatalf("restart did not recover the entry: %+v", st.DiskCache)
+	if got := telemetrytest.Scrape(t, m2.Metrics().Handler())["hbmvolt_disk_recovered_entries_total"]; got != 1 {
+		t.Fatalf("restart recovered %v entries, want 1", got)
 	}
 	j2, _, cacheHit, err := m2.SubmitOpts(req, SubmitOptions{})
 	if err != nil {

@@ -41,84 +41,6 @@ type Forwarder interface {
 	ExecuteSweep(ctx context.Context, key uint64, req SweepRequest, local func(context.Context) ([]byte, error)) ([]byte, ServeInfo, error)
 	// Self returns this node's name (its advertised base URL).
 	Self() string
-	// Health returns the fleet block /healthz embeds: per-peer circuit
-	// state and probe/forward/degraded counters.
-	Health() FleetHealth
-}
-
-// PeerHealth is one peer's entry in the /healthz fleet block.
-type PeerHealth struct {
-	Peer string `json:"peer"`
-	// Circuit is "closed" (healthy), "open" (failing; forwards skip
-	// straight to local compute until the cooldown) or "half-open"
-	// (cooldown elapsed; one trial in flight).
-	Circuit string `json:"circuit"`
-	// ConsecutiveFailures is the current failure streak feeding the
-	// breaker (reset by any success).
-	ConsecutiveFailures int `json:"consecutive_failures"`
-	// Probes/ProbeFailures count the active health checker's /healthz
-	// probes of this peer.
-	Probes        uint64 `json:"probes"`
-	ProbeFailures uint64 `json:"probe_failures"`
-	// Forwards/ForwardFailures count forward attempts to this peer
-	// (failures fail over to the second choice, then local compute).
-	Forwards        uint64 `json:"forwards"`
-	ForwardFailures uint64 `json:"forward_failures"`
-}
-
-// HedgeHealth is the hedged-forwarding block of /healthz: how often a
-// slow or failing forward was raced against the second-choice owner,
-// and who won.
-type HedgeHealth struct {
-	// Launched counts hedges started (delay elapsed or primary failed
-	// with a viable second choice). Launched = Wins + Losses + Failed
-	// once all in-flight hedges settle.
-	Launched uint64 `json:"launched"`
-	// Wins: the second-choice owner's payload served the request.
-	Wins uint64 `json:"wins"`
-	// Losses: the primary answered first after the hedge launched.
-	Losses uint64 `json:"losses"`
-	// Failed: both choices failed and the serve degraded to local.
-	Failed uint64 `json:"failed"`
-}
-
-// ReplicationHealth is the hot-payload replication block of /healthz.
-type ReplicationHealth struct {
-	// BudgetBytes is the byte budget for write-through of forwarded
-	// payloads to the local durable tier (<0 = replication disabled).
-	BudgetBytes int64 `json:"budget_bytes"`
-	// Payloads/Bytes count remote payloads admitted within the budget.
-	Payloads uint64 `json:"payloads"`
-	Bytes    int64  `json:"bytes"`
-	// Skipped counts forwarded payloads past the budget (memory-only).
-	Skipped uint64 `json:"skipped"`
-}
-
-// FleetHealth is the /healthz fleet block.
-type FleetHealth struct {
-	// Self is this node's canonical name; Nodes the fleet size
-	// (peers + self) in the current membership view.
-	Self  string `json:"self"`
-	Nodes int    `json:"nodes"`
-	// MembershipVersion stamps the copy-on-write membership view; it
-	// bumps on every AddPeer/RemovePeer (admin API or -join).
-	MembershipVersion uint64 `json:"membership_version"`
-	// LocalOwned counts executions this node owned and computed;
-	// Forwarded, executions served by a remote peer (hedge wins
-	// included); and DegradedServes, remote-owned executions served from
-	// local compute because no remote choice was reachable — each
-	// byte-identical to what the owner would have returned.
-	LocalOwned     uint64 `json:"local_owned"`
-	Forwarded      uint64 `json:"forwarded"`
-	DegradedServes uint64 `json:"degraded_serves"`
-	// Hedge reports the second-choice racing counters.
-	Hedge HedgeHealth `json:"hedge"`
-	// Replication reports hot-payload replication: forwarded payloads
-	// written through to this node's durable cache tier under the byte
-	// budget.
-	Replication ReplicationHealth `json:"replication"`
-	// Peers reports each peer's circuit and counters, sorted by name.
-	Peers []PeerHealth `json:"peers"`
 }
 
 // SubmitOptions carries per-submission flags that are not part of the

@@ -358,8 +358,7 @@ type Manager struct {
 
 	// reg/met/rec are the telemetry surface: the registry /metrics
 	// renders, the manager's live instruments in it, and the bounded
-	// span recorder trace IDs resolve against. /healthz re-derives its
-	// counters from met, so the two surfaces cannot drift.
+	// span recorder trace IDs resolve against.
 	reg    *telemetry.Registry
 	met    *serviceMetrics
 	rec    *telemetry.Recorder
@@ -684,85 +683,12 @@ func (m *Manager) RetryAfterSeconds() int {
 	return retryAfterSeconds(len(m.queue)+1, m.cfg.Workers, m.latency.Median())
 }
 
-// Stats summarizes the manager for /healthz.
-type Stats struct {
-	Queued    int `json:"queued"`
-	Running   int `json:"running"`
-	Done      int `json:"done"`
-	Failed    int `json:"failed"`
-	Cancelled int `json:"cancelled"`
-
-	SweepRuns    uint64 `json:"sweep_runs"`
-	CacheEntries int    `json:"cache_entries"`
-	CacheBytes   int64  `json:"cache_bytes"`
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-	Workers      int    `json:"workers"`
-	QueueDepth   int    `json:"queue_depth"`
-	// DiskCache reports the durable tier, when configured: entry/byte
-	// population, reads it answered, and the recovery-scan and
-	// verification counters (recovered / discarded / evicted).
-	DiskCache *DiskStats `json:"disk_cache,omitempty"`
-	// RetryAfterSeconds is the current backpressure hint — what a 503's
-	// Retry-After header would say right now (queue depth × median job
-	// latency ÷ workers).
-	RetryAfterSeconds int `json:"retry_after_seconds"`
-	// MedianJobMillis is the recent median job latency the hint derives
-	// from (0 until the first job completes).
-	MedianJobMillis int64 `json:"median_job_ms"`
-	// RateLimited counts submissions refused by the per-client token
-	// bucket (429s).
-	RateLimited uint64 `json:"rate_limited"`
-	// Draining is true once graceful shutdown has begun.
-	Draining bool `json:"draining,omitempty"`
-	// SharedEnums reports the process-wide shared-enumeration memo store
-	// (the sweep planner's physics cache).
-	SharedEnums faults.EnumStats `json:"shared_enums"`
-	// Fleet is the peer-mode block, present only when a fleet forwarder
-	// is configured: this node's name, per-peer circuit/probe state, and
-	// the forwarded/degraded serve counters.
-	Fleet *FleetHealth `json:"fleet,omitempty"`
-}
-
-// Stats gathers current counters.
-func (m *Manager) Stats() Stats {
-	counts := m.jobCounts()
-	st := Stats{
-		Queued:            counts[StateQueued],
-		Running:           counts[StateRunning],
-		Done:              counts[StateDone],
-		Failed:            counts[StateFailed],
-		Cancelled:         counts[StateCancelled],
-		SweepRuns:         m.met.sweepRuns.Value(),
-		CacheEntries:      m.cache.mem.Len(),
-		CacheBytes:        m.cache.mem.Bytes(),
-		Workers:           m.cfg.Workers,
-		QueueDepth:        m.cfg.QueueDepth,
-		RetryAfterSeconds: m.RetryAfterSeconds(),
-		MedianJobMillis:   m.latency.Median().Milliseconds(),
-		RateLimited:       m.limiter.Denied(),
-		Draining:          m.Draining(),
-		SharedEnums:       faults.EnumStoreStats(),
-	}
-	if m.forward != nil {
-		fh := m.forward.Health()
-		st.Fleet = &fh
-	}
-	st.CacheHits, st.CacheMisses = m.cache.Stats()
-	if disk := m.cache.disk; disk != nil {
-		ds := disk.Stats()
-		ds.Hits = m.cache.diskHit.Value()
-		st.DiskCache = &ds
-	}
-	return st
-}
-
 // jobStates lists the lifecycle states in the hbmvolt_jobs family's
 // series order.
 var jobStates = []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled}
 
-// jobCounts tallies the tracked jobs by lifecycle state: the one count
-// both /healthz and the hbmvolt_jobs family report.
+// jobCounts tallies the tracked jobs by lifecycle state for the
+// hbmvolt_jobs family.
 func (m *Manager) jobCounts() map[JobState]int {
 	m.mu.Lock()
 	jobs := make([]*Job, 0, len(m.jobs))

@@ -339,14 +339,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, j.Snapshot())
 }
 
-// Health is the GET /healthz body.
+// Health is the GET /healthz body: liveness only. Every counter the
+// node keeps is a /metrics series.
 type Health struct {
 	Status string `json:"status"`
-	Stats
+	// Draining is true once graceful shutdown has begun.
+	Draining bool `json:"draining,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, Health{Status: "ok", Stats: s.mgr.Stats()})
+	WriteJSON(w, http.StatusOK, Health{Status: "ok", Draining: s.mgr.Draining()})
 }
 
 // traceBody is the GET /v1/traces/{id} response: every span this node

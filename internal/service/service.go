@@ -10,7 +10,8 @@
 //	GET    /v1/sweeps/{id}/result raw result payload, byte-stable
 //	GET    /v1/sweeps/{id}/events NDJSON stream of SweepProgress events
 //	DELETE /v1/sweeps/{id}        cancel (context cancellation mid-sweep)
-//	GET    /healthz               liveness + queue/cache statistics
+//	GET    /healthz               liveness ({"status":"ok"})
+//	GET    /metrics               every counter, Prometheus text format
 //
 // Determinism is the service's core contract, inherited from the
 // simulation underneath: a sweep's outcome is a pure function of the

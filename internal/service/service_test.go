@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"hbmvolt/internal/core"
+	"hbmvolt/internal/telemetry/telemetrytest"
 )
 
 // smallReliability is a sweep cheap enough to run for real in unit
@@ -482,8 +484,8 @@ func TestMalformedRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, code)
 		}
 	}
-	if got := srv.Manager().Stats(); got.Queued+got.Running+got.Done != 0 {
-		t.Fatalf("malformed requests created jobs: %+v", got)
+	if got := telemetrytest.Scrape(t, srv).Sum("hbmvolt_jobs"); got != 0 {
+		t.Fatalf("malformed requests created %v jobs", got)
 	}
 
 	for _, req := range []struct {
@@ -525,11 +527,26 @@ func TestMalformedRequests(t *testing.T) {
 	close(runner.release)
 }
 
-// TestHealthz checks the liveness payload carries queue and cache
-// statistics.
+// TestHealthz pins the liveness body byte for byte, before and after a
+// drain begins, while the job and cache counters of a completed sweep
+// live in the registry.
 func TestHealthz(t *testing.T) {
-	_, c := newTestServer(t, Config{Workers: 1})
+	srv, c := newTestServer(t, Config{Workers: 1})
 	ctx := context.Background()
+	body := func() string {
+		t.Helper()
+		resp, err := http.Get(c.BaseURL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz: HTTP %d, %v", resp.StatusCode, err)
+		}
+		return string(b)
+	}
+
 	sub, err := c.Submit(ctx, smallReliability())
 	if err != nil {
 		t.Fatal(err)
@@ -537,12 +554,25 @@ func TestHealthz(t *testing.T) {
 	if _, err := c.Wait(ctx, sub.ID); err != nil {
 		t.Fatal(err)
 	}
-	h, err := c.Health(ctx)
-	if err != nil {
+	if got, want := body(), "{\"status\":\"ok\"}\n"; got != want {
+		t.Fatalf("/healthz = %q, want %q", got, want)
+	}
+	got := telemetrytest.Scrape(t, srv)
+	for series, want := range map[string]float64{
+		`hbmvolt_jobs{state="done"}`:           1,
+		"hbmvolt_sweep_runs_total":             1,
+		`hbmvolt_cache_entries{tier="memory"}`: 1,
+	} {
+		if got[series] != want {
+			t.Errorf("%s = %v, want %v", series, got[series], want)
+		}
+	}
+
+	if err := srv.Manager().Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if h.Status != "ok" || h.Done != 1 || h.SweepRuns != 1 || h.CacheEntries != 1 {
-		t.Fatalf("health = %+v", h)
+	if got, want := body(), "{\"status\":\"ok\",\"draining\":true}\n"; got != want {
+		t.Fatalf("/healthz while draining = %q, want %q", got, want)
 	}
 }
 

@@ -1,9 +1,8 @@
 package service
 
 // Telemetry wiring for the sweep service: every instrument the manager
-// exposes at /metrics lives here, and /healthz re-derives its counters
-// from the same instruments — one source of truth, so the two surfaces
-// cannot drift. Nothing registered here ever feeds into cache keys,
+// exposes at /metrics lives here; /metrics is the node's one statistics
+// surface. Nothing registered here ever feeds into cache keys,
 // payloads, or manifests (the determinism contract).
 
 import (
@@ -25,7 +24,7 @@ type serviceMetrics struct {
 	// token bucket), queue_full, draining.
 	rejected *telemetry.CounterVec
 	// sweepRuns counts sweeps actually executed locally — the same
-	// observable Manager.Runs and /healthz sweep_runs report.
+	// observable Manager.Runs reports.
 	sweepRuns *telemetry.Counter
 	// jobSeconds observes wall time per job execution (local or
 	// forwarded), the histogram behind the admission median.
@@ -33,7 +32,7 @@ type serviceMetrics struct {
 	// payloadBytes observes completed payload sizes.
 	payloadBytes *telemetry.Histogram
 	// cacheReq counts result-cache lookups per tier and outcome; the
-	// composite cache increments it, /healthz sums it.
+	// composite cache increments it.
 	cacheReq *telemetry.CounterVec
 }
 
@@ -63,7 +62,7 @@ func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {
 
 // registerSamplers exposes the manager's live state — queue, job
 // table, cache tiers, shared enum store — as sampler-backed families
-// that read the very structures /healthz reports.
+// that read the live structures at scrape time.
 func (m *Manager) registerSamplers() {
 	one := func(v float64) []telemetry.Sample { return []telemetry.Sample{{Value: v}} }
 	m.reg.GaugeSampler("hbmvolt_queue_depth", "Jobs waiting in the bounded work queue.", nil,
