@@ -195,6 +195,32 @@ func TestCellCapEnforced(t *testing.T) {
 	}
 }
 
+// TestCellCountOverflowRejected: four axes of 2^16 entries each
+// multiply to 2^64, which wraps an int to 0. Normalize must still
+// refuse the spec with a *SpecError, promptly, instead of expanding it.
+func TestCellCountOverflowRejected(t *testing.T) {
+	const n = 1 << 16
+	sc := Scenario{Name: "a", Kind: "reliability",
+		Seeds: make([]uint64, n), Scales: make([]uint64, n),
+		Modes: make([]string, n), PatternSets: make([][]string, n)}
+	for i := range n {
+		sc.Seeds[i], sc.Scales[i] = uint64(i), 1024
+		sc.Modes[i], sc.PatternSets[i] = "sparse", []string{"all1"}
+	}
+	spec := Spec{Name: "overflow", Scenarios: []Scenario{sc}}
+	errc := make(chan error, 1)
+	go func() { errc <- spec.Normalize() }()
+	select {
+	case err := <-errc:
+		var se *SpecError
+		if !errors.As(err, &se) {
+			t.Fatalf("Normalize = %v, want a *SpecError", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Normalize still running after 1s on a spec whose cell count overflows")
+	}
+}
+
 func TestParseRejectsUnknownFields(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":"x","scenarios":[{"name":"a","kind":"power","voltages":[0.9]}]}`)); err == nil {
 		t.Fatal("Parse accepted an unknown scenario field")

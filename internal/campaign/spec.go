@@ -275,10 +275,20 @@ func (sc *Scenario) axisPatternSets() [][]string {
 	return sc.PatternSets
 }
 
-// cellCount is the scenario's cross-product size.
+// cellCount is the scenario's cross-product size, saturated at
+// maxCells+1. Each axis and the running product are checked against
+// maxCells before multiplying, so axes whose product would wrap around
+// (four axes of 2^16 entries make 2^64) still fail Normalize's bound.
 func (sc *Scenario) cellCount() int {
-	return len(sc.axisSeeds()) * len(sc.axisScales()) * len(sc.axisModes()) *
-		len(sc.axisNoise()) * len(sc.axisPatternSets())
+	n := 1
+	for _, axis := range []int{len(sc.axisSeeds()), len(sc.axisScales()), len(sc.axisModes()),
+		len(sc.axisNoise()), len(sc.axisPatternSets())} {
+		if axis > maxCells || n*axis > maxCells {
+			return maxCells + 1
+		}
+		n *= axis
+	}
+	return n
 }
 
 // CellTotal is the campaign's total cell count.
