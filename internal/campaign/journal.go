@@ -138,7 +138,16 @@ func (j *journal) replay(want journalHeader, cellCount int) (int64, error) {
 		line, err := rd.ReadBytes('\n')
 		if err != nil {
 			// No trailing newline (or a read error): whatever was read is a
-			// torn record; the valid prefix ends before it.
+			// torn record; the valid prefix ends before it. A torn first
+			// line is only a torn header if it is a prefix of the header
+			// this open would write; anything else is not our file, and
+			// truncating it would destroy someone's data.
+			if first && len(line) > 0 {
+				header, merr := json.Marshal(want)
+				if merr != nil || !bytes.HasPrefix(append(header, '\n'), line) {
+					return 0, fmt.Errorf("campaign journal %s: unreadable header (not a journal?)", j.path)
+				}
+			}
 			return valid, nil
 		}
 		trimmed := bytes.TrimSpace(line)

@@ -129,6 +129,71 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 }
 
+// TestJournalNewlineLessFirstLine: a first line with no newline is a
+// torn header only when it is a prefix of the header this open would
+// write. Then the file is truncated and the journal starts fresh; any
+// other file is refused and left byte for byte as it was.
+func TestJournalNewlineLessFirstLine(t *testing.T) {
+	spec := recoverySpec()
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ref := filepath.Join(dir, "reference.ndjson")
+	j, err := openJournal(ref, &spec, 6, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	header, err := os.ReadFile(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name    string
+		content string
+		refused bool
+	}{
+		{"torn header", string(header[:len(header)/2]), false},
+		{"foreign without newline", `{"important":"data"}`, true},
+		{"foreign with newline", "{\"important\":\"data\"}\n", true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "journal.ndjson")
+			if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, err := openJournal(path, &spec, 6, false)
+			got, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			if tc.refused {
+				if err == nil {
+					j.Close()
+					t.Fatal("openJournal accepted a file that is not this journal")
+				}
+				if string(got) != tc.content {
+					t.Fatalf("refused file rewritten: %q, want %q", got, tc.content)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("torn header refused: %v", err)
+			}
+			defer j.Close()
+			if !bytes.Equal(got, header) || j.replayed != 0 {
+				t.Fatalf("torn header resumed as %q with %d records, want a fresh header %q", got, j.replayed, header)
+			}
+			if err := j.append(0, 1, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestJournalRejectsForeignRealization(t *testing.T) {
 	spec := recoverySpec()
 	if err := spec.Normalize(); err != nil {
