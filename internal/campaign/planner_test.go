@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"hbmvolt/internal/faults"
@@ -100,6 +101,10 @@ func TestPlannerGroups(t *testing.T) {
 	}
 }
 
+// plannedRuns counts TestPlannedCampaignDeterminismAndSharing
+// invocations, to give each one fresh enumeration keys.
+var plannedRuns atomic.Uint64
+
 // TestPlannedCampaignDeterminismAndSharing runs the planned campaign
 // end to end: manifests and artifacts are byte-identical across
 // Jobs/Fleet settings, the manifest carries the plan with shared
@@ -108,10 +113,12 @@ func TestPlannerGroups(t *testing.T) {
 func TestPlannedCampaignDeterminismAndSharing(t *testing.T) {
 	spec := plannedSpec()
 	// A fresh seed pair keeps this test's enumeration keys disjoint from
-	// every other test in the package, so the memo-compute delta below
-	// is exact.
-	spec.Scenarios[0].Seeds = []uint64{7101, 7102}
-	spec.Scenarios[1].Seeds = []uint64{7101}
+	// every other test in the package, and from this test's earlier runs
+	// under -count=N (the store outlives a run), so the memo-compute
+	// delta below is exact.
+	base := 7101 + (plannedRuns.Add(1)-1)<<32
+	spec.Scenarios[0].Seeds = []uint64{base, base + 1}
+	spec.Scenarios[1].Seeds = []uint64{base}
 
 	run := func(jobs, fleet int) *Result {
 		t.Helper()

@@ -318,13 +318,19 @@ func TestEnumStoreConcurrent(t *testing.T) {
 	}
 }
 
+// memoRuns counts TestSharedEnumerationMemoized invocations. The
+// process-wide store outlives a run, so under -count=N each run takes a
+// fresh seed and its keys are new to the store.
+var memoRuns atomic.Uint64
+
 // TestSharedEnumerationMemoized: two models with equal fingerprints
 // resolve to one process-wide entry; distinct reps and voltages get
 // distinct entries.
 func TestSharedEnumerationMemoized(t *testing.T) {
 	const words = 1 << 10
-	m1 := sparseModel(t, 1301, words)
-	m2 := sparseModel(t, 1301, words)
+	seed := 1301 + (memoRuns.Add(1)-1)<<32
+	m1 := sparseModel(t, seed, words)
+	m2 := sparseModel(t, seed, words)
 	if m1.Fingerprint() != m2.Fingerprint() {
 		t.Fatal("equal configs fingerprint differently")
 	}
