@@ -58,11 +58,9 @@ type DiskTier struct {
 	log *tlog.Logger
 }
 
-// DiskStats snapshots the disk tier's population and counters, which
-// the hbmvolt_cache_* and hbmvolt_disk_* families sample.
+// DiskStats snapshots the disk tier's counters, which the
+// hbmvolt_disk_* and hbmvolt_cache_evictions_total families sample.
 type DiskStats struct {
-	Entries int
-	Bytes   int64
 	// Recovered counts entries the boot scan verified and repopulated.
 	Recovered int
 	// Discarded counts torn/corrupt entries dropped (boot scan and
@@ -328,8 +326,6 @@ func (d *DiskTier) Stats() DiskStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return DiskStats{
-		Entries:   d.index.Len(),
-		Bytes:     d.index.Bytes(),
 		Recovered: d.recovered,
 		Discarded: d.discarded,
 		Evicted:   d.evicted,

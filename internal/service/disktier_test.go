@@ -198,8 +198,8 @@ func TestDiskTierReadVerification(t *testing.T) {
 	if _, ok := d.Get(7); ok {
 		t.Fatal("corrupted entry served instead of discarded")
 	}
-	if st := d.Stats(); st.Discarded != 1 || st.Entries != 0 {
-		t.Fatalf("stats after corrupt read = %+v", st)
+	if st := d.Stats(); st.Discarded != 1 || d.Len() != 0 {
+		t.Fatalf("stats after corrupt read = %+v, %d entries", st, d.Len())
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("corrupt file not unlinked")
@@ -232,8 +232,8 @@ func TestDiskTierByteBoundEviction(t *testing.T) {
 	if _, err := os.Stat(d.path(2)); !os.IsNotExist(err) {
 		t.Fatal("evicted entry's file not unlinked")
 	}
-	if st := d.Stats(); st.Evicted != 1 || st.Entries != 2 || st.Bytes != 20 {
-		t.Fatalf("stats = %+v", st)
+	if st := d.Stats(); st.Evicted != 1 || d.Len() != 2 || d.Bytes() != 20 {
+		t.Fatalf("stats = %+v, %d entries, %d bytes", st, d.Len(), d.Bytes())
 	}
 }
 
