@@ -27,8 +27,8 @@
 //	            built-in campaign or a JSON spec file; -out writes the
 //	            manifest and per-scenario NDJSON artifacts; -render
 //	            prints the figure suite from the campaign's payloads;
-//	            -checkpoint with -cache-dir makes the run crash-safe:
-//	            an interrupted campaign resumes from its journal and
+//	            -cache-dir makes the run crash-safe: an interrupted
+//	            campaign rerun over the same directory resumes from its
 //	            durable cache, and the finished manifest is
 //	            byte-identical to an uninterrupted run's; -metrics
 //	            dumps the run's telemetry registry as Prometheus text)
@@ -68,15 +68,14 @@ var (
 	flagExact = flag.Bool("exact", false, "bit-exact per-cell fault sampling instead of sparse enumeration (slow at full scale; pair with -scale)")
 	flagJ     = flag.Int("j", runtime.GOMAXPROCS(0), "reliability: sweep workers — voltage points are sharded across this many board clones; results are bit-identical at any count (1 = sequential)")
 
-	flagSpec       = flag.String("spec", "paper-repro", "campaign: built-in campaign name or spec file path")
-	flagSmoke      = flag.Bool("smoke", false, "campaign: select a built-in campaign's smoke-scale variant")
-	flagOut        = flag.String("out", "", "campaign: write manifest.json and per-scenario NDJSON artifacts to this directory")
-	flagJobs       = flag.Int("jobs", 2, "campaign: sweeps executing concurrently")
-	flagRender     = flag.Bool("render", false, "campaign: also print the human-readable figure suite from the campaign's payloads")
-	flagShared     = flag.Bool("shared", false, "campaign: run through the sweep planner — reliability cells grouped by physics sub-key share one stuck-cell enumeration per (voltage, port, rep); a distinct, separately golden-pinned realization")
-	flagCheckpoint = flag.String("checkpoint", "", "campaign: checkpoint journal path; an interrupted campaign rerun with the same -checkpoint and -cache-dir resumes instead of recomputing")
-	flagCacheDir   = flag.String("cache-dir", "", "campaign: durable result-cache directory (computed cells survive crashes; pairs with -checkpoint)")
-	flagMetrics    = flag.String("metrics", "", "campaign: after the run, write the engine's telemetry registry to this file in Prometheus text exposition format (job, cache, enum-store, and campaign families)")
+	flagSpec     = flag.String("spec", "paper-repro", "campaign: built-in campaign name or spec file path")
+	flagSmoke    = flag.Bool("smoke", false, "campaign: select a built-in campaign's smoke-scale variant")
+	flagOut      = flag.String("out", "", "campaign: write manifest.json and per-scenario NDJSON artifacts to this directory")
+	flagJobs     = flag.Int("jobs", 2, "campaign: sweeps executing concurrently")
+	flagRender   = flag.Bool("render", false, "campaign: also print the human-readable figure suite from the campaign's payloads")
+	flagShared   = flag.Bool("shared", false, "campaign: run through the sweep planner — reliability cells grouped by physics sub-key share one stuck-cell enumeration per (voltage, port, rep); a distinct, separately golden-pinned realization")
+	flagCacheDir = flag.String("cache-dir", "", "campaign: durable result-cache directory; computed cells survive crashes, and an interrupted campaign rerun over the same directory resumes instead of recomputing")
+	flagMetrics  = flag.String("metrics", "", "campaign: after the run, write the engine's telemetry registry to this file in Prometheus text exposition format (job, cache, enum-store, and campaign families)")
 )
 
 func main() {
@@ -226,9 +225,6 @@ func runCampaign() error {
 	if err != nil {
 		return err
 	}
-	if *flagCheckpoint != "" && *flagCacheDir == "" {
-		fmt.Fprintln(os.Stderr, "warning: -checkpoint without -cache-dir records progress but has no durable cache to resume payloads from; completed cells will be recomputed on resume")
-	}
 	// -metrics: hand the engine a registry to report into and dump it as
 	// Prometheus text after the run — the same families a daemon serves
 	// live on /metrics, captured for a one-shot CLI run.
@@ -240,7 +236,6 @@ func runCampaign() error {
 		Jobs:              *flagJobs,
 		Fleet:             *flagJ,
 		SharedEnumeration: *flagShared,
-		Journal:           *flagCheckpoint,
 		CacheDir:          *flagCacheDir,
 		Metrics:           reg,
 		OnCell: func(done, total int) {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"hbmvolt/internal/report"
 	"hbmvolt/internal/service"
@@ -29,20 +28,14 @@ type Options struct {
 	// OnCell, when non-nil, is called after each completed (cell,
 	// repeat) execution with monotone counters.
 	OnCell func(done, total int)
-	// Journal, when non-empty, is the path of the campaign's checkpoint
-	// journal (see journal.go): completed cells are recorded durably as
-	// the campaign runs, and a rerun over the same journal resumes —
-	// journaled cells still present in the manager's cache are served
-	// from it, everything else is recomputed — yielding a manifest
-	// byte-identical to an uninterrupted run's. Checkpointing pairs with
-	// a durable cache (CacheDir here, or a daemon manager opened with
-	// one): without it a restarted process has nothing to resume from
-	// and recomputes every cell.
-	Journal string
 	// CacheDir, when non-empty, backs Run's private manager with the
 	// durable disk cache tier rooted there (service.Config.CacheDir), so
-	// computed cells survive a crash. Ignored by Execute, which uses the
-	// caller's manager.
+	// computed cells survive a crash. Rerunning an interrupted campaign
+	// over the same directory resumes it: cells the disk tier holds are
+	// served from it, the rest (never finished, evicted, or discarded as
+	// corrupt by the read verification) are recomputed, and the manifest
+	// is byte-identical to an uninterrupted run's. Ignored by Execute,
+	// which uses the caller's manager.
 	CacheDir string
 	// DiskCacheBytes bounds the disk tier (0 = unbounded).
 	DiskCacheBytes int64
@@ -202,47 +195,9 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 	met := newCampaignMetrics(mgr.Metrics())
 	met.cells.With("planned").Add(uint64(len(cells)))
 
-	total := 0
-	for i := range cells {
-		total += cells[i].Repeat
-	}
 	payloads := make([][]byte, len(cells))
-	done := 0
 
-	// Checkpoint journal: replay completed cells, serving the ones whose
-	// payloads survive in the manager's cache with a matching checksum.
-	// A journaled cell whose cache entry was lost (evicted, or discarded
-	// as corrupt by the disk tier's verification) is simply recomputed.
-	var jr *journal
-	if opts.Journal != "" {
-		jr, err = openJournal(opts.Journal, &spec, len(cells), opts.SharedEnumeration)
-		if err != nil {
-			return nil, fmt.Errorf("campaign %s: %w", spec.Name, err)
-		}
-		defer jr.Close()
-		for i := range cells {
-			rec, ok := jr.completed(i)
-			if !ok || rec.Key != service.FormatKey(cells[i].Key) {
-				continue
-			}
-			payload, ok := mgr.Cached(cells[i].Key)
-			if !ok {
-				continue
-			}
-			sum := sha256.Sum256(payload)
-			if hex.EncodeToString(sum[:]) != rec.SHA256 {
-				continue
-			}
-			payloads[i] = payload
-			done += cells[i].Repeat
-			met.cells.With("replayed").Inc()
-			if opts.OnCell != nil {
-				opts.OnCell(done, total)
-			}
-		}
-	}
-
-	// One execution per unfinished (cell, repeat), in schedule order.
+	// One execution per (cell, repeat), in schedule order.
 	var execs []execution
 	defer func() {
 		if err == nil {
@@ -254,9 +209,6 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 	}()
 	for _, i := range order {
 		c := &cells[i]
-		if payloads[i] != nil {
-			continue // resumed from the journal
-		}
 		for rep := 0; rep < c.Repeat; rep++ {
 			req := c.Request
 			req.Workers = fleet
@@ -276,7 +228,7 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 	// job, so the equality check below guards the coalescing/cache
 	// layer's consistency, not independent re-executions.
 	res = &Result{Spec: spec}
-	for _, e := range execs {
+	for n, e := range execs {
 		// Wait returns a terminal job's state even under a cancelled
 		// context; check explicitly so cancellation stops the campaign at
 		// the next cell boundary instead of racing job completion.
@@ -300,22 +252,13 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 		payload := e.job.Payload()
 		if payloads[e.cell] == nil {
 			payloads[e.cell] = payload
-			if jr != nil {
-				start := time.Now()
-				jerr := jr.append(e.cell, c.Key, payload)
-				met.journalAppend.Observe(time.Since(start).Seconds())
-				if jerr != nil {
-					return nil, fmt.Errorf("campaign %s: %w", spec.Name, jerr)
-				}
-			}
 		} else if !bytes.Equal(payloads[e.cell], payload) {
 			return nil, fmt.Errorf("campaign %s: scenario %q cell %d: repeat produced a different payload (determinism violation)",
 				spec.Name, c.Scenario, c.Index)
 		}
-		done++
 		met.cells.With("completed").Inc()
 		if opts.OnCell != nil {
-			opts.OnCell(done, total)
+			opts.OnCell(n+1, len(execs))
 		}
 	}
 

@@ -9,7 +9,7 @@ import (
 // FuzzCampaignSpec drives the POST /v1/campaigns body path: Parse,
 // Normalize, Expand. Every rejection must be a *SpecError (a 400, never
 // a 500), and a normalized spec must survive a JSON round trip with the
-// same cells under the same cache keys, so a resubmitted or journaled
+// same cells under the same cache keys, so a resubmitted or resumed
 // spec plans the identical campaign.
 func FuzzCampaignSpec(f *testing.F) {
 	seeds := []Spec{

@@ -11,28 +11,21 @@ import (
 // the job families the cells flow through.
 type campaignMetrics struct {
 	// cells counts cell executions by outcome: planned (scheduled for
-	// execution after spec expansion), replayed (resumed from a
-	// checkpoint journal without recomputation), completed (finished an
-	// execution, repeats included).
+	// execution after spec expansion), completed (finished an execution,
+	// repeats included, cache-served ones too).
 	cells *telemetry.CounterVec
 	// runs counts campaign runs by terminal state (done | failed |
 	// cancelled).
 	runs *telemetry.CounterVec
-	// journalAppend observes the latency of durable checkpoint-journal
-	// record appends (marshal + write + fsync).
-	journalAppend *telemetry.Histogram
 }
 
 func newCampaignMetrics(r *telemetry.Registry) *campaignMetrics {
 	return &campaignMetrics{
 		cells: r.CounterVec("hbmvolt_campaign_cells_total",
-			"Campaign cell executions by outcome: planned (scheduled after spec expansion), replayed (served from a checkpoint journal + cache), completed (finished executions, repeats included).",
+			"Campaign cell executions by outcome: planned (scheduled after spec expansion), completed (finished executions, repeats included).",
 			"outcome"),
 		runs: r.CounterVec("hbmvolt_campaign_runs_total",
 			"Campaign runs by terminal state.",
 			"state"),
-		journalAppend: r.Histogram("hbmvolt_journal_append_seconds",
-			"Durable checkpoint-journal record append latency (write + fsync) in seconds.",
-			telemetry.LatencyBuckets()),
 	}
 }

@@ -1,7 +1,7 @@
 // Package chaos is the repository's fault-injection harness: named
 // injection sites compiled into production code paths as no-ops, armed
 // only by tests. It exists so the resilience layer — the disk cache
-// tier, the campaign journal, the NDJSON event stream — can be tested
+// tier, the NDJSON event stream, the fleet transport — can be tested
 // against the failures it claims to survive (I/O errors, latency
 // spikes, torn writes, dropped streams, crashes mid-campaign) without
 // bespoke test seams at every site.

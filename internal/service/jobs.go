@@ -665,16 +665,6 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 // /metrics renders as hbmvolt_sweep_runs_total.
 func (m *Manager) Runs() uint64 { return m.met.sweepRuns.Value() }
 
-// Cached returns the byte-stable payload for a cache key if any tier
-// retains it, without scheduling work — the campaign resume path's
-// lookup for journaled cells. Disk-tier entries are checksum-verified
-// by the read, so a corrupted payload reports a miss here and the
-// caller recomputes.
-func (m *Manager) Cached(key uint64) ([]byte, bool) {
-	payload, _, ok := m.cache.Get(key)
-	return payload, ok
-}
-
 // RetryAfterSeconds is the server's backpressure hint when a
 // submission is refused for queue depth: the expected time for the
 // current backlog to drain, from observed job latency (queued jobs ÷
