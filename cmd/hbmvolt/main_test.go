@@ -1,10 +1,18 @@
 package main
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hbmvolt/internal/board"
+	"hbmvolt/internal/core"
+	"hbmvolt/internal/hbm"
+	"hbmvolt/internal/service"
 )
 
 // setFlag mutates a CLI flag for one test and restores the previous
@@ -211,6 +219,74 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("err = %v, want substring %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestVoltageAboveVoutMaxRejected: the regulator clamps VOUT_COMMAND to
+// VOUT_MAX, so a voltage above it must fail at every layer that takes
+// one (the board, both core sweeps, request normalization and the
+// CLI's -volts) instead of recording the requested voltage next to
+// measurements taken at the clamped one. VOUT_MAX itself is accepted.
+func TestVoltageAboveVoutMaxRejected(t *testing.T) {
+	silenceStdout(t)
+	setFlag(t, flagScale, 1024)
+	setFlag(t, flagNoise, 0)
+	setFlag(t, flagBatch, 1)
+	setFlag(t, flagJ, 1)
+	ctx := context.Background()
+	newBoard := func(t *testing.T) *board.Board {
+		b, err := board.New(board.Config{SparseFaults: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	layers := []struct {
+		name string
+		try  func(t *testing.T, v float64) error
+	}{
+		{"board", func(t *testing.T, v float64) error { return newBoard(t).SetHBMVoltage(v) }},
+		{"core.RunReliability", func(t *testing.T, v float64) error {
+			_, err := core.RunReliability(ctx, core.ReliabilityConfig{
+				Board: newBoard(t), Grid: []float64{v}, Ports: []hbm.PortID{0}, BatchSize: 1,
+			})
+			return err
+		}},
+		{"core.RunPowerSweep", func(t *testing.T, v float64) error {
+			_, err := core.RunPowerSweep(ctx, core.PowerSweepConfig{
+				Board: newBoard(t), Grid: []float64{v}, PortCounts: []int{32}, Samples: 1,
+			})
+			return err
+		}},
+		{"Normalize", func(t *testing.T, v float64) error {
+			req := service.SweepRequest{Kind: service.KindPower, Grid: []float64{v}}
+			err := req.Normalize()
+			var reqErr *service.RequestError
+			if err != nil && !errors.As(err, &reqErr) {
+				t.Fatalf("err = %v (%T), want a *RequestError (HTTP 400)", err, err)
+			}
+			return err
+		}},
+		{"cli -volts", func(t *testing.T, v float64) error {
+			setFlag(t, flagVolts, v)
+			return run("reliability")
+		}},
+	}
+	for _, c := range []struct {
+		volts float64
+		ok    bool
+	}{{board.MaxHBMVoltage, true}, {1.31, false}, {1.45, false}, {5.0, false}} {
+		for _, l := range layers {
+			t.Run(fmt.Sprintf("%s/%.2fV", l.name, c.volts), func(t *testing.T) {
+				err := l.try(t, c.volts)
+				if c.ok && err != nil {
+					t.Fatalf("%vV refused: %v", c.volts, err)
+				}
+				if !c.ok && err == nil {
+					t.Fatalf("%vV accepted above VOUT_MAX %vV", c.volts, board.MaxHBMVoltage)
+				}
+			})
+		}
 	}
 }
 

@@ -54,6 +54,12 @@ type Config struct {
 	Profiles *[faults.NumPCs]faults.PCProfile
 }
 
+// MaxHBMVoltage is the highest VCC_HBM the board programs: the
+// ISL68301's VOUT_MAX. The regulator clamps a higher VOUT_COMMAND to
+// it, so a sweep that asked for more would record one voltage and
+// measure another.
+const MaxHBMVoltage = 1.30
+
 // Board is the assembled platform.
 type Board struct {
 	cfg Config
@@ -135,6 +141,7 @@ func New(cfg Config) (*Board, error) {
 	b := &Board{cfg: cfg, Org: org, Faults: fm, Device: dev, Power: pm}
 
 	b.Regulator = pmbus.NewISL68301(pmbus.ISLConfig{
+		VoutMax:  MaxHBMVoltage,
 		OnVout:   dev.SetVoltage,
 		LoadAmps: b.railAmps,
 	})
@@ -240,8 +247,12 @@ func (b *Board) ActivePorts() int { return b.activePorts }
 
 // SetHBMVoltage programs the regulator over PMBus. The voltage reaches
 // the stacks through the rail coupling; driving it below the HBM's
-// V_critical crashes the memory exactly as on the real board.
+// V_critical crashes the memory exactly as on the real board. A voltage
+// above MaxHBMVoltage is refused rather than clamped by the regulator.
 func (b *Board) SetHBMVoltage(volts float64) error {
+	if volts > MaxHBMVoltage {
+		return fmt.Errorf("board: HBM voltage %vV above the regulator's VOUT_MAX %.2fV", volts, MaxHBMVoltage)
+	}
 	w, err := pmbus.Linear16(volts, -12)
 	if err != nil {
 		return err

@@ -167,8 +167,8 @@ func (r *SweepRequest) Normalize() error {
 		return badRequest("grid has %d points: max %d", len(r.Grid), maxGridPoints)
 	}
 	for _, v := range r.Grid {
-		if v < 0.5 || v > 1.5 {
-			return badRequest("grid voltage %v out of [0.5, 1.5]", v)
+		if v < 0.5 || v > board.MaxHBMVoltage {
+			return badRequest("grid voltage %v out of [0.5, %v]", v, board.MaxHBMVoltage)
 		}
 	}
 	if r.Workers < 0 || r.Workers > 256 {
