@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -27,6 +30,37 @@ func TestTraceIDs(t *testing.T) {
 			t.Errorf("ValidTraceID(%q) = %v, want %v", id, got, want)
 		}
 	}
+}
+
+// FuzzAdoptTrace drives the trace-header adoption every submission
+// passes through: whatever the client sends, the returned ID is valid
+// and echoed on the response, and the header is adopted verbatim
+// exactly when it is itself a valid ID.
+func FuzzAdoptTrace(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"0123456789abcdef0123456789abcdef",
+		"has space",
+		"abc\r\nX-Injected: 1",
+		strings.Repeat("a", 65),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/sweeps", nil)
+		r.Header.Set(HeaderTraceID, in)
+		w := httptest.NewRecorder()
+		got := AdoptTrace(w, r)
+		if !ValidTraceID(got) {
+			t.Fatalf("AdoptTrace(%q) = %q, not a valid trace ID", in, got)
+		}
+		if echo := w.Header().Get(HeaderTraceID); echo != got {
+			t.Fatalf("echoed %q, returned %q", echo, got)
+		}
+		if adopted := got == in; adopted != ValidTraceID(in) {
+			t.Fatalf("AdoptTrace(%q) = %q: adopted %v, valid %v", in, got, adopted, ValidTraceID(in))
+		}
+	})
 }
 
 func TestContextPlumbing(t *testing.T) {
