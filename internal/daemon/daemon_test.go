@@ -260,7 +260,7 @@ func TestDaemonFleetWiring(t *testing.T) {
 	if st, err := clients[submitTo].Wait(ctx, sub.ID); err != nil || st != service.StateDone {
 		t.Fatalf("Wait = %v, %v", st, err)
 	}
-	st, err := clients[submitTo].Status(ctx, sub.ID)
+	st, err := clients[submitTo].Status(ctx, sub.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

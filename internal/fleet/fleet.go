@@ -17,12 +17,14 @@
 // Robustness is the point. A per-peer circuit breaker — fed by an
 // active health prober (periodic, jittered /healthz probes) and
 // passively by forward failures — decides whether an owner is worth
-// trying at all; every HTTP call in the forward path runs under a
-// hedging deadline; a forward that is slow past the hedge delay races
-// the second-choice rendezvous owner with the loser cancelled (see
-// hedge.go); and any failure to get a peer's bytes (open circuit,
-// connection refused, black-holed link, slow past the deadline,
-// payload severed mid-body) degrades to computing the cell locally.
+// trying at all; every HTTP call in the forward path — submit, a status
+// long-poll the owner answers as soon as the job is terminal, result —
+// runs under its own hedging deadline; a forward that is slow past the
+// hedge delay races the second-choice rendezvous owner with the loser
+// cancelled (see hedge.go); and any failure to get a peer's bytes
+// (open circuit, connection refused, black-holed link, slow past the
+// deadline, payload severed mid-body) degrades to computing the cell
+// locally.
 // Because payloads are deterministic, the degraded response is
 // byte-identical to the owner's — availability degrades, correctness
 // never does, and the partition tests pin that equality byte for byte.
@@ -70,12 +72,11 @@ type Options struct {
 	// bootstrap from -join seeds.
 	Peers []string
 	// ForwardTimeout is the hedging deadline on each HTTP call of the
-	// forward path — submit, status poll, result fetch. A call slower
-	// than this counts as a peer failure and the serve degrades to
-	// local compute (default 2s).
+	// forward path — submit, status long-poll, result fetch. A call
+	// slower than this counts as a peer failure and the serve degrades
+	// to local compute (default 2s). The status long-poll asks the owner
+	// to hold for half of it.
 	ForwardTimeout time.Duration
-	// PollInterval paces remote job status polling (default 100ms).
-	PollInterval time.Duration
 	// ProbeInterval is the active health checker's period: every tick,
 	// each peer's /healthz is probed and the result feeds its circuit
 	// breaker — including the probe success that closes an open circuit
@@ -116,9 +117,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.ForwardTimeout <= 0 {
 		o.ForwardTimeout = 2 * time.Second
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 100 * time.Millisecond
 	}
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = o.ForwardTimeout
@@ -425,10 +423,11 @@ func (f *Forwarder) ExecuteSweep(ctx context.Context, key uint64, req service.Sw
 	return payload, service.ServeInfo{ServedBy: f.self, Degraded: true}, lerr
 }
 
-// fetch drives one remote execution: submit, poll to terminal, fetch
-// the verified payload. Every call runs under the hedging deadline; a
-// single failed call fails the fetch — retrying is the degradation
-// path's job, not this one's.
+// fetch drives one remote execution: submit, long-poll the status to
+// terminal, fetch the verified payload — three round trips when the
+// job finishes within one long-poll, and no fixed-interval sleep. Every
+// call runs under the hedging deadline; a single failed call fails the
+// fetch — retrying is the degradation path's job, not this one's.
 func (f *Forwarder) fetch(ctx context.Context, p *peer, req service.SweepRequest) ([]byte, error) {
 	p.forwards.Add(1)
 	// The owner picks its own fleet size; the submitter's parallelism
@@ -445,42 +444,31 @@ func (f *Forwarder) fetch(ctx context.Context, p *peer, req service.SweepRequest
 		return nil, fmt.Errorf("submit to %s: %w", p.name, err)
 	}
 
-	// Poll rather than stream: every round trip gets its own deadline,
-	// so a peer that accepts the job and then black-holes is detected
-	// within one poll instead of holding a stream open forever.
-	for {
-		var st service.JobStatus
-		err := f.call(ctx, func(cctx context.Context) error {
-			var serr error
-			st, serr = p.client.Status(cctx, sub.ID)
-			return serr
-		})
-		if err != nil {
-			return nil, fmt.Errorf("status of %s on %s: %w", sub.ID, p.name, err)
-		}
-		switch st.State {
-		case service.StateDone:
-			var payload []byte
-			err := f.call(ctx, func(cctx context.Context) error {
-				var rerr error
-				payload, rerr = p.client.Result(cctx, sub.ID)
-				return rerr
-			})
-			if err != nil {
-				return nil, fmt.Errorf("result of %s from %s: %w", sub.ID, p.name, err)
-			}
-			return payload, nil
-		case service.StateFailed:
-			return nil, fmt.Errorf("%s on %s failed remotely: %s", sub.ID, p.name, st.Error)
-		case service.StateCancelled:
-			return nil, fmt.Errorf("%s on %s was cancelled remotely", sub.ID, p.name)
-		}
-		select {
-		case <-time.After(f.opts.PollInterval):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	// Long-poll rather than stream: the owner answers the moment the
+	// job is terminal, yet every round trip still runs under its own
+	// deadline — the owner holds for half of it — so a peer that accepts
+	// the job and then black-holes is caught within one call instead of
+	// holding a stream open forever.
+	st, err := p.client.AwaitStatus(ctx, sub.ID, f.opts.ForwardTimeout/2, f.opts.ForwardTimeout)
+	if err != nil {
+		return nil, fmt.Errorf("status of %s on %s: %w", sub.ID, p.name, err)
 	}
+	switch st.State {
+	case service.StateFailed:
+		return nil, fmt.Errorf("%s on %s failed remotely: %s", sub.ID, p.name, st.Error)
+	case service.StateCancelled:
+		return nil, fmt.Errorf("%s on %s was cancelled remotely", sub.ID, p.name)
+	}
+	var payload []byte
+	err = f.call(ctx, func(cctx context.Context) error {
+		var rerr error
+		payload, rerr = p.client.Result(cctx, sub.ID)
+		return rerr
+	})
+	if err != nil {
+		return nil, fmt.Errorf("result of %s from %s: %w", sub.ID, p.name, err)
+	}
+	return payload, nil
 }
 
 // call runs one HTTP round trip under the hedging deadline.

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,7 +82,6 @@ func startNodesOn(t *testing.T, lns []net.Listener, urls []string, tune func(i i
 			Self:           urls[i],
 			Peers:          urls,
 			ForwardTimeout: 2 * time.Second,
-			PollInterval:   2 * time.Millisecond,
 		}
 		if tune != nil {
 			tune(i, &o)
@@ -361,6 +361,58 @@ func TestForwardToOwner(t *testing.T) {
 	}
 	if m := telemetrytest.Scrape(t, nodes[0].srv); m[servesForwarded] != 1 || m[servesDegraded] != 0 {
 		t.Fatalf("forwarded = %v, degraded = %v; want 1, 0", m[servesForwarded], m[servesDegraded])
+	}
+}
+
+// callLog is an HTTP transport that records every request it carries,
+// as "METHOD request-URI", per destination host.
+type callLog struct {
+	mu    sync.Mutex
+	calls map[string][]string
+}
+
+func (c *callLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.calls[req.URL.Host] = append(c.calls[req.URL.Host], req.Method+" "+req.URL.RequestURI())
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+func (c *callLog) to(host string) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]string(nil), c.calls[host]...)
+}
+
+// TestForwardIsThreeRoundTrips pins the forward's cost by count, not by
+// wall clock: a milliseconds-scale sweep finishes inside one status
+// long-poll, so the forward makes exactly three calls to the owner —
+// submit, one status (asking the owner to hold for half the 2s forward
+// timeout), result — and never sleeps between polls.
+func TestForwardIsThreeRoundTrips(t *testing.T) {
+	rec := &callLog{calls: map[string][]string{}}
+	nodes := startNodes(t, 2, func(i int, o *Options) {
+		o.HTTPClient = &http.Client{Transport: rec}
+	})
+	seed := seedOwnedBy(t, nodes[0].fwd, nodes[1].url)
+
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(smallReq(seed), service.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := j.Wait(t.Context()); err != nil || st != service.StateDone {
+		t.Fatalf("Wait = %v, %v", st, err)
+	}
+	if info := j.ServeInfo(); info.ServedBy != nodes[1].url || info.Degraded {
+		t.Fatalf("ServeInfo = %+v, want served by owner %s, not degraded", info, nodes[1].url)
+	}
+	calls := rec.to(strings.TrimPrefix(nodes[1].url, "http://"))
+	if len(calls) != 3 {
+		t.Fatalf("forward made %d calls to the owner, want 3 (submit, status, result): %q", len(calls), calls)
+	}
+	status, found := strings.CutSuffix(calls[1], "?wait=1s")
+	if calls[0] != "POST /v1/sweeps" || !found || !strings.HasPrefix(status, "GET /v1/sweeps/") || calls[2] != status+"/result" {
+		t.Fatalf("owner calls = %q, want submit, status?wait=1s, result", calls)
 	}
 }
 

@@ -67,6 +67,39 @@ func TestHedgeDelayAdaptive(t *testing.T) {
 	}
 }
 
+// TestHedgeDelayAtFloorAfterRealForwards runs real forwards on a
+// 3-node fleet. Forwards now cost a few milliseconds (one status
+// long-poll, no fixed-interval sleep), so the window's p95 sits under
+// the floor and the adaptive delay settles at hedgeDelayFloor.
+func TestHedgeDelayAtFloorAfterRealForwards(t *testing.T) {
+	nodes := startNodes(t, 3, nil)
+	mgr := nodes[0].srv.Manager()
+	const forwards = 20
+	sent := 0
+	for seed := uint64(0); sent < forwards && seed < 4096; seed++ {
+		req := smallReq(seed)
+		if nodes[0].fwd.Owner(keyOf(t, req)) == nodes[0].url {
+			continue
+		}
+		j, _, _, err := mgr.SubmitOpts(req, service.SubmitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := j.Wait(t.Context()); err != nil || st != service.StateDone {
+			t.Fatalf("seed %d: Wait = %v, %v", seed, st, err)
+		}
+		sent++
+	}
+	m := telemetrytest.Scrape(t, nodes[0].srv)
+	if m[servesForwarded] != forwards || m[servesDegraded] != 0 {
+		t.Fatalf("forwarded = %v, degraded = %v; want %d, 0", m[servesForwarded], m[servesDegraded], forwards)
+	}
+	if got := nodes[0].fwd.hedgeDelay(); got != hedgeDelayFloor {
+		t.Fatalf("hedge delay after %d real forwards = %v (window p95 %v), want the %v floor",
+			forwards, got, nodes[0].fwd.hedge.window.P95(), hedgeDelayFloor)
+	}
+}
+
 // hostDelay delays every request to selected hosts — a slow node,
 // without chaos plans, keyed per destination.
 type hostDelay struct {

@@ -28,7 +28,7 @@ import (
 // transparently on 429/503, honoring the server's Retry-After hint with
 // exponential backoff and jitter between attempts. Stream does not
 // retry (it holds one connection open); Wait recovers from a dropped
-// stream by falling back to status polling instead.
+// stream by falling back to long-polling Status instead.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8023".
 	BaseURL string
@@ -42,10 +42,7 @@ type Client struct {
 	// RetryBase is the first backoff step (0 → 200ms); step i waits
 	// max(Retry-After, RetryBase×2^i) plus up to RetryBase of jitter.
 	RetryBase time.Duration
-	// PollInterval paces Wait's status-polling fallback after a dropped
-	// event stream (0 → 250ms).
-	PollInterval time.Duration
-	// WaitTimeout bounds Wait's status-polling fallback end to end
+	// WaitTimeout bounds Wait's status long-poll fallback end to end
 	// (0 → 15m; negative → unbounded, the pre-bound behavior). A job
 	// stuck non-terminal past the deadline surfaces ErrWaitTimeout
 	// instead of polling forever — the job keeps running server-side and
@@ -214,11 +211,48 @@ func (c *Client) Submit(ctx context.Context, req SweepRequest) (SubmitResponse, 
 	return out, err
 }
 
-// Status fetches a job's current status (result payload not included).
-func (c *Client) Status(ctx context.Context, id string) (JobStatus, error) {
+// Status fetches a job's status (result payload not included). A
+// positive wait long-polls: the server holds the answer until the job
+// is terminal or wait passes (capped at the server's one-minute bound).
+// Zero answers now.
+func (c *Client) Status(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
+	path := "/v1/sweeps/" + id
+	if wait > 0 {
+		path += "?wait=" + min(wait, maxStatusWait).String()
+	}
 	var out JobStatus
-	err := c.doJSON(ctx, http.MethodGet, "/v1/sweeps/"+id, nil, &out)
+	err := c.doJSON(ctx, http.MethodGet, path, nil, &out)
 	return out, err
+}
+
+// AwaitStatus long-polls a job's status until it is terminal and
+// returns it. Each round trip is Status(wait) under its own
+// callTimeout deadline (0: none beyond ctx). A non-terminal answer
+// that comes back before wait has passed — a server that ignores wait
+// — is followed by sleeping out the rest of wait, so the loop never
+// spins. wait must be positive.
+func (c *Client) AwaitStatus(ctx context.Context, id string, wait, callTimeout time.Duration) (JobStatus, error) {
+	for {
+		start := time.Now()
+		cctx, cancel := ctx, context.CancelFunc(func() {})
+		if callTimeout > 0 {
+			cctx, cancel = context.WithTimeout(ctx, callTimeout)
+		}
+		st, err := c.Status(cctx, id, wait)
+		cancel()
+		if err != nil || st.State.terminal() {
+			return st, err
+		}
+		if rest := wait - time.Since(start); rest > 0 {
+			timer := time.NewTimer(rest)
+			select {
+			case <-timer.C:
+			case <-ctx.Done():
+				timer.Stop()
+				return st, ctx.Err()
+			}
+		}
+	}
 }
 
 // Result fetches a completed job's raw payload bytes — the byte-stable
@@ -251,7 +285,7 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 // until the stream ends (terminal event), fn returns an error, or ctx
 // is cancelled. It returns nil on a completed stream. It does not
 // retry: a stream that dies mid-job surfaces its transport error (Wait
-// layers reconnection-by-polling on top).
+// layers reconnection by long-polling Status on top).
 func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) error {
 	resp, err := c.doOnce(ctx, http.MethodGet, "/v1/sweeps/"+id+"/events", nil)
 	if err != nil {
@@ -285,7 +319,7 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) er
 // callers can branch to resubmit-by-key recovery.
 var ErrJobLost = errors.New("service: job lost (server no longer knows the id)")
 
-// ErrWaitTimeout reports that Wait's status-polling fallback ran out
+// ErrWaitTimeout reports that Wait's status long-poll fallback ran out
 // its WaitTimeout with the job still non-terminal. Unlike ErrJobLost
 // the job id is still valid: the caller may keep waiting with a fresh
 // Wait/Status call, or Cancel the job. Distinct from a caller-side
@@ -295,15 +329,15 @@ var ErrWaitTimeout = errors.New("service: wait deadline exceeded with job still 
 // Wait blocks until the job reaches a terminal state and returns it.
 // It prefers the NDJSON event stream (cheap, push-based); if the stream
 // disconnects mid-job — server restart, dropped connection, proxy
-// timeout — it falls back to polling Status instead of surfacing the
-// scanner error, so callers see the job's real outcome whenever one
-// exists. If the poll answers 404 — the daemon restarted and the job id
-// vanished with its job table — Wait returns ErrJobLost immediately
-// rather than polling a dead id, and the caller recovers by
-// resubmitting the request (identical bytes, by the determinism
-// contract). The polling fallback is bounded by WaitTimeout (default
-// 15m): a job that never goes terminal surfaces ErrWaitTimeout rather
-// than pinning the caller forever.
+// timeout — it falls back to long-polling Status (AwaitStatus) instead
+// of surfacing the scanner error, so callers see the job's real outcome
+// whenever one exists. If the status call answers 404 — the daemon
+// restarted and the job id vanished with its job table — Wait returns
+// ErrJobLost immediately rather than polling a dead id, and the caller
+// recovers by resubmitting the request (identical bytes, by the
+// determinism contract). The fallback is bounded by WaitTimeout
+// (default 15m): a job that never goes terminal surfaces ErrWaitTimeout
+// rather than pinning the caller forever.
 func (c *Client) Wait(ctx context.Context, id string) (JobState, error) {
 	last := JobState("")
 	// The stream error is deliberately ignored: whether it died with a
@@ -321,39 +355,29 @@ func (c *Client) Wait(ctx context.Context, id string) (JobState, error) {
 	if ctx.Err() != nil {
 		return "", ctx.Err()
 	}
-	interval := c.PollInterval
-	if interval <= 0 {
-		interval = 250 * time.Millisecond
-	}
-	var deadline <-chan time.Time
+	wctx := ctx
 	if wt := c.waitTimeout(); wt > 0 {
-		timer := time.NewTimer(wt)
-		defer timer.Stop()
-		deadline = timer.C
+		var cancel context.CancelFunc
+		wctx, cancel = context.WithTimeout(ctx, wt)
+		defer cancel()
 	}
-	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			var apiErr *APIError
-			if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
-				return "", fmt.Errorf("waiting for %s: %w", id, ErrJobLost)
-			}
-			return "", fmt.Errorf("service: waiting for %s after stream loss: %w", id, err)
-		}
-		if st.State.terminal() {
-			return st.State, nil
-		}
-		select {
-		case <-time.After(interval):
-		case <-deadline:
-			return "", fmt.Errorf("waiting for %s: %w", id, ErrWaitTimeout)
-		case <-ctx.Done():
-			return "", ctx.Err()
-		}
+	st, err := c.AwaitStatus(wctx, id, maxStatusWait, 0)
+	switch {
+	case err == nil:
+		return st.State, nil
+	case ctx.Err() != nil:
+		return "", ctx.Err()
+	case wctx.Err() != nil:
+		return "", fmt.Errorf("waiting for %s: %w", id, ErrWaitTimeout)
 	}
+	var apiErr *APIError
+	if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
+		return "", fmt.Errorf("waiting for %s: %w", id, ErrJobLost)
+	}
+	return "", fmt.Errorf("service: waiting for %s after stream loss: %w", id, err)
 }
 
-// waitTimeout resolves the Wait polling bound: the configured value,
+// waitTimeout resolves the Wait fallback bound: the configured value,
 // 15 minutes by default, unbounded when negative.
 func (c *Client) waitTimeout() time.Duration {
 	if c.WaitTimeout < 0 {

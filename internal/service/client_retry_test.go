@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -143,7 +144,7 @@ func TestClientNoRetryOnBadRequest(t *testing.T) {
 // TestClientWaitFallsBackToPolling drops the NDJSON event stream
 // mid-job via the service.events chaos site — exactly what a broken
 // connection or restarted proxy looks like — and asserts Wait still
-// reports the job's true terminal state by polling Status.
+// reports the job's true terminal state by long-polling Status.
 func TestClientWaitFallsBackToPolling(t *testing.T) {
 	srv := openServer(t, Config{Workers: 1})
 	m := srv.Manager()
@@ -152,7 +153,6 @@ func TestClientWaitFallsBackToPolling(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	c := fastClient(ts.URL)
-	c.PollInterval = 10 * time.Millisecond
 
 	plan := chaos.NewPlan().Set("service.events", chaos.Fault{
 		Err: errors.New("injected stream drop"), Count: 1,
@@ -176,7 +176,7 @@ func TestClientWaitFallsBackToPolling(t *testing.T) {
 		state, waitErr = c.Wait(t.Context(), sub.ID)
 	}()
 
-	// Let Wait hit the injected drop and enter its polling loop while the
+	// Let Wait hit the injected drop and enter its long-poll while the
 	// job is still running, then release the worker.
 	time.Sleep(50 * time.Millisecond)
 	select {
@@ -201,22 +201,24 @@ func TestClientWaitFallsBackToPolling(t *testing.T) {
 
 // TestClientWaitTimeoutBoundsPolling runs Wait against a server whose
 // job never terminates — the stream ends with no terminal event and
-// Status reports running forever. The polling fallback must give up at
-// WaitTimeout with the typed ErrWaitTimeout, while a caller-side
-// cancellation still surfaces as the context's error.
+// Status reports running forever, answering at once because it ignores
+// ?wait= (so the early-answer guard paces the loop). The fallback must
+// give up at WaitTimeout with the typed ErrWaitTimeout, while a
+// caller-side cancellation still surfaces as the context's error.
 func TestClientWaitTimeoutBoundsPolling(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/sweeps/j1/events", func(w http.ResponseWriter, r *http.Request) {
 		// The stream ends cleanly with the job still mid-flight.
 	})
+	var statusCalls atomic.Int32
 	mux.HandleFunc("GET /v1/sweeps/j1", func(w http.ResponseWriter, r *http.Request) {
+		statusCalls.Add(1)
 		WriteJSON(w, http.StatusOK, JobStatus{ID: "j1", State: StateRunning})
 	})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 
 	c := NewClient(ts.URL)
-	c.PollInterval = 5 * time.Millisecond
 	c.WaitTimeout = 150 * time.Millisecond
 	start := time.Now()
 	_, err := c.Wait(t.Context(), "j1")
@@ -226,9 +228,13 @@ func TestClientWaitTimeoutBoundsPolling(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 100*time.Millisecond || elapsed > 5*time.Second {
 		t.Fatalf("Wait gave up after %v, want about the 150ms bound", elapsed)
 	}
+	// Each early answer is followed by sleeping out the rest of the
+	// wait, which outlasts the bound: one call, no spin.
+	if n := statusCalls.Load(); n != 1 {
+		t.Fatalf("Wait made %d status calls against a server ignoring wait, want 1", n)
+	}
 
 	c2 := NewClient(ts.URL)
-	c2.PollInterval = 5 * time.Millisecond
 	ctx, cancel := context.WithTimeout(t.Context(), 50*time.Millisecond)
 	defer cancel()
 	if _, err := c2.Wait(ctx, "j1"); errors.Is(err, ErrWaitTimeout) || !errors.Is(err, context.DeadlineExceeded) {
@@ -253,13 +259,18 @@ func TestClientWaitTimeoutDefaults(t *testing.T) {
 
 // TestClientWaitStreamStillPreferred pins that the happy path is
 // untouched: with no fault armed, Wait consumes the terminal event from
-// the stream and never needs Status.
+// the stream and never calls GET /v1/sweeps/{id}.
 func TestClientWaitStreamStillPreferred(t *testing.T) {
 	srv := openServer(t, Config{Workers: 1})
-	ts := httptest.NewServer(srv)
+	var statusCalls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.Count(r.URL.Path, "/") == 3 && strings.HasPrefix(r.URL.Path, "/v1/sweeps/") {
+			statusCalls.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	c := fastClient(ts.URL)
-	c.PollInterval = time.Hour // a fallback poll would hang the test
 
 	sub, err := c.Submit(t.Context(), SweepRequest{
 		Kind: KindReliability, Scale: 1024, Ports: []int{0},
@@ -272,5 +283,8 @@ func TestClientWaitStreamStillPreferred(t *testing.T) {
 	defer cancel()
 	if st, err := c.Wait(ctx, sub.ID); err != nil || st != StateDone {
 		t.Fatalf("Wait = %v, %v", st, err)
+	}
+	if n := statusCalls.Load(); n != 0 {
+		t.Fatalf("Wait made %d status calls with the stream intact, want 0", n)
 	}
 }

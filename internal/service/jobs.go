@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -59,7 +60,8 @@ type Job struct {
 	// runCtx governs the sweep's execution; cancel aborts it. Both are
 	// fixed at submit time, so a DELETE always cancels the same context
 	// the worker runs under, whether the job is still queued or already
-	// mid-sweep.
+	// mid-sweep. finish drops both (cancel under mu): a finished job
+	// record retains its outcome, not its run.
 	runCtx context.Context
 	cancel context.CancelFunc
 
@@ -101,7 +103,9 @@ func (j *Job) appendEvent(e Event) {
 // terminal event in the same step so streamers observe "last event ⇔
 // terminal state" atomically. Later calls are ignored — e.g. a
 // cancellation racing the sweep's own completion keeps whichever
-// outcome landed first.
+// outcome landed first. Only the job's own runJob calls it, last, so
+// the run context is released here and the event history is trimmed to
+// its exact size: the job table holds up to MaxJobs finished records.
 func (j *Job) finish(state JobState, payload []byte, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -115,7 +119,8 @@ func (j *Job) finish(state JobState, payload []byte, errMsg string) {
 	if state == StateFailed {
 		e.Error = errMsg
 	}
-	j.events = append(j.events, e)
+	j.events = slices.Concat(j.events, []Event{e})
+	j.runCtx, j.cancel = nil, func() {}
 	j.signalLocked()
 }
 
@@ -655,8 +660,9 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 		j.events = append(j.events, Event{Type: string(StateCancelled)})
 		j.signalLocked()
 	}
+	cancel := j.cancel
 	j.mu.Unlock()
-	j.cancel()
+	cancel()
 	return j, true
 }
 

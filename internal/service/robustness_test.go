@@ -81,7 +81,6 @@ func TestWaitErrJobLostAndResubmitRecovery(t *testing.T) {
 	}
 	current.Store(srv1)
 	c := fastClient(ts.URL)
-	c.PollInterval = 5 * time.Millisecond
 
 	req := SweepRequest{
 		Kind: KindReliability, Scale: 1024, Ports: []int{0},

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"hbmvolt/internal/chaos"
 	"hbmvolt/internal/report"
@@ -249,10 +251,44 @@ type statusBody struct {
 	Result json.RawMessage `json:"result,omitempty"`
 }
 
+// maxStatusWait caps the ?wait= long-poll of GET /v1/sweeps/{id}, so
+// no status handler is held without bound.
+const maxStatusWait = time.Minute
+
+// parseWait reads a status request's ?wait= long-poll bound: a Go
+// duration in [0, maxStatusWait], 0 when absent.
+func parseWait(r *http.Request) (time.Duration, error) {
+	raw := r.URL.Query().Get("wait")
+	if raw == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(raw)
+	if err != nil {
+		return 0, err
+	}
+	if d < 0 || d > maxStatusWait {
+		return 0, fmt.Errorf("wait %v outside [0, %v]", d, maxStatusWait)
+	}
+	return d, nil
+}
+
+// handleStatus answers a job's status. With ?wait= it long-polls: the
+// answer is held until the job is terminal, the wait passes, or the
+// client goes away, whichever comes first.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	wait, err := parseWait(r)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "malformed wait: %v", err)
+		return
+	}
 	j, ok := s.job(w, r)
 	if !ok {
 		return
+	}
+	if wait > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		j.Wait(ctx)
+		cancel()
 	}
 	serveHeaders(w, j)
 	WriteJSON(w, http.StatusOK, statusBody{JobStatus: j.Snapshot(), Result: j.Payload()})

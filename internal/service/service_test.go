@@ -104,7 +104,7 @@ func TestLifecycleSubmitStreamResult(t *testing.T) {
 		t.Fatalf("final progress %d/%d, want 2/2", last.Done, last.Total)
 	}
 
-	st, err := c.Status(ctx, sub.ID)
+	st, err := c.Status(ctx, sub.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestCancelMidSweep(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("event stream did not terminate after cancel")
 	}
-	st, err := c.Status(ctx, sub.ID)
+	st, err := c.Status(ctx, sub.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
