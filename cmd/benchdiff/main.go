@@ -3,7 +3,7 @@
 // beyond a tolerance band. It closes the loop cmd/benchjson opened: CI
 // used to emit benchmark artifacts that nothing ever read; with a
 // baseline committed in the repository, every run now diffs its
-// points/sec and cells/sec metrics, and its allocs/op, against it.
+// throughput metrics, allocs/op and B/op against it.
 //
 // Usage:
 //
@@ -11,9 +11,8 @@
 //
 // Rules:
 //
-//   - only throughput metrics are compared (default "points/sec" and
-//     "cells/sec"; override with -metrics) — wall-clock ns/op varies
-//     with runner hardware;
+//   - throughput metrics (every unit ending in "/sec") are compared;
+//     wall-clock ns/op is not, since it varies with runner hardware;
 //   - absolute throughput also varies with runner hardware, so the
 //     gate is fleet-relative: a metric regresses only when BOTH its
 //     raw current/baseline ratio AND its ratio normalized by the
@@ -26,10 +25,10 @@
 //     gates on raw ratios alone; with fewer than three comparable
 //     metrics normalization is skipped, since a median of the
 //     regressing metric would mask it.)
-//   - allocation counts ("allocs/op") are lower-is-better and do not
-//     depend on runner hardware, so they gate on raw values alone,
-//     never normalized: a count above 1+tolerance times its baseline
-//     regresses, and so does any count above a zero baseline.
+//   - allocation metrics ("allocs/op" and "B/op") are lower-is-better
+//     and do not depend on runner hardware, so they gate on raw values
+//     alone, never normalized: a value above 1+tolerance times its
+//     baseline regresses, and so does any value above a zero baseline.
 //   - regressions exit 1; improvements are reported and never fail;
 //   - benchmarks present on only one side are reported but tolerated,
 //     so adding or renaming a benchmark does not require a lockstep
@@ -67,7 +66,6 @@ var (
 	flagBaseline  = flag.String("baseline", "BENCH_sweep.json", "committed baseline report")
 	flagCurrent   = flag.String("current", "", "freshly generated report to check (required)")
 	flagTolerance = flag.Float64("tolerance", 0.25, "allowed fractional regression of a (normalized) throughput metric")
-	flagMetrics   = flag.String("metrics", "points/sec,cells/sec", "comma-separated throughput metrics to compare")
 	flagNormalize = flag.Bool("normalize", true, "divide each ratio by the median ratio, cancelling uniform machine-speed differences")
 )
 
@@ -77,8 +75,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	regressions, err := run(*flagBaseline, *flagCurrent, *flagTolerance,
-		strings.Split(*flagMetrics, ","), *flagNormalize)
+	regressions, err := run(*flagBaseline, *flagCurrent, *flagTolerance, *flagNormalize)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(1)
@@ -125,15 +122,15 @@ type comparison struct {
 	ratio        float64
 }
 
-// lowerIsBetter is the allocation-count metric gated alongside the
-// throughput metrics. It does not depend on the runner, so it compares
-// raw values.
-const lowerIsBetter = "allocs/op"
+// lowerIsBetter are the allocation metrics gated alongside the
+// throughput metrics. They do not depend on the runner, so they
+// compare raw values.
+var lowerIsBetter = []string{"allocs/op", "B/op"}
 
 // run compares the throughput metrics (higher is better, normalized)
-// and the allocation counts (raw) of two reports and returns how many
+// and the allocation metrics (raw) of two reports and returns how many
 // regressed beyond tolerance.
-func run(basePath, curPath string, tolerance float64, metrics []string, normalize bool) (regressions int, err error) {
+func run(basePath, curPath string, tolerance float64, normalize bool) (regressions int, err error) {
 	base, err := load(basePath)
 	if err != nil {
 		return 0, err
@@ -157,16 +154,18 @@ func run(basePath, curPath string, tolerance float64, metrics []string, normaliz
 			fmt.Printf("MISSING  %-55s (in baseline only; tolerated)\n", name)
 			continue
 		}
-		comps = appendComparisons(comps, name, b, c, metrics)
-		bv, bok := b.Metrics[lowerIsBetter]
-		cv, cok := c.Metrics[lowerIsBetter]
-		if bok && cok {
-			counts = append(counts, comparison{name: name, metric: lowerIsBetter, base: bv, cur: cv})
+		comps = appendComparisons(comps, name, b, c)
+		for _, metric := range lowerIsBetter {
+			bv, bok := b.Metrics[metric]
+			cv, cok := c.Metrics[metric]
+			if bok && cok {
+				counts = append(counts, comparison{name: name, metric: metric, base: bv, cur: cv})
+			}
 		}
 	}
 	if len(comps) == 0 && len(counts) == 0 {
-		return 0, fmt.Errorf("no comparable metrics (%v, %s) between %s and %s",
-			metrics, lowerIsBetter, basePath, curPath)
+		return 0, fmt.Errorf("no comparable metrics (*/sec, %v) between %s and %s",
+			lowerIsBetter, basePath, curPath)
 	}
 
 	scale := 1.0
@@ -212,14 +211,21 @@ func run(basePath, curPath string, tolerance float64, metrics []string, normaliz
 	return regressions, nil
 }
 
-// appendComparisons appends one comparison per metric present on both
-// sides of benchmark name with a positive baseline.
-func appendComparisons(comps []comparison, name string, b, c Benchmark, metrics []string) []comparison {
+// appendComparisons appends one comparison per throughput metric
+// present on both sides of benchmark name with a positive baseline, in
+// metric-name order.
+func appendComparisons(comps []comparison, name string, b, c Benchmark) []comparison {
+	metrics := make([]string, 0, len(b.Metrics))
+	for metric := range b.Metrics {
+		if strings.HasSuffix(metric, "/sec") {
+			metrics = append(metrics, metric)
+		}
+	}
+	sort.Strings(metrics)
 	for _, metric := range metrics {
-		metric = strings.TrimSpace(metric)
-		bv, bok := b.Metrics[metric]
+		bv := b.Metrics[metric]
 		cv, cok := c.Metrics[metric]
-		if !bok || !cok || bv <= 0 {
+		if !cok || bv <= 0 {
 			continue
 		}
 		comps = append(comps, comparison{name: name, metric: metric, base: bv, cur: cv, ratio: cv / bv})

@@ -99,7 +99,7 @@ func TestDiffToleranceBand(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cur := write(t, dir, "cur.json", tc.current)
-			got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, tc.normalize)
+			got, err := run(base, cur, 0.25, tc.normalize)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("expected an error for an incomparable report")
@@ -125,7 +125,7 @@ func TestFewMetricsSkipsNormalization(t *testing.T) {
 		`{"benchmarks":[{"name":"BenchmarkOnly","runs":1,"metrics":{"points/sec":100}}]}`)
 	cur := write(t, dir, "cur.json",
 		`{"benchmarks":[{"name":"BenchmarkOnly","runs":1,"metrics":{"points/sec":10}}]}`)
-	got, err := run(base, cur, 0.25, []string{"points/sec"}, true)
+	got, err := run(base, cur, 0.25, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestProcsSuffixNormalized(t *testing.T) {
 		{"name":"BenchmarkCampaignRun/shared-4","runs":2,"metrics":{"cells/sec":1000}},
 		{"name":"BenchmarkCampaignRun/isolated-4","runs":2,"metrics":{"cells/sec":50}}
 	]}`)
-	got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, true)
+	got, err := run(base, cur, 0.25, true)
 	if err != nil {
 		t.Fatalf("suffixed names did not match the baseline: %v", err)
 	}
@@ -160,15 +160,77 @@ func TestProcsSuffixNormalized(t *testing.T) {
 	}
 }
 
-// TestAllocsGate: allocs/op is lower-is-better and independent of the
-// runner, so it gates on raw values, never on a ratio normalized by the
-// throughput metrics' median, and a zero baseline gates too.
+// TestEveryThroughputUnitGated: every metric whose unit ends in /sec is
+// a throughput line, whatever the benchmark calls its operations, and
+// a metric that is not a rate (here "workers") is never compared.
+func TestEveryThroughputUnitGated(t *testing.T) {
+	dir := t.TempDir()
+	base := write(t, dir, "base.json", `{"benchmarks":[
+		{"name":"BenchmarkReliabilitySweep/j=1","runs":5,"metrics":{"points/sec":100,"workers":1}},
+		{"name":"BenchmarkServiceSubmit","runs":5,"metrics":{"sweeps/sec":300}},
+		{"name":"BenchmarkServiceCacheHit","runs":5,"metrics":{"hits/sec":3000}},
+		{"name":"BenchmarkSharedVsIsolatedEnumeration/shared/0.90V","runs":5,"metrics":{"patterns/sec":9000}}
+	]}`)
+	cases := []struct {
+		name        string
+		current     string
+		regressions int
+	}{
+		{
+			name: "hits/sec collapses",
+			current: `{"benchmarks":[
+				{"name":"BenchmarkReliabilitySweep/j=1","runs":5,"metrics":{"points/sec":100,"workers":1}},
+				{"name":"BenchmarkServiceSubmit","runs":5,"metrics":{"sweeps/sec":300}},
+				{"name":"BenchmarkServiceCacheHit","runs":5,"metrics":{"hits/sec":1000}},
+				{"name":"BenchmarkSharedVsIsolatedEnumeration/shared/0.90V","runs":5,"metrics":{"patterns/sec":9000}}
+			]}`,
+			regressions: 1,
+		},
+		{
+			name: "sweeps/sec and patterns/sec collapse",
+			current: `{"benchmarks":[
+				{"name":"BenchmarkReliabilitySweep/j=1","runs":5,"metrics":{"points/sec":100,"workers":1}},
+				{"name":"BenchmarkServiceSubmit","runs":5,"metrics":{"sweeps/sec":100}},
+				{"name":"BenchmarkServiceCacheHit","runs":5,"metrics":{"hits/sec":3000}},
+				{"name":"BenchmarkSharedVsIsolatedEnumeration/shared/0.90V","runs":5,"metrics":{"patterns/sec":3000}}
+			]}`,
+			regressions: 2,
+		},
+		{
+			name: "a non-rate metric is not compared",
+			current: `{"benchmarks":[
+				{"name":"BenchmarkReliabilitySweep/j=1","runs":5,"metrics":{"points/sec":100,"workers":0.1}},
+				{"name":"BenchmarkServiceSubmit","runs":5,"metrics":{"sweeps/sec":300}},
+				{"name":"BenchmarkServiceCacheHit","runs":5,"metrics":{"hits/sec":3000}},
+				{"name":"BenchmarkSharedVsIsolatedEnumeration/shared/0.90V","runs":5,"metrics":{"patterns/sec":9000}}
+			]}`,
+			regressions: 0,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cur := write(t, dir, "cur.json", tc.current)
+			got, err := run(base, cur, 0.25, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.regressions {
+				t.Fatalf("regressions = %d, want %d", got, tc.regressions)
+			}
+		})
+	}
+}
+
+// TestAllocsGate: allocs/op and B/op are lower-is-better and
+// independent of the runner, so they gate on raw values, never on a
+// ratio normalized by the throughput metrics' median, and a zero
+// baseline gates too.
 func TestAllocsGate(t *testing.T) {
 	dir := t.TempDir()
 	base := write(t, dir, "base.json", `{"benchmarks":[
-		{"name":"BenchmarkReliabilitySweep/j=1","runs":2,"metrics":{"points/sec":100,"allocs/op":1000}},
+		{"name":"BenchmarkReliabilitySweep/j=1","runs":2,"metrics":{"points/sec":100,"allocs/op":1000,"B/op":8000}},
 		{"name":"BenchmarkReliabilitySweep/j=2","runs":2,"metrics":{"points/sec":200,"allocs/op":1000}},
-		{"name":"BenchmarkCampaignRun/shared","runs":2,"metrics":{"cells/sec":1000,"allocs/op":0}}
+		{"name":"BenchmarkCampaignRun/shared","runs":2,"metrics":{"cells/sec":1000,"allocs/op":0,"B/op":0}}
 	]}`)
 	cases := []struct {
 		name        string
@@ -209,11 +271,23 @@ func TestAllocsGate(t *testing.T) {
 			]}`,
 			regressions: 1,
 		},
+		{
+			// Bytes gate like counts: a 25%+ rise in B/op on an
+			// otherwise unchanged run regresses, raw; so does any byte
+			// above a zero baseline.
+			name: "B/op rising, from a baseline and from zero",
+			current: `{"benchmarks":[
+				{"name":"BenchmarkReliabilitySweep/j=1","runs":2,"metrics":{"points/sec":100,"allocs/op":1000,"B/op":12000}},
+				{"name":"BenchmarkReliabilitySweep/j=2","runs":2,"metrics":{"points/sec":200,"allocs/op":1000}},
+				{"name":"BenchmarkCampaignRun/shared","runs":2,"metrics":{"cells/sec":1000,"allocs/op":0,"B/op":64}}
+			]}`,
+			regressions: 2,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cur := write(t, dir, "cur.json", tc.current)
-			got, err := run(base, cur, 0.25, []string{"points/sec", "cells/sec"}, true)
+			got, err := run(base, cur, 0.25, true)
 			if err != nil {
 				t.Fatal(err)
 			}
