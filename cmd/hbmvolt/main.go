@@ -75,7 +75,7 @@ var (
 	flagRender   = flag.Bool("render", false, "campaign: also print the human-readable figure suite from the campaign's payloads")
 	flagShared   = flag.Bool("shared", false, "campaign: run through the sweep planner — reliability cells grouped by physics sub-key share one stuck-cell enumeration per (voltage, port, rep); a distinct, separately golden-pinned realization")
 	flagCacheDir = flag.String("cache-dir", "", "campaign: durable result-cache directory; computed cells survive crashes, and an interrupted campaign rerun over the same directory resumes instead of recomputing")
-	flagMetrics  = flag.String("metrics", "", "campaign: after the run, write the engine's telemetry registry to this file in Prometheus text exposition format (job, cache, enum-store, and campaign families)")
+	flagMetrics  = flag.String("metrics", "", "campaign: after the run, write the engine's telemetry registry to this file in Prometheus text exposition format (job, cache, and campaign families)")
 )
 
 func main() {

@@ -59,13 +59,13 @@
 // Observability (see README "Observability"):
 //
 //   - GET /metrics serves the telemetry registry in Prometheus text
-//     exposition format: job, cache-tier, enum-store, admission,
-//     campaign, and fleet families. It is the node's one statistics
-//     surface; fleet membership is GET /v1/fleet/peers.
+//     exposition format: job, cache-tier, admission, campaign, and
+//     fleet families. It is the node's one statistics surface; fleet
+//     membership is GET /v1/fleet/peers.
 //   - Every submission gets a trace ID — minted at this edge or adopted
 //     from an X-Hbmvolt-Trace-Id request header — that follows the job
-//     through coalescing, cache lookups, enum-store singleflight, and
-//     fleet forwards; GET /v1/traces/{id} returns the recorded spans.
+//     through coalescing, cache lookups, and fleet forwards;
+//     GET /v1/traces/{id} returns the recorded spans.
 //   - Logs are structured JSON records (one per line, leveled via
 //     -log-level) carrying the trace ID wherever one is in scope.
 //

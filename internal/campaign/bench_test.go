@@ -52,9 +52,10 @@ func benchSpec() Spec {
 // BenchmarkCampaignRun measures end-to-end campaign execution of the
 // multi-pattern spec on a private manager, manifest assembly included,
 // in both execution modes: isolated (the legacy per-pattern path) and
-// shared (the sweep planner). cells/sec is the headline metric — the
-// planner's contract is that it scales with the spec's unique physics,
-// not its cell count, so shared must beat isolated by ≥3× here.
+// shared (the sweep planner). cells/sec is the headline metric. A
+// shared cell enumerates each (voltage, port, rep) once for all of its
+// patterns instead of once per pattern, so shared must beat isolated
+// by ≥3× here.
 func BenchmarkCampaignRun(b *testing.B) {
 	ctx := context.Background()
 	for _, mode := range []struct {

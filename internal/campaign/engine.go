@@ -53,14 +53,14 @@ type Options struct {
 	TraceID string
 	// SharedEnumeration runs the campaign through the sweep planner:
 	// reliability cells are grouped by their (fault-model fingerprint ×
-	// voltage grid × sampling mode) physics sub-key, switched to
-	// shared-enumeration execution, and scheduled group-adjacent so each
-	// group's (voltage, port, rep) stuck-cell enumerations are computed
-	// once for the whole campaign (see planner.go). Planned manifests
-	// carry a "plan" section and are byte-identical across Jobs/Fleet
-	// settings, like unplanned ones — but they are a different (shared,
-	// separately golden-pinned) realization, so planned and unplanned
-	// runs of one spec do not share cache entries.
+	// voltage grid × sampling mode) physics sub-key and switched to
+	// shared-enumeration execution, which derives every pattern of a
+	// voltage point from one stuck-cell enumeration per (port, rep)
+	// (see planner.go). Planned manifests carry a "plan" section and are
+	// byte-identical across Jobs/Fleet settings, like unplanned ones —
+	// but they are a different (shared, separately golden-pinned)
+	// realization, so planned and unplanned runs of one spec do not
+	// share cache entries.
 	SharedEnumeration bool
 }
 
@@ -174,14 +174,9 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 		fleet = 0
 	}
 
-	// Planner pass: group reliability cells by physics sub-key, switch
-	// them to shared enumeration, and submit group-adjacent. Collection,
-	// manifests and artifacts stay in campaign order either way.
+	// Planner pass: group reliability cells by physics sub-key and
+	// switch them to shared enumeration.
 	var plan *Plan
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
 	if opts.SharedEnumeration {
 		if plan, err = planCells(cells); err != nil {
 			return nil, err
@@ -189,7 +184,6 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 		if cells, err = applyPlan(cells, plan); err != nil {
 			return nil, err
 		}
-		order = plan.submissionOrder(len(cells))
 	}
 
 	met := newCampaignMetrics(mgr.Metrics())
@@ -197,7 +191,7 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 
 	payloads := make([][]byte, len(cells))
 
-	// One execution per (cell, repeat), in schedule order.
+	// One execution per (cell, repeat), in campaign order.
 	var execs []execution
 	defer func() {
 		if err == nil {
@@ -207,7 +201,7 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 			mgr.Cancel(e.job.ID)
 		}
 	}()
-	for _, i := range order {
+	for i := range cells {
 		c := &cells[i]
 		for rep := 0; rep < c.Repeat; rep++ {
 			req := c.Request

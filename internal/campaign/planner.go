@@ -1,23 +1,21 @@
 package campaign
 
-// The sweep planner: cross-cell computation sharing for campaigns.
+// The sweep planner: shared-enumeration execution for campaigns.
 //
 // A campaign's cross-products routinely expand into many cells that
 // differ only in what they *measure* (pattern sets, batch sizes) while
 // describing the same *silicon* (equal fault-model fingerprint) probed
 // over the same voltage grid. The physics of such cells — which cells
 // are stuck where, per (voltage, port, rep) — is identical; only the
-// per-pattern readout differs. The planner makes that sharing explicit:
-// it groups a normalized spec's reliability cells by their
-// (fingerprint × voltage grid × sampling mode) sub-key, switches them
-// to shared-enumeration execution (service.SweepRequest.Shared →
-// core.ReliabilityConfig.SharedEnumeration), and schedules each group's
-// cells adjacently so the process-wide enumeration memo
-// (faults.SharedEnumeration) computes every (voltage, port, rep)
-// physics evaluation exactly once across the whole campaign. Per-cell
-// results are still normalized, cache-keyed, coalesced and manifested
-// exactly as before — the plan only changes how the work is computed,
-// never what a cell's payload means.
+// per-pattern readout differs. The planner groups a normalized spec's
+// reliability cells by their (fingerprint × voltage grid × sampling
+// mode) sub-key, records the groups in the manifest, and switches the
+// cells to shared-enumeration execution (service.SweepRequest.Shared →
+// core.ReliabilityConfig.SharedEnumeration), where each cell evaluates
+// a voltage point's patterns from one enumeration per (port, rep).
+// Per-cell results are still normalized, cache-keyed, coalesced and
+// manifested exactly as before — the plan only changes how the work is
+// computed, never what a cell's payload means.
 
 import (
 	"hbmvolt/internal/board"
@@ -27,8 +25,8 @@ import (
 
 // PlanGroup is one set of reliability cells sharing their physics
 // sub-key: equal fault-model fingerprint, voltage grid and sampling
-// mode. Within a group, every (voltage, port, rep) stuck-cell
-// enumeration is computed once and reused by all cells and patterns.
+// mode, so every member draws the same stuck cells at a given
+// (voltage, port, rep).
 type PlanGroup struct {
 	// Fingerprint is the group's fault-model config fingerprint (hex,
 	// the same rendering the service uses for cache keys).
@@ -45,7 +43,8 @@ type PlanGroup struct {
 	// batch × patterns.
 	PatternEvals int `json:"pattern_evals"`
 	// UniquePhysics counts the distinct (voltage, port, rep) stuck-cell
-	// enumerations the group actually computes under the plan.
+	// enumerations the group's cells need. Each cell enumerates its own,
+	// so this is the floor of the work, not the number computed.
 	UniquePhysics int `json:"unique_physics"`
 }
 
@@ -58,7 +57,7 @@ type Plan struct {
 	SharedCells int `json:"shared_cells"`
 	// PatternEvals and UniquePhysics total the per-group counters: the
 	// enumeration passes a per-pattern campaign would pay versus the
-	// distinct physics evaluations this plan pays.
+	// distinct physics evaluations the groups need.
 	PatternEvals  int `json:"pattern_evals"`
 	UniquePhysics int `json:"unique_physics"`
 }
@@ -141,29 +140,6 @@ func (g *PlanGroup) uniquePhysics(cells []Cell) int {
 		}
 	}
 	return g.GridPoints * len(pairs)
-}
-
-// submissionOrder returns the cell indices in planner schedule order:
-// each group's cells adjacent (group order, then campaign order inside
-// a group), followed by every unplanned cell in campaign order. The
-// adjacency keeps a group's enumerations hot in the process-wide memo
-// while its cells execute; manifests and artifacts stay in campaign
-// order regardless.
-func (p *Plan) submissionOrder(n int) []int {
-	order := make([]int, 0, n)
-	planned := make([]bool, n)
-	for _, g := range p.Groups {
-		for _, ci := range g.Cells {
-			order = append(order, ci)
-			planned[ci] = true
-		}
-	}
-	for i := 0; i < n; i++ {
-		if !planned[i] {
-			order = append(order, i)
-		}
-	}
-	return order
 }
 
 // applyPlan switches the planned cells to shared-enumeration execution

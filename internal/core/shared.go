@@ -7,18 +7,17 @@ package core
 // re-scans) the same stuck cells, even though a cell's stuck state is a
 // property of the silicon that no written pattern can change. The
 // shared path computes the pattern-agnostic stuck-cell enumeration of
-// each (port, rep) once — memoized process-wide under its
-// (fingerprint × voltage) sub-key, see faults.SharedEnumeration — and
-// derives every pattern's flip statistics from it with an
-// allocation-free mask pass. A voltage point with P patterns costs one
-// physics evaluation instead of P; across a campaign, repeated
-// (fingerprint × voltage) sub-keys cost nothing at all.
+// each (port, rep) once and derives every pattern's flip statistics
+// from it with an allocation-free mask pass. A voltage point with P
+// patterns costs one physics evaluation instead of P. The point's
+// enumerations are refilled into one buffer, so a point allocates for
+// its largest window once rather than for every (port, rep).
 
 import (
-	"context"
 	"fmt"
 
 	"hbmvolt/internal/board"
+	"hbmvolt/internal/faults"
 	"hbmvolt/internal/pattern"
 	"hbmvolt/internal/stats"
 )
@@ -32,8 +31,9 @@ import (
 // Like the legacy path, the outcome is a pure function of (voltage,
 // pattern set, port set, batch size) and the board's seeded
 // configuration, so sharded sweeps stay bit-identical at any worker
-// count.
-func sharedVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint) (VoltagePoint, error) {
+// count. The enumeration buffer is local to the call, so sharded
+// workers never share it.
+func sharedVoltagePoint(b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint) (VoltagePoint, error) {
 	fm := b.Faults
 	vEff := b.Regulator.Vout()
 	words := cfg.WordsPerPort
@@ -49,12 +49,13 @@ func sharedVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityCon
 		}
 	}
 
+	var buf faults.Enumeration
 	for rep := 0; rep < batch; rep++ {
 		for i, port := range cfg.Ports {
 			stack, pc := port.StackPC(b.Org)
 			// One physics evaluation per (port, rep); every pattern below
-			// derives from it.
-			e := fm.SharedEnumerationCtx(ctx, stack, pc, vEff, uint64(rep), words)
+			// derives from it before the next one refills buf.
+			e := fm.Enumerate(&buf, stack, pc, vEff, uint64(rep), words)
 			for pi, pat := range cfg.Patterns {
 				f, fw, ok := e.PatternFlips(pat)
 				if !ok {

@@ -44,14 +44,13 @@ type ReliabilityConfig struct {
 	Workers int
 	// SharedEnumeration evaluates every pattern of a voltage point from
 	// one pattern-agnostic stuck-cell enumeration (faults.Enumeration)
-	// instead of re-enumerating per pattern, memoized process-wide so
-	// sweeps sharing a (fingerprint × voltage) sub-key — across patterns,
-	// batch runs, and whole campaigns — pay for unique physics, not for
-	// cells. The shared mode is a distinct (statistically identical,
-	// separately golden-pinned) realization of the sparse device; on the
-	// bit-exact sampler it is bit-identical to the legacy path. Patterns
-	// must have a closed-form ones density (all built-ins do). Results
-	// remain bit-identical at every Workers count.
+	// per (port, rep) instead of re-enumerating per pattern, so a point
+	// pays for its physics once, not once per pattern. The shared mode is
+	// a distinct (statistically identical, separately golden-pinned)
+	// realization of the sparse device; on the bit-exact sampler it is
+	// bit-identical to the legacy path. Patterns must have a closed-form
+	// ones density (all built-ins do). Results remain bit-identical at
+	// every Workers count.
 	SharedEnumeration bool
 	// OnPoint, when non-nil, is invoked after each completed voltage
 	// point with monotone progress counters. Under a sharded sweep the
@@ -239,9 +238,8 @@ func voltageBand(v float64) string {
 // the board's seeded configuration — it depends neither on which board
 // of a fleet evaluates it nor on which points ran before, which is the
 // invariant that makes sharded sweeps bit-identical to sequential ones.
-// ctx carries profiling labels (mode, voltage band) and the telemetry
-// trace for the enum-store lookups; it never influences the outcome, and
-// neither does parallelPorts (see runPorts).
+// ctx carries profiling labels (mode, voltage band); it never influences
+// the outcome, and neither does parallelPorts (see runPorts).
 func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, v float64, parallelPorts bool) (VoltagePoint, error) {
 	if err := b.SetHBMVoltage(v); err != nil {
 		return VoltagePoint{}, fmt.Errorf("core: setting %vV: %w", v, err)
@@ -264,7 +262,7 @@ func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig
 	var err error
 	pprof.Do(ctx, pprof.Labels("hbmvolt_mode", mode, "hbmvolt_vband", voltageBand(v)), func(ctx context.Context) {
 		if cfg.SharedEnumeration {
-			pt, err = sharedVoltagePoint(ctx, b, cfg, pt)
+			pt, err = sharedVoltagePoint(b, cfg, pt)
 		} else {
 			pt, err = isolatedVoltagePoint(ctx, b, cfg, pt, parallelPorts)
 		}

@@ -59,16 +59,18 @@ type enumAggregate struct {
 // approaches it (its aggregate regime caps every segment), but the
 // bit-exact sampler has no aggregate form — a full-scale window deep
 // in the bulk collapse holds tens of millions of stuck cells. Beyond
-// the bound the enumeration spills to streaming mode instead of
-// ballooning the memo store.
+// the bound the enumeration spills to streaming mode instead of growing
+// a buffer that large.
 const maxEnumFaults = 1 << 21
 
 // Enumeration is the pattern-agnostic stuck-cell realization of the
 // word window [0, Words) of one pseudo channel at one (voltage, batch
 // rep): enumerated faults for low-rate segments, aggregate stuck-cell
-// draws for high-rate ones. It is immutable and safe for concurrent
-// use; sweeps evaluating many patterns at one voltage point derive all
-// of them from one Enumeration (see PatternFlips).
+// draws for high-rate ones. Sweeps evaluating many patterns at one
+// voltage point derive all of them from one Enumeration (see
+// PatternFlips). Enumerate may refill an Enumeration in place, so one
+// that is reused must stay with a single goroutine; between refills its
+// read methods are safe for concurrent use.
 type Enumeration struct {
 	words  uint64
 	faults []uint64 // packed, ascending by (addr, bit)
@@ -76,7 +78,7 @@ type Enumeration struct {
 	// stream marks a bit-exact window too fault-dense to materialize
 	// (expected faults beyond maxEnumFaults): PatternFlips re-walks the
 	// sampler's keyed draws per pattern in O(1) memory instead — the
-	// legacy cost, bit-identical results, and a tiny memo entry.
+	// legacy cost, bit-identical results, and no fault list.
 	stream *Sampler
 }
 
@@ -97,8 +99,8 @@ func (e *Enumeration) Aggregated() bool { return len(e.aggs) > 0 }
 // pass re-walks the sampler's keyed draws instead of a stored list.
 func (e *Enumeration) Streamed() bool { return e.stream != nil }
 
-// SizeBytes returns the enumeration's approximate retained size, the
-// unit the shared store's LRU accounts in.
+// SizeBytes returns the approximate size of the enumeration's contents:
+// a header plus its packed faults and aggregate segments.
 func (e *Enumeration) SizeBytes() int {
 	const header = 64 // struct + slice headers + sampler pointer
 	return header + len(e.faults)*8 + len(e.aggs)*64
@@ -109,11 +111,19 @@ func (e *Enumeration) SizeBytes() int {
 // [0, words). The draws it consumes are exactly the ones the legacy
 // per-pattern samplers consume (bit-exact per-cell draws, or the
 // sparse per-row count/position draws), except in the aggregate regime
-// where counts are keyed pattern-agnostically. Prefer
-// SharedEnumeration, which memoizes the result process-wide.
-func (m *Model) Enumerate(stack, pc int, v float64, rep, words uint64) *Enumeration {
+// where counts are keyed pattern-agnostically.
+//
+// A nil dst allocates a new Enumeration. A non-nil dst is reset and
+// refilled, reusing its fault and aggregate buffers, and returned: a
+// sweep that enumerates many windows one after another pays for its
+// largest window once instead of allocating every window afresh.
+func (m *Model) Enumerate(dst *Enumeration, stack, pc int, v float64, rep, words uint64) *Enumeration {
 	s := m.NewBatchSampler(stack, pc, v, rep)
-	e := &Enumeration{words: words}
+	e := dst
+	if e == nil {
+		e = &Enumeration{}
+	}
+	*e = Enumeration{words: words, faults: e.faults[:0], aggs: e.aggs[:0]}
 	if !s.anyFaults || words == 0 {
 		return e
 	}
@@ -122,8 +132,8 @@ func (m *Model) Enumerate(stack, pc int, v float64, rep, words uint64) *Enumerat
 	}
 	if !s.sparse {
 		// The bit-exact sampler has no aggregate regime; refuse to
-		// materialize windows whose expected fault count would dwarf the
-		// memo budget and stream them per pattern instead.
+		// materialize windows whose expected fault count exceeds
+		// maxEnumFaults and stream them per pattern instead.
 		expected := 0.0
 		s.segments(0, words, func(lo, hi uint64, in bool) {
 			p, _ := s.regionParams(in)
@@ -327,3 +337,22 @@ func (a *enumAggregate) patternSplit(d float64, sig uint64) (flips pattern.Flips
 	}
 	return flips, fw
 }
+
+// SharedEnumeration is Enumerate(nil, ...). It exists only until the
+// benchmark harness (perfbench) stops naming it; see the seam item in
+// ROADMAP.md.
+func (m *Model) SharedEnumeration(stack, pc int, v float64, rep, words uint64) *Enumeration {
+	return m.Enumerate(nil, stack, pc, v, rep, words)
+}
+
+// EnumStats is the counter set the benchmark harness (perfbench)
+// reads. No enumeration is memoized, so every field stays zero. It
+// exists, with EnumStoreStats, only until perfbench stops naming them;
+// see the seam item in ROADMAP.md.
+type EnumStats struct {
+	Hits, Misses, Coalesced, Computes uint64
+	MaxBytes                          int64
+}
+
+// EnumStoreStats returns the zero EnumStats.
+func EnumStoreStats() EnumStats { return EnumStats{} }

@@ -3,9 +3,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"hbmvolt/internal/pattern"
@@ -51,7 +48,7 @@ func TestEnumerationExactBitIdentical(t *testing.T) {
 	for _, pc := range []struct{ stack, pc int }{{1, 2}, {0, 1}} {
 		for _, v := range []float64{0.93, 0.90, 0.87, 0.85} {
 			for rep := uint64(0); rep < 2; rep++ {
-				e := m.Enumerate(pc.stack, pc.pc, v, rep, words)
+				e := m.Enumerate(nil, pc.stack, pc.pc, v, rep, words)
 				if e.Aggregated() {
 					t.Fatalf("bit-exact enumeration aggregated at %vV", v)
 				}
@@ -81,7 +78,7 @@ func TestEnumerationSparsePositionalIdentical(t *testing.T) {
 	m := sparseModel(t, 0, words)
 	for _, v := range []float64{0.93, 0.91, 0.90, 0.89} {
 		for rep := uint64(0); rep < 2; rep++ {
-			e := m.Enumerate(1, 2, v, rep, words)
+			e := m.Enumerate(nil, 1, 2, v, rep, words)
 			if e.Aggregated() {
 				t.Skipf("aggregate regime engaged at %vV for this window; covered by the statistical test", v)
 			}
@@ -115,7 +112,7 @@ func TestEnumerationStatisticalEquivalence(t *testing.T) {
 	}{
 		{1, 2, 0.90}, {0, 4, 0.92}, {0, 12, 0.87}, {0, 1, 0.85}, {0, 3, 0.845},
 	} {
-		e := m.Enumerate(c.stack, c.pc, c.v, 0, words)
+		e := m.Enumerate(nil, c.stack, c.pc, c.v, 0, words)
 		aggregated = aggregated || e.Aggregated()
 		f10, _, ok := e.PatternFlips(pattern.AllOnes())
 		if !ok {
@@ -157,7 +154,7 @@ func TestEnumerationStatisticalEquivalence(t *testing.T) {
 func TestEnumerationAggregateSharedAcrossPatterns(t *testing.T) {
 	const words = 1 << 18
 	m := sparseModel(t, 5, words)
-	e := m.Enumerate(0, 3, 0.85, 0, words)
+	e := m.Enumerate(nil, 0, 3, 0.85, 0, words)
 	if !e.Aggregated() {
 		t.Fatal("0.85V window did not aggregate; test is vacuous")
 	}
@@ -186,12 +183,12 @@ func TestEnumerationUnknownDensity(t *testing.T) {
 	opaque := opaquePattern{}
 	const words = 1 << 18
 	m := sparseModel(t, 5, words)
-	if e := m.Enumerate(0, 3, 0.85, 0, words); !e.Aggregated() {
+	if e := m.Enumerate(nil, 0, 3, 0.85, 0, words); !e.Aggregated() {
 		t.Fatal("expected aggregate segments at 0.85V")
 	} else if _, _, ok := e.PatternFlips(opaque); ok {
 		t.Fatal("aggregate window accepted a pattern with unknown density")
 	}
-	if e := m.Enumerate(1, 2, 0.90, 0, 1<<13); e.Aggregated() {
+	if e := m.Enumerate(nil, 1, 2, 0.90, 0, 1<<13); e.Aggregated() {
 		t.Skip("small window unexpectedly aggregated")
 	} else if _, _, ok := e.PatternFlips(opaque); !ok {
 		t.Fatal("fully enumerated window refused a density-less pattern")
@@ -203,153 +200,6 @@ type opaquePattern struct{}
 
 func (opaquePattern) Word(addr uint64) pattern.Word { return pattern.Word{addr} }
 func (opaquePattern) Name() string                  { return "opaque" }
-
-// TestEnumStoreSingleflight: N concurrent requesters of one key must
-// trigger exactly one computation and observe the same result.
-func TestEnumStoreSingleflight(t *testing.T) {
-	store := newEnumStore(1 << 20)
-	var computes atomic.Int64
-	release := make(chan struct{})
-	key := EnumKey{Fingerprint: 1, VBits: 2}
-	const n = 16
-	results := make([]*Enumeration, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = store.get(key, func() *Enumeration {
-				computes.Add(1)
-				<-release // hold the computation until everyone queued
-				return &Enumeration{words: 7}
-			})
-		}(i)
-	}
-	// Wait until one computation is in flight, then let it finish. The
-	// other requesters either coalesce onto it or (arriving later) hit
-	// the published entry — either way, one compute.
-	for store.stats().Misses == 0 {
-		runtime.Gosched()
-	}
-	close(release)
-	wg.Wait()
-	if got := computes.Load(); got != 1 {
-		t.Fatalf("%d computations for one key, want 1", got)
-	}
-	for i, e := range results {
-		if e != results[0] {
-			t.Fatalf("requester %d got a different enumeration", i)
-		}
-	}
-	st := store.stats()
-	if st.Computes != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want one miss and one compute", st)
-	}
-	if st.Hits+st.Coalesced != n-1 {
-		t.Fatalf("stats = %+v: hits+coalesced = %d, want %d", st, st.Hits+st.Coalesced, n-1)
-	}
-}
-
-// TestEnumStoreLRUEviction pins the byte accounting: inserts beyond the
-// budget evict oldest-first, the byte counter always equals the sum of
-// retained sizes, and the newest entry survives even when oversized.
-func TestEnumStoreLRUEviction(t *testing.T) {
-	mk := func(faults int) *Enumeration {
-		return &Enumeration{faults: make([]uint64, faults)}
-	}
-	unit := int64(mk(100).SizeBytes())
-	store := newEnumStore(3 * unit)
-	key := func(i int) EnumKey { return EnumKey{Fingerprint: uint64(i)} }
-	for i := 0; i < 5; i++ {
-		store.get(key(i), func() *Enumeration { return mk(100) })
-	}
-	st := store.stats()
-	if st.Entries != 3 || st.Bytes != 3*unit {
-		t.Fatalf("after 5 same-size inserts: %+v, want 3 entries / %d bytes", st, 3*unit)
-	}
-	if st.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", st.Evictions)
-	}
-	// Keys 0 and 1 evicted, 2..4 retained: re-requesting 2 must hit.
-	store.get(key(2), func() *Enumeration { t.Fatal("retained key recomputed"); return nil })
-	// Re-requesting 0 recomputes (it was evicted).
-	recomputed := false
-	store.get(key(0), func() *Enumeration { recomputed = true; return mk(100) })
-	if !recomputed {
-		t.Fatal("evicted key served from cache")
-	}
-	// An oversized entry evicts everything else but itself survives.
-	store.get(key(99), func() *Enumeration { return mk(10000) })
-	st = store.stats()
-	if st.Entries != 1 {
-		t.Fatalf("oversized insert left %d entries, want 1", st.Entries)
-	}
-	if st.Bytes != int64(mk(10000).SizeBytes()) {
-		t.Fatalf("byte accounting drifted: %d", st.Bytes)
-	}
-}
-
-// TestEnumStoreConcurrent hammers the store from many goroutines over
-// a small key space with a tight byte budget, so gets, inserts and
-// evictions interleave — the -race gate for the memo.
-func TestEnumStoreConcurrent(t *testing.T) {
-	store := newEnumStore(2048)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				k := EnumKey{Fingerprint: uint64(i % 7), Rep: uint64(g % 2)}
-				e := store.get(k, func() *Enumeration {
-					return &Enumeration{words: k.Fingerprint, faults: make([]uint64, 16)}
-				})
-				if e.words != k.Fingerprint {
-					t.Errorf("wrong enumeration for key %+v", k)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	st := store.stats()
-	if st.Bytes > 2048+int64((&Enumeration{faults: make([]uint64, 16)}).SizeBytes()) {
-		t.Fatalf("byte budget exceeded: %+v", st)
-	}
-}
-
-// memoRuns counts TestSharedEnumerationMemoized invocations. The
-// process-wide store outlives a run, so under -count=N each run takes a
-// fresh seed and its keys are new to the store.
-var memoRuns atomic.Uint64
-
-// TestSharedEnumerationMemoized: two models with equal fingerprints
-// resolve to one process-wide entry; distinct reps and voltages get
-// distinct entries.
-func TestSharedEnumerationMemoized(t *testing.T) {
-	const words = 1 << 10
-	seed := 1301 + (memoRuns.Add(1)-1)<<32
-	m1 := sparseModel(t, seed, words)
-	m2 := sparseModel(t, seed, words)
-	if m1.Fingerprint() != m2.Fingerprint() {
-		t.Fatal("equal configs fingerprint differently")
-	}
-	before := EnumStoreStats()
-	e1 := m1.SharedEnumeration(1, 2, 0.90, 0, words)
-	e2 := m2.SharedEnumeration(1, 2, 0.90, 0, words)
-	if e1 != e2 {
-		t.Fatal("equal-fingerprint models did not share the enumeration")
-	}
-	if d := EnumStoreStats().Computes - before.Computes; d != 1 {
-		t.Fatalf("%d computes for one shared key, want 1", d)
-	}
-	if m1.SharedEnumeration(1, 2, 0.90, 1, words) == e1 {
-		t.Fatal("distinct reps shared an enumeration")
-	}
-	if m1.SharedEnumeration(1, 2, 0.89, 0, words) == e1 {
-		t.Fatal("distinct voltages shared an enumeration")
-	}
-}
 
 // BenchmarkSharedVsIsolatedEnumeration quantifies the tentpole win: at
 // one voltage point, evaluating P patterns costs P full fault
@@ -374,7 +224,7 @@ func BenchmarkSharedVsIsolatedEnumeration(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("shared/%.2fV", v), func(b *testing.B) {
 			b.ReportAllocs()
-			e := m.Enumerate(1, 2, v, 0, words)
+			e := m.Enumerate(nil, 1, 2, v, 0, words)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, pat := range pats {
@@ -390,13 +240,13 @@ func BenchmarkSharedVsIsolatedEnumeration(b *testing.B) {
 
 // TestEnumerationExactStreamsWhenDense: a bit-exact window whose
 // expected fault count exceeds the materialization budget spills to
-// streaming mode — tiny memo entry, bit-identical statistics.
+// streaming mode — no fault list, bit-identical statistics.
 func TestEnumerationExactStreamsWhenDense(t *testing.T) {
 	const words = 1 << 17 // ×256 bits ×~12.5% stuck at 0.85V ≈ 4M faults
 	cfg := DefaultConfig()
 	cfg.Geometry = Geometry{WordsPerPC: words, WordsPerRow: 32}
 	m := MustNew(cfg)
-	e := m.Enumerate(0, 3, 0.85, 0, words)
+	e := m.Enumerate(nil, 0, 3, 0.85, 0, words)
 	if !e.Streamed() {
 		t.Fatal("dense bit-exact window did not spill to streaming mode")
 	}
@@ -416,52 +266,100 @@ func TestEnumerationExactStreamsWhenDense(t *testing.T) {
 	}
 	// A sparse window of the same shape keeps using the aggregate
 	// regime, never the spill.
-	if es := sparseModel(t, 0, words).Enumerate(0, 3, 0.85, 0, words); es.Streamed() {
+	if es := sparseModel(t, 0, words).Enumerate(nil, 0, 3, 0.85, 0, words); es.Streamed() {
 		t.Fatal("sparse window spilled; aggregate regime should bound it")
 	}
 }
 
-// TestEnumStorePanicSafety: a panicking computation must propagate to
-// its caller, release concurrent waiters loudly, and leave the key
-// retryable instead of wedged.
-func TestEnumStorePanicSafety(t *testing.T) {
-	store := newEnumStore(1 << 20)
-	key := EnumKey{Fingerprint: 0xbad}
-	waiterPanicked := make(chan bool, 1)
-	go func() {
-		defer func() { waiterPanicked <- recover() != nil }()
-		for {
-			store.mu.Lock()
-			_, inflight := store.inflight[key]
-			store.mu.Unlock()
-			if inflight {
-				break
-			}
-			runtime.Gosched()
-		}
-		store.get(key, func() *Enumeration { t.Error("waiter recomputed"); return nil })
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("computing caller did not observe the panic")
-			}
-		}()
-		store.get(key, func() *Enumeration {
-			// Hold the computation until the waiter has coalesced onto
-			// it (bounded spin; the panic path is correct either way).
-			for i := 0; i < 10000 && store.stats().Coalesced == 0; i++ {
-				runtime.Gosched()
-			}
-			panic("compute failed")
-		})
-	}()
-	if !<-waiterPanicked {
-		t.Fatal("waiter returned silently from a panicked computation")
+// enumWindow is one (model, pseudo channel, voltage, rep, size) window
+// an Enumeration covers.
+type enumWindow struct {
+	m         *Model
+	stack, pc int
+	v         float64
+	rep       uint64
+	words     uint64
+}
+
+func (w enumWindow) enumerate(dst *Enumeration) *Enumeration {
+	return w.m.Enumerate(dst, w.stack, w.pc, w.v, w.rep, w.words)
+}
+
+// TestEnumerateIntoReusedDst: refilling a used Enumeration must leave
+// no trace of its previous window. Each case fills dst from one window
+// and then enumerates a different window into it; every observable of
+// the refilled dst — PatternFlips for every built-in pattern,
+// FaultCount, Aggregated, Streamed and SizeBytes — must equal a fresh
+// Enumerate(nil, ...) of the second window, and a fault list that fits
+// must reuse dst's buffer. (A streamed window is only ever the first:
+// its pattern passes re-walk every cell, seconds per case, and they
+// read neither buffer the reset clears.)
+func TestEnumerateIntoReusedDst(t *testing.T) {
+	const exactWords = 1 << 17 // TestEnumerationExactStreamsWhenDense's shape
+	exact := DefaultConfig()
+	exact.Geometry = Geometry{WordsPerPC: exactWords, WordsPerRow: 32}
+	windows := map[string]enumWindow{
+		"dense":      {m: sparseModel(t, 5, 1<<13), stack: 1, pc: 2, v: 0.88, words: 1 << 13},
+		"dense-rep1": {m: sparseModel(t, 5, 1<<13), stack: 1, pc: 2, v: 0.89, rep: 1, words: 1 << 12},
+		"aggregated": {m: sparseModel(t, 5, 1<<16), stack: 0, pc: 3, v: 0.85, words: 1 << 16},
+		"streamed":   {m: MustNew(exact), stack: 0, pc: 3, v: 0.85, words: exactWords},
 	}
-	// The key is not wedged: a retry computes fresh.
-	e := store.get(key, func() *Enumeration { return &Enumeration{words: 9} })
-	if e == nil || e.words != 9 {
-		t.Fatal("retry after panic did not recompute")
+	// The windows must be what their names say, or the cases below test
+	// less than they claim.
+	for name, want := range map[string][3]bool{ // faults, aggregated, streamed
+		"dense":      {true, false, false},
+		"dense-rep1": {true, false, false},
+		"aggregated": {true, true, false},
+		"streamed":   {false, false, true},
+	} {
+		e := windows[name].enumerate(nil)
+		if got := [3]bool{e.FaultCount() > 0, e.Aggregated(), e.Streamed()}; got != want {
+			t.Fatalf("window %s: (faults, aggregated, streamed) = %v, want %v", name, got, want)
+		}
+	}
+	var builtins []pattern.Pattern
+	for _, name := range []string{"all1", "all0", "checker", "walk1", "walk0", "addr", "rand7"} {
+		pat, err := pattern.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builtins = append(builtins, pat)
+	}
+
+	tests := []struct {
+		name       string
+		fill, then string
+	}{
+		{"dense sparse then aggregated", "dense", "aggregated"},
+		{"aggregated then dense sparse", "aggregated", "dense"},
+		{"streamed then dense sparse", "streamed", "dense"},
+		{"dense sparse then a smaller window", "dense", "dense-rep1"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			dst := windows[tt.fill].enumerate(nil)
+			capBefore := cap(dst.faults)
+			got := windows[tt.then].enumerate(dst)
+			if got != dst {
+				t.Fatal("Enumerate did not return its dst")
+			}
+			want := windows[tt.then].enumerate(nil)
+			if got.FaultCount() != want.FaultCount() || got.Aggregated() != want.Aggregated() ||
+				got.Streamed() != want.Streamed() || got.SizeBytes() != want.SizeBytes() || got.Words() != want.Words() {
+				t.Fatalf("refilled (faults %d, aggregated %v, streamed %v, %d bytes, %d words), fresh (%d, %v, %v, %d, %d)",
+					got.FaultCount(), got.Aggregated(), got.Streamed(), got.SizeBytes(), got.Words(),
+					want.FaultCount(), want.Aggregated(), want.Streamed(), want.SizeBytes(), want.Words())
+			}
+			if want.FaultCount() <= capBefore && cap(got.faults) != capBefore {
+				t.Errorf("fault buffer reallocated: cap %d -> %d for %d faults", capBefore, cap(got.faults), want.FaultCount())
+			}
+			for _, pat := range builtins {
+				gf, gw, gok := got.PatternFlips(pat)
+				wf, ww, wok := want.PatternFlips(pat)
+				if gf != wf || gw != ww || gok != wok {
+					t.Errorf("%s: refilled (%+v, %d, %v), fresh (%+v, %d, %v)", pat.Name(), gf, gw, gok, wf, ww, wok)
+				}
+			}
+		})
 	}
 }

@@ -353,7 +353,7 @@ func TestBitmapKernelMatchesStableSortOracle(t *testing.T) {
 					}
 				}
 			}
-			if e := m.Enumerate(stack, pc, v, rep, words); !e.Aggregated() {
+			if e := m.Enumerate(nil, stack, pc, v, rep, words); !e.Aggregated() {
 				want := packStream(func(visit func(uint64, CellFault)) { oracleRange(s, 0, words, visit) })
 				if !slices.Equal(e.faults, want) {
 					t.Fatalf("wpr %d seed %#x pc %d/%d %vV rep %d: Enumerate differs from the stable-sort oracle",
@@ -433,7 +433,7 @@ func TestCheckUniformRangeSparseZeroAllocs(t *testing.T) {
 	}
 	const words = 1 << 16
 	m := sparseModel(t, 23, words)
-	if e := m.Enumerate(1, 2, 0.90, 0, words); e.FaultCount() == 0 || e.Aggregated() {
+	if e := m.Enumerate(nil, 1, 2, 0.90, 0, words); e.FaultCount() == 0 || e.Aggregated() {
 		t.Fatalf("window has %d enumerated faults (aggregated %v); want a faulted enumerated-regime window",
 			e.FaultCount(), e.Aggregated())
 	}

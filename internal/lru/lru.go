@@ -1,7 +1,7 @@
 // Package lru provides the byte-bounded LRU index shared by the sweep
-// service's result cache (internal/service) and the fault model's
-// enumeration memo store (internal/faults): one eviction policy, one
-// byte-accounting implementation, so the two caches cannot drift.
+// service's two result-cache tiers, memory and disk (internal/service):
+// one eviction policy, one byte-accounting implementation, so the two
+// tiers cannot drift.
 //
 // Policy: entries are weighed by a caller-supplied byte size; Add
 // evicts least-recently-used entries while either bound (entries or
@@ -11,7 +11,7 @@
 // determinism contracts make a key's value immutable).
 //
 // A Cache is NOT safe for concurrent use; callers hold their own locks
-// (both consumers already serialize access alongside counters of their
+// (both tiers already serialize access alongside counters of their
 // own).
 package lru
 

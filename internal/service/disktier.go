@@ -96,7 +96,7 @@ func NewDiskTier(dir string, maxBytes int64, logger *tlog.Logger) (*DiskTier, er
 		d.evicted++
 		if err := os.Remove(d.path(key)); err != nil && !os.IsNotExist(err) {
 			d.log.Warn("unlinking evicted entry failed",
-				tlog.F("event", "evict_unlink_failed"), tlog.F("key", formatKey(key)), tlog.Err(err))
+				tlog.F("event", "evict_unlink_failed"), tlog.F("key", FormatKey(key)), tlog.Err(err))
 		}
 	})
 	if err := d.recover(); err != nil {
@@ -154,7 +154,7 @@ func (d *DiskTier) recover() error {
 			os.Remove(full)
 			d.discarded++
 			d.log.Warn("recovery discarded entry: header key does not match filename",
-				tlog.F("event", "discarded"), tlog.F("file", name), tlog.F("header_key", formatKey(key)))
+				tlog.F("event", "discarded"), tlog.F("file", name), tlog.F("header_key", FormatKey(key)))
 			continue
 		}
 		d.index.Add(key, int64(len(payload)), int64(len(payload)))
@@ -229,11 +229,11 @@ func (d *DiskTier) Get(key uint64) ([]byte, bool) {
 		d.index.Remove(key)
 		if rmErr := os.Remove(d.path(key)); rmErr != nil && !os.IsNotExist(rmErr) {
 			d.log.Warn("removing corrupt entry failed",
-				tlog.F("event", "discard_unlink_failed"), tlog.F("key", formatKey(key)), tlog.Err(rmErr))
+				tlog.F("event", "discard_unlink_failed"), tlog.F("key", FormatKey(key)), tlog.Err(rmErr))
 		}
 		d.discarded++
 		d.log.Warn("discarded entry on read; will recompute",
-			tlog.F("event", "discarded"), tlog.F("key", formatKey(key)), tlog.Err(err))
+			tlog.F("event", "discarded"), tlog.F("key", FormatKey(key)), tlog.Err(err))
 		return nil, false
 	}
 	return payload, true
@@ -251,7 +251,7 @@ func (d *DiskTier) Put(key uint64, payload []byte) {
 	}
 	if err := d.write(key, payload); err != nil {
 		d.log.Warn("writing entry failed; entry not persisted",
-			tlog.F("event", "write_failed"), tlog.F("key", formatKey(key)), tlog.Err(err))
+			tlog.F("event", "write_failed"), tlog.F("key", FormatKey(key)), tlog.Err(err))
 		return
 	}
 	d.index.Add(key, int64(len(payload)), int64(len(payload)))

@@ -156,7 +156,7 @@ func (j *Job) Snapshot() JobStatus {
 	st := JobStatus{
 		ID:       j.ID,
 		Kind:     j.Req.Kind,
-		Key:      formatKey(j.Key),
+		Key:      FormatKey(j.Key),
 		State:    j.state,
 		Error:    j.errMsg,
 		ServedBy: j.serve.ServedBy,
@@ -545,7 +545,7 @@ func (m *Manager) SubmitOpts(req SweepRequest, opts SubmitOptions) (job *Job, co
 		j.events = []Event{{Type: string(StateDone)}}
 		if opts.TraceID != "" {
 			m.rec.Record(opts.TraceID, "cache.lookup", map[string]string{
-				"tier": tier, "key": formatKey(key),
+				"tier": tier, "key": FormatKey(key),
 			})
 		}
 		m.submitted(opts.TraceID, j, "cache_hit")
@@ -556,8 +556,8 @@ func (m *Manager) SubmitOpts(req SweepRequest, opts SubmitOptions) (job *Job, co
 	j := m.newJobLocked(key, req, cancel)
 	j.trace = opts.TraceID
 	// The run context carries the trace and this node's recorder, so
-	// every layer under the sweep — fleet forward, enum-store lookup —
-	// can attach spans to the submission's trace.
+	// every layer under the sweep — the fleet forward — can attach
+	// spans to the submission's trace.
 	j.runCtx = telemetry.WithRecorder(telemetry.WithTrace(ctx, opts.TraceID), m.rec)
 	j.noForward = opts.NoForward
 	select {
@@ -583,7 +583,7 @@ func (m *Manager) submitted(trace string, j *Job, outcome string) {
 		return
 	}
 	m.rec.Record(trace, "job.submit", map[string]string{
-		"outcome": outcome, "job": j.ID, "key": formatKey(j.Key),
+		"outcome": outcome, "job": j.ID, "key": FormatKey(j.Key),
 	})
 }
 
@@ -762,7 +762,7 @@ func (m *Manager) runJob(j *Job) {
 		final, payload, errMsg = StateFailed, nil, err.Error()
 		m.logger.WithTrace(j.runCtx).Warn("job failed",
 			tlog.F("job", j.ID), tlog.F("kind", j.Req.Kind),
-			tlog.F("key", formatKey(j.Key)), tlog.Err(err))
+			tlog.F("key", FormatKey(j.Key)), tlog.Err(err))
 	}
 	m.met.completed.With(string(final)).Inc()
 	if j.trace != "" {
@@ -804,7 +804,7 @@ func (m *Manager) sweepPayload(ctx context.Context, j *Job) ([]byte, error) {
 	onPoint := func(p core.SweepProgress) {
 		j.appendEvent(Event{Type: "progress", SweepProgress: p})
 	}
-	env := Envelope{Kind: req.Kind, Key: formatKey(j.Key)}
+	env := Envelope{Kind: req.Kind, Key: FormatKey(j.Key)}
 	env.Request = req
 	env.Request.Workers = 0
 

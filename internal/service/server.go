@@ -227,7 +227,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	serveHeaders(w, j)
 	WriteJSON(w, status, SubmitResponse{
 		ID:        j.ID,
-		Key:       formatKey(j.Key),
+		Key:       FormatKey(j.Key),
 		State:     j.State(),
 		Coalesced: coalesced,
 		CacheHit:  cacheHit,

@@ -77,9 +77,8 @@ type SweepRequest struct {
 	// default sparse enumeration ("mode" in the cache key).
 	Exact bool `json:"exact,omitempty"`
 	// Shared evaluates every pattern of a voltage point from one
-	// pattern-agnostic stuck-cell enumeration, memoized process-wide by
-	// (fingerprint × voltage) sub-key — the sweep planner's
-	// computation-sharing mode (reliability only). On the sparse sampler
+	// pattern-agnostic stuck-cell enumeration per (port, rep) — the
+	// sweep planner's computation-sharing mode (reliability only). On the sparse sampler
 	// shared sweeps are a distinct (statistically identical, separately
 	// golden-pinned) realization, so Shared is part of the cache key; on
 	// the bit-exact sampler results are bit-identical to the legacy path
@@ -309,5 +308,3 @@ func DecodeResult(payload []byte) (*Envelope, error) {
 
 // FormatKey renders a cache key the way the API does (16 hex digits).
 func FormatKey(key uint64) string { return fmt.Sprintf("%016x", key) }
-
-func formatKey(key uint64) string { return FormatKey(key) }

@@ -5,13 +5,10 @@ package service
 // surface. Nothing registered here ever feeds into cache keys,
 // payloads, or manifests (the determinism contract).
 
-import (
-	"hbmvolt/internal/faults"
-	"hbmvolt/internal/telemetry"
-)
+import "hbmvolt/internal/telemetry"
 
 // serviceMetrics bundles the manager's live instruments. Samplers over
-// pre-existing counters (cache tiers, enum store, queue) are registered
+// pre-existing counters (cache tiers, queue) are registered
 // separately by registerSamplers once the manager exists.
 type serviceMetrics struct {
 	// submitted counts submissions by resolution: accepted (queued for
@@ -61,7 +58,7 @@ func newServiceMetrics(r *telemetry.Registry) *serviceMetrics {
 }
 
 // registerSamplers exposes the manager's live state — queue, job
-// table, cache tiers, shared enum store — as sampler-backed families
+// table, cache tiers — as sampler-backed families
 // that read the live structures at scrape time.
 func (m *Manager) registerSamplers() {
 	one := func(v float64) []telemetry.Sample { return []telemetry.Sample{{Value: v}} }
@@ -107,8 +104,6 @@ func (m *Manager) registerSamplers() {
 			"Disk-tier entries discarded as torn or corrupt (boot scan and read-time verification).", nil,
 			func() []telemetry.Sample { return one(float64(disk.Stats().Discarded)) })
 	}
-
-	faults.RegisterEnumMetrics(m.reg)
 }
 
 // Metrics returns the registry this manager's instruments live in —

@@ -114,8 +114,8 @@ func SizeBuckets() []float64 {
 
 // Sample is one series emitted by a sampler-backed family: label
 // values (matching the family's label names) plus the current value.
-// Samplers let existing atomic counters (fleet peers, enum store,
-// disk tiers) surface in /metrics without double accounting.
+// Samplers let existing atomic counters (fleet peers, cache and disk
+// tiers) surface in /metrics without double accounting.
 type Sample struct {
 	Labels []string
 	Value  float64
