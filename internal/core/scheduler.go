@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"hbmvolt/internal/board"
+	"hbmvolt/internal/faults"
 )
 
 // SweepProgress reports one completed voltage point of a running sweep.
@@ -84,6 +85,8 @@ func (p *progressTracker) completed(pt VoltagePoint) {
 // each worker owns its board exclusively, writes results into its grid
 // slot, and the first error cancels the rest of the sweep. The ports of
 // a point run in order here: the fleet already keeps the cores busy.
+// Each worker also owns one shared-enumeration buffer, refilled by every
+// point it evaluates.
 func runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, workers int) (err error) {
 	boards := make([]*board.Board, workers)
 	boards[0] = cfg.Board
@@ -129,8 +132,9 @@ func runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityRes
 		wg.Add(1)
 		go func(b *board.Board) {
 			defer wg.Done()
+			var buf faults.Enumeration
 			for i := range tasks {
-				pt, perr := runVoltagePoint(ctx, b, cfg, cfg.Grid[i], false)
+				pt, perr := runVoltagePoint(ctx, b, cfg, cfg.Grid[i], false, &buf)
 				if perr != nil {
 					fail(perr)
 					return

@@ -8,10 +8,11 @@ package core
 // property of the silicon that no written pattern can change. The
 // shared path computes the pattern-agnostic stuck-cell enumeration of
 // each (port, rep) once and derives every pattern's flip statistics
-// from it with an allocation-free mask pass. A voltage point with P
-// patterns costs one physics evaluation instead of P. The point's
-// enumerations are refilled into one buffer, so a point allocates for
-// its largest window once rather than for every (port, rep).
+// from it with an allocation-free popcount pass over per-lane stuck-cell
+// masks. A voltage point with P patterns costs one physics evaluation
+// instead of P. Every enumeration of a sweep worker is refilled into the
+// worker's one buffer, so a sweep allocates for its largest window once
+// rather than for every voltage point or (port, rep).
 
 import (
 	"fmt"
@@ -31,9 +32,10 @@ import (
 // Like the legacy path, the outcome is a pure function of (voltage,
 // pattern set, port set, batch size) and the board's seeded
 // configuration, so sharded sweeps stay bit-identical at any worker
-// count. The enumeration buffer is local to the call, so sharded
-// workers never share it.
-func sharedVoltagePoint(b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint) (VoltagePoint, error) {
+// count. buf is the calling worker's enumeration buffer: each
+// Enumerate resets it, so what an earlier point left there never
+// reaches this one, and no two workers share one.
+func sharedVoltagePoint(b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint, buf *faults.Enumeration) (VoltagePoint, error) {
 	fm := b.Faults
 	vEff := b.Regulator.Vout()
 	words := cfg.WordsPerPort
@@ -49,13 +51,12 @@ func sharedVoltagePoint(b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint)
 		}
 	}
 
-	var buf faults.Enumeration
 	for rep := 0; rep < batch; rep++ {
 		for i, port := range cfg.Ports {
 			stack, pc := port.StackPC(b.Org)
 			// One physics evaluation per (port, rep); every pattern below
 			// derives from it before the next one refills buf.
-			e := fm.Enumerate(&buf, stack, pc, vEff, uint64(rep), words)
+			e := fm.Enumerate(buf, stack, pc, vEff, uint64(rep), words)
 			for pi, pat := range cfg.Patterns {
 				f, fw, ok := e.PatternFlips(pat)
 				if !ok {

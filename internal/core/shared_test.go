@@ -26,28 +26,40 @@ func sharedCfg(b *board.Board, workers int) ReliabilityConfig {
 }
 
 // TestSharedSweepBitIdenticalAcrossWorkers pins the shared mode's
-// sharding contract at the acceptance worker counts: -j {1, 8} (and 2)
-// produce bit-identical results, crashes included.
+// sharding contract at the acceptance worker counts: -j {1, 8} (and 2,
+// and 3, which does not divide the grid) produce bit-identical results,
+// crashes included. Every worker refills one enumeration buffer, so the
+// second grid steps from dense low-voltage points back up to sparse
+// ones: a refill that kept anything of the previous point would show.
 func TestSharedSweepBitIdenticalAcrossWorkers(t *testing.T) {
-	grid := append([]float64{0.93, 0.90, 0.87}, 0.80) // 0.80 crashes
-	run := func(workers int) *ReliabilityResult {
-		t.Helper()
-		b := board.MustNew(board.Config{Scale: 1024, SparseFaults: true})
-		cfg := sharedCfg(b, workers)
-		cfg.Grid = grid
-		res, err := RunReliability(t.Context(), cfg)
-		if err != nil {
-			t.Fatal(err)
+	grids := [][]float64{
+		{0.93, 0.90, 0.87, 0.80}, // 0.80 crashes
+		{0.85, 0.95, 0.87, 0.93, 0.80, 0.91},
+	}
+	for _, grid := range grids {
+		run := func(workers int) *ReliabilityResult {
+			t.Helper()
+			b := board.MustNew(board.Config{Scale: 1024, SparseFaults: true})
+			cfg := sharedCfg(b, workers)
+			cfg.Grid = grid
+			res, err := RunReliability(t.Context(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	ref := run(1)
-	if !ref.Points[len(ref.Points)-1].Crashed {
-		t.Fatal("0.80V did not crash; sweep under-covers the ladder")
-	}
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !reflect.DeepEqual(ref, got) {
-			t.Errorf("shared sweep at %d workers differs from sequential", workers)
+		ref := run(1)
+		crashed := false
+		for _, pt := range ref.Points {
+			crashed = crashed || pt.Crashed
+		}
+		if !crashed {
+			t.Fatalf("grid %v: 0.80V did not crash; sweep under-covers the ladder", grid)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			if got := run(workers); !reflect.DeepEqual(ref, got) {
+				t.Errorf("grid %v: shared sweep at %d workers differs from sequential", grid, workers)
+			}
 		}
 	}
 }

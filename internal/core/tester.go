@@ -208,11 +208,12 @@ func restoreNominal(b *board.Board, err *error) {
 func runSequential(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker) (err error) {
 	b := cfg.Board
 	defer restoreNominal(b, &err)
+	var buf faults.Enumeration
 	for i, v := range cfg.Grid {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pt, err := runVoltagePoint(ctx, b, cfg, v, true)
+		pt, err := runVoltagePoint(ctx, b, cfg, v, true, &buf)
 		if err != nil {
 			return err
 		}
@@ -239,8 +240,9 @@ func voltageBand(v float64) string {
 // of a fleet evaluates it nor on which points ran before, which is the
 // invariant that makes sharded sweeps bit-identical to sequential ones.
 // ctx carries profiling labels (mode, voltage band); it never influences
-// the outcome, and neither does parallelPorts (see runPorts).
-func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, v float64, parallelPorts bool) (VoltagePoint, error) {
+// the outcome, and neither does parallelPorts (see runPorts) or what buf
+// (the worker's shared-enumeration buffer) held before.
+func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, v float64, parallelPorts bool, buf *faults.Enumeration) (VoltagePoint, error) {
 	if err := b.SetHBMVoltage(v); err != nil {
 		return VoltagePoint{}, fmt.Errorf("core: setting %vV: %w", v, err)
 	}
@@ -262,7 +264,7 @@ func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig
 	var err error
 	pprof.Do(ctx, pprof.Labels("hbmvolt_mode", mode, "hbmvolt_vband", voltageBand(v)), func(ctx context.Context) {
 		if cfg.SharedEnumeration {
-			pt, err = sharedVoltagePoint(b, cfg, pt)
+			pt, err = sharedVoltagePoint(b, cfg, pt, buf)
 		} else {
 			pt, err = isolatedVoltagePoint(ctx, b, cfg, pt, parallelPorts)
 		}

@@ -10,10 +10,11 @@ package faults
 // cell exactly where a 0 was. The legacy samplers ignore that structure
 // and re-enumerate the whole fault set once per pattern test; an
 // Enumeration computes the pattern-agnostic stuck-cell realization of
-// one (pseudo channel, voltage, batch rep) window once, and every
-// pattern's Flips are then derived in a tight allocation-free pass
-// whose 1→0 vs 0→1 classification is a mask op against the pattern
-// word.
+// one (pseudo channel, voltage, batch rep) window once, as one pair of
+// 64-bit masks (stuck cells, stuck-at-1 cells) per faulted lane of a
+// word, and every pattern's Flips are then derived in a tight
+// allocation-free pass that counts each lane's 1→0 and 0→1 flips with
+// two popcounts against the pattern word.
 //
 // Determinism discipline: the enumerated (low-rate) regime consumes the
 // exact per-row draws the legacy sparse sampler consumes — and, on the
@@ -28,21 +29,22 @@ package faults
 
 import (
 	"math"
+	"math/bits"
 
 	"hbmvolt/internal/pattern"
 	"hbmvolt/internal/prf"
 )
 
-// packFault packs one stuck cell as addr<<9 | bit<<1 | polarity, so a
-// packed slice sorted ascending is sorted by (addr, bit) and a
-// per-pattern pass needs no pointer chasing.
-func packFault(addr uint64, f CellFault) uint64 {
-	p := uint64(0)
-	if f.Polarity == StuckAt1 {
-		p = 1
-	}
-	return addr<<9 | uint64(f.Bit)<<1 | p
+// laneMask is the stuck cells of one faulted 64-bit lane of a word:
+// key is addr<<2 | lane, so a slice ascending by key is ascending by
+// (addr, bit); set marks the lane's stuck cells and one those of them
+// stuck at 1 (one ⊆ set).
+type laneMask struct {
+	key, set, one uint64
 }
+
+// laneMaskBytes is the size of one laneMask.
+const laneMaskBytes = 24
 
 // enumAggregate is one high-rate segment whose stuck cells are drawn in
 // aggregate: the per-cell probabilities and the segment's drawn
@@ -55,30 +57,32 @@ type enumAggregate struct {
 }
 
 // maxEnumFaults bounds how many stuck cells one Enumeration will
-// materialize: 2M packed faults ≈ 16 MB. The sparse sampler never
-// approaches it (its aggregate regime caps every segment), but the
-// bit-exact sampler has no aggregate form — a full-scale window deep
-// in the bulk collapse holds tens of millions of stuck cells. Beyond
-// the bound the enumeration spills to streaming mode instead of growing
-// a buffer that large.
+// materialize. It stores one 24-byte entry per faulted lane, so 2M
+// stuck cells take 48 MB when no two share a lane and a few MB when
+// they cluster. The sparse sampler never approaches the bound (its
+// aggregate regime caps every segment), but the bit-exact sampler has
+// no aggregate form — a full-scale window deep in the bulk collapse
+// holds tens of millions of stuck cells. Beyond the bound the
+// enumeration spills to streaming mode instead of growing a buffer
+// that large.
 const maxEnumFaults = 1 << 21
 
 // Enumeration is the pattern-agnostic stuck-cell realization of the
 // word window [0, Words) of one pseudo channel at one (voltage, batch
-// rep): enumerated faults for low-rate segments, aggregate stuck-cell
-// draws for high-rate ones. Sweeps evaluating many patterns at one
-// voltage point derive all of them from one Enumeration (see
+// rep): per-lane stuck-cell masks for low-rate segments, aggregate
+// stuck-cell draws for high-rate ones. Sweeps evaluating many patterns
+// at one voltage point derive all of them from one Enumeration (see
 // PatternFlips). Enumerate may refill an Enumeration in place, so one
 // that is reused must stay with a single goroutine; between refills its
 // read methods are safe for concurrent use.
 type Enumeration struct {
-	words  uint64
-	faults []uint64 // packed, ascending by (addr, bit)
-	aggs   []enumAggregate
+	words uint64
+	lanes []laneMask // faulted lanes, ascending by key
+	aggs  []enumAggregate
 	// stream marks a bit-exact window too fault-dense to materialize
 	// (expected faults beyond maxEnumFaults): PatternFlips re-walks the
 	// sampler's keyed draws per pattern in O(1) memory instead — the
-	// legacy cost, bit-identical results, and no fault list.
+	// legacy cost, bit-identical results, and no lane list.
 	stream *Sampler
 }
 
@@ -87,7 +91,13 @@ func (e *Enumeration) Words() uint64 { return e.words }
 
 // FaultCount returns the number of individually enumerated stuck cells
 // (aggregate segments contribute counts, not positions).
-func (e *Enumeration) FaultCount() int { return len(e.faults) }
+func (e *Enumeration) FaultCount() int {
+	n := 0
+	for _, l := range e.lanes {
+		n += bits.OnesCount64(l.set)
+	}
+	return n
+}
 
 // Aggregated reports whether any segment of the window fell into the
 // aggregate regime; deriving flips then requires patterns with a known
@@ -100,10 +110,32 @@ func (e *Enumeration) Aggregated() bool { return len(e.aggs) > 0 }
 func (e *Enumeration) Streamed() bool { return e.stream != nil }
 
 // SizeBytes returns the approximate size of the enumeration's contents:
-// a header plus its packed faults and aggregate segments.
+// a header plus its lane masks and aggregate segments.
 func (e *Enumeration) SizeBytes() int {
 	const header = 64 // struct + slice headers + sampler pointer
-	return header + len(e.faults)*8 + len(e.aggs)*64
+	return header + len(e.lanes)*laneMaskBytes + len(e.aggs)*64
+}
+
+// addWord appends the faulted lanes of the word at addr, given the
+// word's stuck-cell and stuck-at-1 masks.
+func (e *Enumeration) addWord(addr uint64, set, one pattern.Word) {
+	for lane, m := range set {
+		if m != 0 {
+			e.lanes = append(e.lanes, laneMask{key: addr<<2 | uint64(lane), set: m, one: one[lane]})
+		}
+	}
+}
+
+// addFault ORs one stuck cell into its lane's entry. Cells must arrive
+// in ascending (address, bit) order, as RangeFaults yields them.
+func (e *Enumeration) addFault(addr uint64, f CellFault) {
+	key := addr<<2 | uint64(f.Bit>>6)
+	if n := len(e.lanes); n == 0 || e.lanes[n-1].key != key {
+		e.lanes = append(e.lanes, laneMask{key: key})
+	}
+	l := &e.lanes[len(e.lanes)-1]
+	l.set |= 1 << (f.Bit & 63)
+	l.one |= uint64(f.Polarity) << (f.Bit & 63)
 }
 
 // Enumerate computes the stuck-cell enumeration of (stack, pc) at
@@ -114,7 +146,7 @@ func (e *Enumeration) SizeBytes() int {
 // where counts are keyed pattern-agnostically.
 //
 // A nil dst allocates a new Enumeration. A non-nil dst is reset and
-// refilled, reusing its fault and aggregate buffers, and returned: a
+// refilled, reusing its lane and aggregate buffers, and returned: a
 // sweep that enumerates many windows one after another pays for its
 // largest window once instead of allocating every window afresh.
 func (m *Model) Enumerate(dst *Enumeration, stack, pc int, v float64, rep, words uint64) *Enumeration {
@@ -123,12 +155,9 @@ func (m *Model) Enumerate(dst *Enumeration, stack, pc int, v float64, rep, words
 	if e == nil {
 		e = &Enumeration{}
 	}
-	*e = Enumeration{words: words, faults: e.faults[:0], aggs: e.aggs[:0]}
+	*e = Enumeration{words: words, lanes: e.lanes[:0], aggs: e.aggs[:0]}
 	if !s.anyFaults || words == 0 {
 		return e
-	}
-	add := func(addr uint64, f CellFault) {
-		e.faults = append(e.faults, packFault(addr, f))
 	}
 	if !s.sparse {
 		// The bit-exact sampler has no aggregate regime; refuse to
@@ -143,10 +172,11 @@ func (m *Model) Enumerate(dst *Enumeration, stack, pc int, v float64, rep, words
 			e.stream = s
 			return e
 		}
-		s.RangeFaults(0, words, add)
+		s.RangeFaults(0, words, e.addFault)
 		return e
 	}
 	b := getRowBits(s.wordsPerRow)
+	wpr := s.wordsPerRow
 	s.segments(0, words, func(lo, hi uint64, in bool) {
 		p, t := s.regionParams(in)
 		if p <= 0 {
@@ -154,7 +184,15 @@ func (m *Model) Enumerate(dst *Enumeration, stack, pc int, v float64, rep, words
 		}
 		n := hi - lo
 		if lam := float64(n) * 256 * p; lam <= sparseEnumThreshold {
-			s.sparseRows(lo, hi, s.rowDraw(p, t), b, add)
+			d := s.rowDraw(p, t)
+			for r := lo / wpr; r*wpr < hi; r++ {
+				first, end := s.sparseRowFaults(r, lo, hi, d, b)
+				for w := first; w < end; w++ {
+					if set, one, ok := b.take(w); ok {
+						e.addWord(r*wpr+uint64(w), set, one)
+					}
+				}
+			}
 			return
 		}
 		// Aggregate regime: draw the segment's stuck-at-0/1 cell counts
@@ -192,9 +230,9 @@ func patternSig(pat pattern.Pattern) uint64 {
 // returns the total 1→0/0→1 flips and the number of words with at
 // least one flip.
 //
-// The enumerated part is a single allocation-free pass over the packed
-// fault list: per fault, one mask op against the pattern word decides
-// whether the stuck value differs from the written bit. Aggregate
+// The enumerated part is a single allocation-free pass over the lane
+// masks: per faulted lane, two popcounts against the pattern word count
+// the cells whose stuck value differs from the written bit. Aggregate
 // segments split their shared stuck-cell counts per pattern using the
 // pattern's ones density; ok is false — and the statistics incomplete —
 // only when such a segment exists and the pattern's density is unknown
@@ -225,25 +263,25 @@ func (e *Enumeration) PatternFlips(pat pattern.Pattern) (flips pattern.Flips, fa
 	return flips, faulty, true
 }
 
-// uniformFlips classifies the enumerated faults against one fixed
-// word: the hot path for the paper's all-1s/all-0s probes.
+// laneFlips counts one lane's flips under the written lane value wl: a
+// stuck-at-0 cell flips where a 1 was written, a stuck-at-1 cell where
+// a 0 was.
+func laneFlips(l laneMask, wl uint64) (d10, d01 int) {
+	return bits.OnesCount64(l.set &^ l.one & wl), bits.OnesCount64(l.one &^ wl)
+}
+
+// uniformFlips classifies the enumerated lanes against one fixed word:
+// the hot path for the paper's all-1s/all-0s probes.
 func (e *Enumeration) uniformFlips(w pattern.Word) (flips pattern.Flips, faulty uint64) {
 	last := ^uint64(0)
-	for _, f := range e.faults {
-		bit := uint(f>>1) & 255
-		wb := (w[bit>>6] >> (bit & 63)) & 1
-		if f&1 == 0 { // stuck-at-0 reads 0: flips iff a 1 was written
-			if wb == 0 {
-				continue
-			}
-			flips.OneToZero++
-		} else { // stuck-at-1 reads 1: flips iff a 0 was written
-			if wb == 1 {
-				continue
-			}
-			flips.ZeroToOne++
+	for _, l := range e.lanes {
+		d10, d01 := laneFlips(l, w[l.key&3])
+		if d10|d01 == 0 {
+			continue
 		}
-		if addr := f >> 9; addr != last {
+		flips.OneToZero += d10
+		flips.ZeroToOne += d01
+		if addr := l.key >> 2; addr != last {
 			faulty++
 			last = addr
 		}
@@ -252,30 +290,23 @@ func (e *Enumeration) uniformFlips(w pattern.Word) (flips pattern.Flips, faulty 
 }
 
 // wordwiseFlips is uniformFlips for address-dependent patterns: the
-// pattern word is regenerated once per faulted address (faults are
-// address-sorted, so consecutive faults share the lookup).
+// pattern word is regenerated once per faulted address (lanes are
+// address-sorted, so the lanes of one word share the lookup).
 func (e *Enumeration) wordwiseFlips(pat pattern.Pattern) (flips pattern.Flips, faulty uint64) {
 	var w pattern.Word
 	cur, last := ^uint64(0), ^uint64(0)
-	for _, f := range e.faults {
-		addr := f >> 9
+	for _, l := range e.lanes {
+		addr := l.key >> 2
 		if addr != cur {
 			w = pat.Word(addr)
 			cur = addr
 		}
-		bit := uint(f>>1) & 255
-		wb := (w[bit>>6] >> (bit & 63)) & 1
-		if f&1 == 0 {
-			if wb == 0 {
-				continue
-			}
-			flips.OneToZero++
-		} else {
-			if wb == 1 {
-				continue
-			}
-			flips.ZeroToOne++
+		d10, d01 := laneFlips(l, w[l.key&3])
+		if d10|d01 == 0 {
+			continue
 		}
+		flips.OneToZero += d10
+		flips.ZeroToOne += d01
 		if addr != last {
 			faulty++
 			last = addr

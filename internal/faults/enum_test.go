@@ -3,9 +3,11 @@ package faults
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"hbmvolt/internal/pattern"
+	"hbmvolt/internal/prf"
 )
 
 // enumPatterns are the probes the shared-path tests derive from one
@@ -33,6 +35,154 @@ func legacyFlips(s *Sampler, pat pattern.Pattern, words uint64) (pattern.Flips, 
 		}
 	})
 	return flips, faulty
+}
+
+// packFault packs one stuck cell as addr<<9 | bit<<1 | polarity, so a
+// packed slice sorted ascending is sorted by (addr, bit).
+func packFault(addr uint64, f CellFault) uint64 {
+	return addr<<9 | uint64(f.Bit)<<1 | uint64(f.Polarity)
+}
+
+// packLanes expands an enumeration's lane masks back to packed stuck
+// cells, in ascending (addr, bit) order.
+func packLanes(e *Enumeration) []uint64 {
+	var out []uint64
+	for _, l := range e.lanes {
+		addr, lane := l.key>>2, int(l.key&3)
+		for m := l.set; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			out = append(out, packFault(addr, CellFault{Bit: lane<<6 + i, Polarity: Polarity(l.one >> i & 1)}))
+		}
+	}
+	return out
+}
+
+// perFaultFlips is the pattern pass the lane masks replaced, kept as
+// their oracle: per packed stuck cell, one mask op against the pattern
+// word (regenerated once per faulted address) decides whether the stuck
+// value differs from the written bit.
+func perFaultFlips(packed []uint64, pat pattern.Pattern) (flips pattern.Flips, faulty uint64) {
+	var w pattern.Word
+	cur, last := ^uint64(0), ^uint64(0)
+	for _, f := range packed {
+		addr := f >> 9
+		if addr != cur {
+			w = pat.Word(addr)
+			cur = addr
+		}
+		bit := uint(f>>1) & 255
+		wb := (w[bit>>6] >> (bit & 63)) & 1
+		if f&1 == 0 { // stuck-at-0 reads 0: flips iff a 1 was written
+			if wb == 0 {
+				continue
+			}
+			flips.OneToZero++
+		} else { // stuck-at-1 reads 1: flips iff a 0 was written
+			if wb == 1 {
+				continue
+			}
+			flips.ZeroToOne++
+		}
+		if addr != last {
+			faulty++
+			last = addr
+		}
+	}
+	return flips, faulty
+}
+
+// builtinPatterns returns every built-in pattern.
+func builtinPatterns(t testing.TB) []pattern.Pattern {
+	t.Helper()
+	var pats []pattern.Pattern
+	for _, name := range []string{"all1", "all0", "checker", "walk1", "walk0", "addr", "rand7"} {
+		pat, err := pattern.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pats = append(pats, pat)
+	}
+	return pats
+}
+
+// TestPatternFlipsMatchPerFaultOracle pins the lane-mask pattern pass
+// to the per-fault pass it replaced. Over seeded random windows —
+// device seed, pseudo channel, voltage in [0.84, 0.95], rep, row width,
+// whole and mid-row window ends — on sparse and bit-exact models, every
+// built-in pattern's flips and faulty words, and the FaultCount, must
+// equal the oracle's over the RangeFaults stream. Aggregate segments
+// are not enumerated, so their addresses are dropped from the stream
+// and their pattern splits added to the oracle.
+func TestPatternFlipsMatchPerFaultOracle(t *testing.T) {
+	rnd := prf.NewSource(0x1a2e)
+	pats := builtinPatterns(t)
+	enumerated, aggregated := 0, 0
+	for i := 0; i < 40; i++ {
+		wpr := []uint64{32, 8, 48}[rnd.Intn(3)]
+		size := 128 * wpr
+		cfg := DefaultConfig()
+		cfg.Seed = rnd.Uint64()
+		cfg.Geometry = Geometry{WordsPerPC: size, WordsPerRow: wpr}
+		cfg.SparseEnumeration = i%2 == 0
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack, pc := rnd.Intn(2), rnd.Intn(16)
+		v := 0.84 + 0.11*rnd.Float64()
+		rep := uint64(rnd.Intn(4))
+		words := size
+		if i%4 >= 2 {
+			words = size/2 + rnd.Uint64()%(size/2) // ends mid-row
+		}
+		name := fmt.Sprintf("case %d (seed %#x, sparse %v, wpr %d, pc %d/%d, %.4fV, rep %d, %d words)",
+			i, cfg.Seed, cfg.SparseEnumeration, wpr, stack, pc, v, rep, words)
+
+		e := m.Enumerate(nil, stack, pc, v, rep, words)
+		if e.Streamed() {
+			t.Fatalf("%s: streamed; the window is too small to spill", name)
+		}
+		var packed []uint64
+		m.NewBatchSampler(stack, pc, v, rep).RangeFaults(0, words, func(addr uint64, f CellFault) {
+			for _, a := range e.aggs {
+				if addr >= a.lo && addr < a.lo+a.words {
+					return
+				}
+			}
+			packed = append(packed, packFault(addr, f))
+		})
+		if got := e.FaultCount(); got != len(packed) {
+			t.Fatalf("%s: FaultCount %d, oracle stream %d cells", name, got, len(packed))
+		}
+		enumerated += len(packed)
+		if e.Aggregated() {
+			aggregated++
+		}
+		for _, pat := range pats {
+			gotF, gotW, gotOK := e.PatternFlips(pat)
+			wantF, wantW := perFaultFlips(packed, pat)
+			d, wantOK := pattern.OnesFraction(pat)
+			wantOK = wantOK || !e.Aggregated()
+			for _, a := range e.aggs {
+				f, fw := a.patternSplit(d, patternSig(pat))
+				wantF.Add(f)
+				wantW += fw
+			}
+			if !wantOK {
+				if gotOK {
+					t.Errorf("%s %s: accepted a density-less pattern over an aggregated window", name, pat.Name())
+				}
+				continue
+			}
+			if gotF != wantF || gotW != wantW || !gotOK {
+				t.Errorf("%s %s: lane masks (%+v, %d, %v), per-fault oracle (%+v, %d)",
+					name, pat.Name(), gotF, gotW, gotOK, wantF, wantW)
+			}
+		}
+	}
+	if enumerated == 0 || aggregated == 0 {
+		t.Fatalf("%d enumerated cells, %d aggregated windows; the cases under-cover the regimes", enumerated, aggregated)
+	}
 }
 
 // TestEnumerationExactBitIdentical pins the strongest form of the
@@ -290,7 +440,7 @@ func (w enumWindow) enumerate(dst *Enumeration) *Enumeration {
 // and then enumerates a different window into it; every observable of
 // the refilled dst — PatternFlips for every built-in pattern,
 // FaultCount, Aggregated, Streamed and SizeBytes — must equal a fresh
-// Enumerate(nil, ...) of the second window, and a fault list that fits
+// Enumerate(nil, ...) of the second window, and lane entries that fit
 // must reuse dst's buffer. (A streamed window is only ever the first:
 // its pattern passes re-walk every cell, seconds per case, and they
 // read neither buffer the reset clears.)
@@ -317,14 +467,7 @@ func TestEnumerateIntoReusedDst(t *testing.T) {
 			t.Fatalf("window %s: (faults, aggregated, streamed) = %v, want %v", name, got, want)
 		}
 	}
-	var builtins []pattern.Pattern
-	for _, name := range []string{"all1", "all0", "checker", "walk1", "walk0", "addr", "rand7"} {
-		pat, err := pattern.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		builtins = append(builtins, pat)
-	}
+	builtins := builtinPatterns(t)
 
 	tests := []struct {
 		name       string
@@ -338,7 +481,7 @@ func TestEnumerateIntoReusedDst(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			dst := windows[tt.fill].enumerate(nil)
-			capBefore := cap(dst.faults)
+			capBefore := cap(dst.lanes)
 			got := windows[tt.then].enumerate(dst)
 			if got != dst {
 				t.Fatal("Enumerate did not return its dst")
@@ -350,8 +493,8 @@ func TestEnumerateIntoReusedDst(t *testing.T) {
 					got.FaultCount(), got.Aggregated(), got.Streamed(), got.SizeBytes(), got.Words(),
 					want.FaultCount(), want.Aggregated(), want.Streamed(), want.SizeBytes(), want.Words())
 			}
-			if want.FaultCount() <= capBefore && cap(got.faults) != capBefore {
-				t.Errorf("fault buffer reallocated: cap %d -> %d for %d faults", capBefore, cap(got.faults), want.FaultCount())
+			if len(want.lanes) <= capBefore && cap(got.lanes) != capBefore {
+				t.Errorf("lane buffer reallocated: cap %d -> %d for %d entries", capBefore, cap(got.lanes), len(want.lanes))
 			}
 			for _, pat := range builtins {
 				gf, gw, gok := got.PatternFlips(pat)

@@ -20,9 +20,9 @@ package faults
 // its polarity is the one its earliest draw gave it (the outcome a
 // stable sort by position would keep). Readers then take the row's
 // faulted words in ascending order, either as whole-word masks (the
-// uniform check: read = stored &^ faulty | stuck-at-1) or bit by bit
-// (range scans and the shared enumeration), which is already ascending
-// (address, bit) order. The bitmaps are scratch taken from a pool and
+// uniform check: read = stored &^ faulty | stuck-at-1; the shared
+// enumeration keeps them per 64-bit lane) or bit by bit (range scans),
+// which is already ascending (address, bit) order. The bitmaps are scratch taken from a pool and
 // left all-zero by the readers, so a Sampler stays immutable and safe
 // for concurrent use, and a range scan allocates nothing per row.
 //
