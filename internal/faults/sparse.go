@@ -175,22 +175,19 @@ func (b *rowBits) drain(rowBase uint64, first, end int, visit func(addr uint64, 
 // in ascending (address, bit) order.
 func (s *Sampler) sparseRange(start, count uint64, visit func(addr uint64, f CellFault)) {
 	b := getRowBits(s.wordsPerRow)
+	wpr := s.wordsPerRow
 	s.segments(start, start+count, func(lo, hi uint64, in bool) {
-		if p, t := s.regionParams(in); p > 0 {
-			s.sparseRows(lo, hi, s.rowDraw(p, t), b, visit)
+		p, t := s.regionParams(in)
+		if p <= 0 {
+			return
+		}
+		d := s.rowDraw(p, t)
+		for r := lo / wpr; r*wpr < hi; r++ {
+			first, end := s.sparseRowFaults(r, lo, hi, d, b)
+			b.drain(r*wpr, first, end, visit)
 		}
 	})
 	rowBitsPool.Put(b)
-}
-
-// sparseRows enumerates the faults of one homogeneous segment [lo, hi)
-// in ascending (address, bit) order, row by row through b.
-func (s *Sampler) sparseRows(lo, hi uint64, d rowDraw, b *rowBits, visit func(addr uint64, f CellFault)) {
-	wpr := s.wordsPerRow
-	for r := lo / wpr; r*wpr < hi; r++ {
-		first, end := s.sparseRowFaults(r, lo, hi, d, b)
-		b.drain(r*wpr, first, end, visit)
-	}
 }
 
 // sparseRowFaults draws row's fault count and positions and marks, in
