@@ -118,80 +118,21 @@ func TestCampaignRenderAnalyticFigures(t *testing.T) {
 // TestCampaignPaperReproSmokeGolden is the golden-regression pin for
 // the whole stack: the built-in paper-repro campaign at smoke scale
 // must reproduce the committed manifest and NDJSON artifacts byte for
-// byte. Regenerate with: go test -run TestCampaignPaperReproSmokeGolden -update .
+// byte, at -j 1 and at -j 8 (the acceptance worker counts). The
+// benchmark harness (perfbench) reads the golden directory by its
+// name, so the name stays. Regenerate with:
+// go test -run TestCampaignPaperReproSmokeGolden -update .
 func TestCampaignPaperReproSmokeGolden(t *testing.T) {
-	res, err := RunCampaign(context.Background(), PaperReproCampaign(true), CampaignOptions{Jobs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := res.WriteArtifacts(dir); err != nil {
-		t.Fatal(err)
-	}
-	goldenDir := filepath.Join("testdata", "campaign", "paper-repro-smoke")
-
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *updateGolden {
-		if err := os.RemoveAll(goldenDir); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, e := range entries {
-		got, err := os.ReadFile(filepath.Join(dir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldenPath := filepath.Join(goldenDir, e.Name())
-		if *updateGolden {
-			if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(goldenPath)
-		if err != nil {
-			t.Fatalf("missing golden (run with -update): %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from golden; run with -update after verifying the change", e.Name())
-		}
-	}
-	if !*updateGolden {
-		goldens, err := os.ReadDir(goldenDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(goldens) != len(entries) {
-			t.Errorf("campaign wrote %d files, goldens have %d", len(entries), len(goldens))
-		}
-	}
-}
-
-// TestCampaignPaperReproSmokeSharedGolden pins the sweep planner's
-// realization separately: the same smoke campaign run with
-// SharedEnumeration must reproduce its own committed goldens byte for
-// byte, at -j 1 and at -j 8 (the acceptance worker counts). The shared
-// mode is a distinct realization of the sparse device, so these
-// goldens differ from the legacy ones — which is exactly why both sets
-// are pinned. Regenerate with:
-// go test -run TestCampaignPaperReproSmokeSharedGolden -update .
-func TestCampaignPaperReproSmokeSharedGolden(t *testing.T) {
 	run := func(jobs, fleet int) map[string][]byte {
 		t.Helper()
 		res, err := RunCampaign(context.Background(), PaperReproCampaign(true), CampaignOptions{
-			Jobs: jobs, Fleet: fleet, SharedEnumeration: true,
+			Jobs: jobs, Fleet: fleet,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Manifest.Plan == nil || res.Manifest.Plan.SharedCells == 0 {
-			t.Fatal("planned smoke campaign carries no plan")
+			t.Fatal("smoke campaign carries no plan")
 		}
 		dir := t.TempDir()
 		if err := res.WriteArtifacts(dir); err != nil {
@@ -240,10 +181,10 @@ func TestCampaignPaperReproSmokeSharedGolden(t *testing.T) {
 	}
 	goldens, err := os.ReadDir(goldenDir)
 	if err != nil {
-		t.Fatalf("missing shared goldens (run with -update): %v", err)
+		t.Fatalf("missing goldens (run with -update): %v", err)
 	}
 	if len(goldens) != len(j1) {
-		t.Errorf("campaign wrote %d files, shared goldens have %d", len(j1), len(goldens))
+		t.Errorf("campaign wrote %d files, goldens have %d", len(j1), len(goldens))
 	}
 	for _, e := range goldens {
 		want, err := os.ReadFile(filepath.Join(goldenDir, e.Name()))
@@ -252,11 +193,11 @@ func TestCampaignPaperReproSmokeSharedGolden(t *testing.T) {
 		}
 		got, ok := j1[e.Name()]
 		if !ok {
-			t.Errorf("golden %s not produced by the shared run", e.Name())
+			t.Errorf("golden %s not produced by the run", e.Name())
 			continue
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted from shared golden; run with -update after verifying the change", e.Name())
+			t.Errorf("%s drifted from golden; run with -update after verifying the change", e.Name())
 		}
 	}
 }

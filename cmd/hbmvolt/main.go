@@ -73,7 +73,6 @@ var (
 	flagOut      = flag.String("out", "", "campaign: write manifest.json and per-scenario NDJSON artifacts to this directory")
 	flagJobs     = flag.Int("jobs", 2, "campaign: sweeps executing concurrently")
 	flagRender   = flag.Bool("render", false, "campaign: also print the human-readable figure suite from the campaign's payloads")
-	flagShared   = flag.Bool("shared", false, "campaign: run through the sweep planner — reliability cells grouped by physics sub-key share one stuck-cell enumeration per (voltage, port, rep); a distinct, separately golden-pinned realization")
 	flagCacheDir = flag.String("cache-dir", "", "campaign: durable result-cache directory; computed cells survive crashes, and an interrupted campaign rerun over the same directory resumes instead of recomputing")
 	flagMetrics  = flag.String("metrics", "", "campaign: after the run, write the engine's telemetry registry to this file in Prometheus text exposition format (job, cache, and campaign families)")
 )
@@ -233,11 +232,10 @@ func runCampaign() error {
 		reg = telemetry.NewRegistry()
 	}
 	res, err := hbmvolt.RunCampaign(context.Background(), spec, hbmvolt.CampaignOptions{
-		Jobs:              *flagJobs,
-		Fleet:             *flagJ,
-		SharedEnumeration: *flagShared,
-		CacheDir:          *flagCacheDir,
-		Metrics:           reg,
+		Jobs:     *flagJobs,
+		Fleet:    *flagJ,
+		CacheDir: *flagCacheDir,
+		Metrics:  reg,
 		OnCell: func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rcampaign %s: %d/%d cells   ", spec.Name, done, total)
 			if done == total {
@@ -266,7 +264,7 @@ func runCampaign() error {
 	fmt.Printf("campaign %s: %d cells (%d unique sweeps), %d scenarios\n",
 		m.Campaign, m.Cells, m.UniqueSweeps, len(m.Scenarios))
 	if m.Plan != nil {
-		fmt.Printf("plan: %d shared cells in %d physics groups; %d unique enumerations cover %d pattern evaluations\n",
+		fmt.Printf("plan: %d reliability cells in %d physics groups; %d unique enumerations cover %d pattern evaluations\n",
 			m.Plan.SharedCells, len(m.Plan.Groups), m.Plan.UniquePhysics, m.Plan.PatternEvals)
 	}
 	tbl := report.NewTable("scenario", "kind", "cell", "key", "bytes", "sha256")
@@ -296,10 +294,9 @@ func runVerify() error {
 		outDir = "verify-out"
 	}
 	rep, err := verify.Run(context.Background(), verify.Options{
-		Smoke:  *flagSmoke,
-		Jobs:   *flagJobs,
-		Fleet:  *flagJ,
-		Shared: *flagShared,
+		Smoke: *flagSmoke,
+		Jobs:  *flagJobs,
+		Fleet: *flagJ,
 		OnCell: func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rverify: %d/%d cells   ", done, total)
 			if done == total {

@@ -77,7 +77,7 @@
 // -pprof also arms mutex and block profiling (tunable via
 // -mutex-profile-fraction and -block-profile-rate) so contention on the
 // job queue and cache tiers is attributable; sweep execution paths are
-// labeled (hbmvolt_kind, hbmvolt_mode, ...) for profile filtering.
+// labeled (hbmvolt_kind, hbmvolt_vband) for profile filtering.
 //
 // Identical requests — concurrent or repeated, standalone or inside a
 // campaign — coalesce into a single computation and return

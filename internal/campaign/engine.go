@@ -51,16 +51,11 @@ type Options struct {
 	// Strictly write-beside: it never affects cache keys, manifests, or
 	// payload bytes.
 	TraceID string
-	// SharedEnumeration runs the campaign through the sweep planner:
-	// reliability cells are grouped by their (fault-model fingerprint ×
-	// voltage grid × sampling mode) physics sub-key and switched to
-	// shared-enumeration execution, which derives every pattern of a
-	// voltage point from one stuck-cell enumeration per (port, rep)
-	// (see planner.go). Planned manifests carry a "plan" section and are
-	// byte-identical across Jobs/Fleet settings, like unplanned ones —
-	// but they are a different (shared, separately golden-pinned)
-	// realization, so planned and unplanned runs of one spec do not
-	// share cache entries.
+	// SharedEnumeration does nothing: every campaign runs through the
+	// sweep planner, and every reliability cell derives a voltage point's
+	// patterns from one stuck-cell enumeration per (port, rep). It
+	// remains only until the benchmark harness (perfbench) stops setting
+	// it; see ROADMAP.md.
 	SharedEnumeration bool
 }
 
@@ -73,8 +68,7 @@ type Manifest struct {
 	Description  string `json:"description,omitempty"`
 	Cells        int    `json:"cells"`
 	UniqueSweeps int    `json:"unique_sweeps"`
-	// Plan documents the sweep planner's computation-sharing schedule;
-	// present only for campaigns run with Options.SharedEnumeration.
+	// Plan documents the sweep planner's computation-sharing schedule.
 	Plan      *Plan              `json:"plan,omitempty"`
 	Scenarios []ScenarioManifest `json:"scenarios"`
 }
@@ -174,16 +168,10 @@ func Execute(ctx context.Context, mgr *service.Manager, spec Spec, opts Options)
 		fleet = 0
 	}
 
-	// Planner pass: group reliability cells by physics sub-key and
-	// switch them to shared enumeration.
-	var plan *Plan
-	if opts.SharedEnumeration {
-		if plan, err = planCells(cells); err != nil {
-			return nil, err
-		}
-		if cells, err = applyPlan(cells, plan); err != nil {
-			return nil, err
-		}
+	// Planner pass: group reliability cells by physics sub-key.
+	plan, err := planCells(cells)
+	if err != nil {
+		return nil, err
 	}
 
 	met := newCampaignMetrics(mgr.Metrics())

@@ -9,7 +9,7 @@ import (
 )
 
 func TestDecodeArtifactAndEnvelopes(t *testing.T) {
-	dir := filepath.Join("..", "..", "testdata", "campaign", "paper-repro-smoke")
+	dir := filepath.Join("..", "..", "testdata", "campaign", "paper-repro-smoke-shared")
 	cases := []struct {
 		artifact string
 		kind     string

@@ -42,7 +42,6 @@ type apiRun struct {
 	id     string
 	spec   Spec
 	fleet  int
-	shared bool
 	trace  string
 	cancel context.CancelFunc
 
@@ -79,10 +78,6 @@ type SubmitBody struct {
 	// Fleet is the per-sweep board-fleet size hint (never affects
 	// results or the manifest).
 	Fleet int `json:"fleet,omitempty"`
-	// Shared runs the campaign through the sweep planner: reliability
-	// cells grouped by physics sub-key execute in shared-enumeration
-	// mode (see Options.SharedEnumeration).
-	Shared bool `json:"shared,omitempty"`
 }
 
 // Status is the externally visible campaign state.
@@ -176,7 +171,7 @@ func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	trace := telemetry.AdoptTrace(w, r)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	run := &apiRun{spec: spec, fleet: body.Fleet, shared: body.Shared, trace: trace, cancel: cancel, state: "running", total: spec.Executions()}
+	run := &apiRun{spec: spec, fleet: body.Fleet, trace: trace, cancel: cancel, state: "running", total: spec.Executions()}
 	a.mu.Lock()
 	if active := a.activeLocked(); active >= maxActiveRuns {
 		a.mu.Unlock()
@@ -206,9 +201,8 @@ func (a *API) execute(ctx context.Context, run *apiRun) {
 		"campaign": run.spec.Name, "id": run.id,
 	})
 	res, err := Execute(ctx, a.mgr, run.spec, Options{
-		Fleet:             run.fleet,
-		SharedEnumeration: run.shared,
-		TraceID:           run.trace,
+		Fleet:   run.fleet,
+		TraceID: run.trace,
 		OnCell: func(done, total int) {
 			run.mu.Lock()
 			run.done, run.total = done, total

@@ -1,21 +1,19 @@
 package campaign
 
-// The sweep planner: shared-enumeration execution for campaigns.
+// The sweep planner: the computation-sharing schedule of a campaign.
 //
 // A campaign's cross-products routinely expand into many cells that
 // differ only in what they *measure* (pattern sets, batch sizes) while
 // describing the same *silicon* (equal fault-model fingerprint) probed
 // over the same voltage grid. The physics of such cells — which cells
 // are stuck where, per (voltage, port, rep) — is identical; only the
-// per-pattern readout differs. The planner groups a normalized spec's
-// reliability cells by their (fingerprint × voltage grid × sampling
-// mode) sub-key, records the groups in the manifest, and switches the
-// cells to shared-enumeration execution (service.SweepRequest.Shared →
-// core.ReliabilityConfig.SharedEnumeration), where each cell evaluates
-// a voltage point's patterns from one enumeration per (port, rep).
-// Per-cell results are still normalized, cache-keyed, coalesced and
-// manifested exactly as before — the plan only changes how the work is
-// computed, never what a cell's payload means.
+// per-pattern readout differs. Every reliability cell evaluates a
+// voltage point's patterns from one enumeration per (port, rep); the
+// planner groups a normalized spec's reliability cells by their
+// (fingerprint × voltage grid × sampling mode) sub-key and records the
+// groups in the manifest, with the per-pattern work each group would
+// cost against the distinct physics it needs. The plan documents the
+// work; it never changes a cell's request, key or payload.
 
 import (
 	"hbmvolt/internal/board"
@@ -53,7 +51,7 @@ type PlanGroup struct {
 type Plan struct {
 	// Groups in first-encounter (campaign) order.
 	Groups []PlanGroup `json:"groups"`
-	// SharedCells counts reliability cells executing in shared mode.
+	// SharedCells counts the planned reliability cells.
 	SharedCells int `json:"shared_cells"`
 	// PatternEvals and UniquePhysics total the per-group counters: the
 	// enumeration passes a per-pattern campaign would pay versus the
@@ -140,23 +138,4 @@ func (g *PlanGroup) uniquePhysics(cells []Cell) int {
 		}
 	}
 	return g.GridPoints * len(pairs)
-}
-
-// applyPlan switches the planned cells to shared-enumeration execution
-// and re-keys them. It operates on a private copy of the expansion so
-// a spec's cached cells (shared across runs) are never mutated.
-func applyPlan(cells []Cell, plan *Plan) ([]Cell, error) {
-	out := append([]Cell(nil), cells...)
-	for _, g := range plan.Groups {
-		for _, ci := range g.Cells {
-			c := &out[ci]
-			c.Request.Shared = true
-			key, err := c.Request.CacheKey()
-			if err != nil {
-				return nil, err
-			}
-			c.Key = key
-		}
-	}
-	return out, nil
 }

@@ -93,14 +93,12 @@ func TestPlannerGroups(t *testing.T) {
 // TestPlannedCampaignDeterminismAndSharing runs the planned campaign
 // end to end: manifests and artifacts are byte-identical across
 // Jobs/Fleet settings, and the manifest carries the plan with every
-// reliability cell, and only those, in shared mode.
+// reliability cell, and only those, marked shared.
 func TestPlannedCampaignDeterminismAndSharing(t *testing.T) {
 	spec := plannedSpec()
 	run := func(jobs, fleet int) *Result {
 		t.Helper()
-		res, err := Run(context.Background(), spec, Options{
-			Jobs: jobs, Fleet: fleet, SharedEnumeration: true,
-		})
+		res, err := Run(context.Background(), spec, Options{Jobs: jobs, Fleet: fleet})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +112,7 @@ func TestPlannedCampaignDeterminismAndSharing(t *testing.T) {
 	for _, sm := range res1.Manifest.Scenarios {
 		for _, cm := range sm.Cells {
 			if cm.Request.Kind == service.KindReliability && !cm.Request.Shared {
-				t.Errorf("reliability cell %s/%d not in shared mode", sm.Name, cm.Index)
+				t.Errorf("reliability cell %s/%d not marked shared", sm.Name, cm.Index)
 			}
 			if cm.Request.Kind != service.KindReliability && cm.Request.Shared {
 				t.Errorf("non-reliability cell %s/%d marked shared", sm.Name, cm.Index)
@@ -139,39 +137,6 @@ func TestPlannedCampaignDeterminismAndSharing(t *testing.T) {
 			if !bytes.Equal(res1.Scenarios[si].Cells[ci].Payload, res2.Scenarios[si].Cells[ci].Payload) {
 				t.Fatalf("scenario %s cell %d payload differs across Jobs/Fleet",
 					res1.Scenarios[si].Name, ci)
-			}
-		}
-	}
-}
-
-// TestPlannedVsUnplannedKeysDisjoint: the planner switches realizations
-// (Shared in the cache key), so planned and unplanned runs of one spec
-// never share cache entries, and unplanned manifests never grow a plan.
-func TestPlannedVsUnplannedKeysDisjoint(t *testing.T) {
-	spec := plannedSpec()
-	planned, err := Run(context.Background(), spec, Options{SharedEnumeration: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unplanned, err := Run(context.Background(), plannedSpec(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unplanned.Manifest.Plan != nil {
-		t.Fatal("unplanned campaign manifest grew a plan")
-	}
-	pk := map[string]bool{}
-	for _, sm := range planned.Manifest.Scenarios {
-		for _, cm := range sm.Cells {
-			if cm.Request.Kind == service.KindReliability {
-				pk[cm.Key] = true
-			}
-		}
-	}
-	for _, sm := range unplanned.Manifest.Scenarios {
-		for _, cm := range sm.Cells {
-			if cm.Request.Kind == service.KindReliability && pk[cm.Key] {
-				t.Fatalf("cell %s/%d keys identically planned and unplanned", sm.Name, cm.Index)
 			}
 		}
 	}

@@ -33,9 +33,9 @@ func recoverySpec() Spec {
 // goldenManifest runs the spec uninterrupted (no disk cache) and
 // returns its manifest bytes — the reference every resumed run must
 // reproduce exactly.
-func goldenManifest(t *testing.T, shared bool) []byte {
+func goldenManifest(t *testing.T) []byte {
 	t.Helper()
-	res, err := Run(t.Context(), recoverySpec(), Options{Jobs: 2, SharedEnumeration: shared})
+	res, err := Run(t.Context(), recoverySpec(), Options{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,16 +47,17 @@ func goldenManifest(t *testing.T, shared bool) []byte {
 }
 
 // TestCampaignInterruptAndResume is the resume claim end to end,
-// table-driven over the planner mode and where the "crash" lands: the
-// campaign is cancelled after N cells have completed (N = 0, 1, mid,
-// all-but-one of 6), then rerun over the same cache directory. The
-// resumed run serves every cell the disk tier kept, recomputes exactly
-// the rest, and its manifest is byte-identical to an uninterrupted
-// run's; a third run is served from disk without a single sweep.
+// table-driven over where the "crash" lands: the campaign is cancelled
+// after N cells have completed (N = 0, 1, mid, all-but-one of 6), then
+// rerun over the same cache directory. The resumed run serves every
+// cell the disk tier kept, recomputes exactly the rest, and its
+// manifest is byte-identical to an uninterrupted run's; a third run is
+// served from disk without a single sweep. The "planned_" runs set the
+// no-op SharedEnumeration option, which must change no byte.
 func TestCampaignInterruptAndResume(t *testing.T) {
 	const total = 6
+	golden := goldenManifest(t)
 	for _, shared := range []bool{false, true} {
-		golden := goldenManifest(t, shared)
 		prefix := ""
 		if shared {
 			prefix = "planned_"
@@ -139,7 +140,7 @@ func TestCampaignInterruptAndResume(t *testing.T) {
 // read verification discards both, the engine recomputes exactly those
 // cells, and the manifest still matches the golden run.
 func TestCampaignResumeSurvivesCorruptCacheEntry(t *testing.T) {
-	golden := goldenManifest(t, false)
+	golden := goldenManifest(t)
 	cacheDir := filepath.Join(t.TempDir(), "cache")
 
 	if _, err := Run(t.Context(), recoverySpec(), Options{

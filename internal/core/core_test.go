@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -659,33 +658,6 @@ func TestCapacityStudyRowGranularRecovers(t *testing.T) {
 func TestCapacityStudyValidation(t *testing.T) {
 	if _, err := RunCapacityStudy(nil, nil); err == nil {
 		t.Fatal("nil model accepted")
-	}
-}
-
-// TestRunReliabilityParallelMatchesSequential: a one-board sweep runs
-// its ports concurrently (with GOMAXPROCS > 1); its observations must
-// equal the in-order port passes of runPorts bit for bit.
-func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
-	cfg := board.Config{Scale: 256, Seed: 4}
-	res, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:     testBoard(t, cfg),
-		Grid:      []float64{0.90},
-		BatchSize: 3,
-		Workers:   1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ports []hbm.PortID
-	for p := 0; p < hbm.MaxPorts; p++ {
-		ports = append(ports, hbm.PortID(p))
-	}
-	var seq []PortObservation
-	for _, step := range portPasses(t, cfg, ports, []float64{0.90}, 3, false) {
-		seq = append(seq, step...)
-	}
-	if !reflect.DeepEqual(res.Points[0].Observations, seq) {
-		t.Fatal("one-board sweep differs from in-order port passes")
 	}
 }
 

@@ -10,10 +10,10 @@ package core
 // order. RunReliability exploits that: with cfg.Workers > 1 it
 // instantiates one independent board clone per worker and distributes
 // the grid points over a bounded worker pool, so a full-grid sweep
-// scales with cores instead of pinning one. Because the draws are keyed
-// rather than streamed, sharded output is bit-identical to the
-// sequential path at any worker count — the determinism tests pin this
-// across worker counts and patterns.
+// scales with cores instead of pinning one; one worker on cfg.Board is
+// the sequential sweep. Because the draws are keyed rather than
+// streamed, the output is bit-identical at any worker count — the
+// determinism tests pin this across worker counts and patterns.
 //
 // Cloned boards share the memoized analytic rate atlas (same config
 // fingerprint), so the fleet duplicates electrical state but never
@@ -79,14 +79,19 @@ func (p *progressTracker) completed(pt VoltagePoint) {
 	})
 }
 
+// enumPool recycles sweep workers' enumeration buffers across sweeps.
+// A buffer grows to the largest window its worker enumerates, and a
+// daemon runs one sweep per job, so a fresh buffer per sweep would
+// regrow its lane slice by doubling on every job.
+var enumPool = sync.Pool{New: func() any { return new(faults.Enumeration) }}
+
 // runSharded drives a fleet of workers boards: cfg.Board (the fleet
 // template) plus workers-1 clones. Grid indices flow through an
 // unbuffered channel so a cancelled context stops dispatch immediately;
 // each worker owns its board exclusively, writes results into its grid
 // slot, and the first error cancels the rest of the sweep. The ports of
-// a point run in order here: the fleet already keeps the cores busy.
-// Each worker also owns one shared-enumeration buffer, refilled by every
-// point it evaluates.
+// a point run in order. Each worker also takes one enumeration buffer
+// from enumPool, refilled by every point it evaluates.
 func runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, workers int) (err error) {
 	boards := make([]*board.Board, workers)
 	boards[0] = cfg.Board
@@ -132,9 +137,10 @@ func runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityRes
 		wg.Add(1)
 		go func(b *board.Board) {
 			defer wg.Done()
-			var buf faults.Enumeration
+			buf := enumPool.Get().(*faults.Enumeration)
+			defer enumPool.Put(buf)
 			for i := range tasks {
-				pt, perr := runVoltagePoint(ctx, b, cfg, cfg.Grid[i], false, &buf)
+				pt, perr := runVoltagePoint(ctx, b, cfg, cfg.Grid[i], buf)
 				if perr != nil {
 					fail(perr)
 					return

@@ -24,7 +24,7 @@ func shardGrid() []float64 {
 // sweepAtWorkers runs the full-ladder sweep with the given worker count
 // on a fresh board of the given config. A port subset spanning both
 // stacks and the sensitive PCs keeps the bit-exact collapse points
-// affordable; port independence is covered by TestRunPortsWorkerPool.
+// affordable.
 func sweepAtWorkers(t *testing.T, bcfg board.Config, workers int, pats []pattern.Pattern) *ReliabilityResult {
 	t.Helper()
 	res, err := RunReliability(t.Context(), ReliabilityConfig{
@@ -42,7 +42,7 @@ func sweepAtWorkers(t *testing.T, bcfg board.Config, workers int, pats []pattern
 }
 
 // TestShardedSweepBitIdentical is the scheduler's core contract: the
-// sharded sweep must equal the sequential sweep bit for bit — every
+// sharded sweep must equal the one-worker sweep bit for bit — every
 // voltage point, observation, flip count, batch summary and crash marker
 // — at every worker count, on both the bit-exact and the sparse fault
 // model, for both patterns together and each alone.
@@ -92,8 +92,8 @@ func nearVNom(v float64) bool {
 }
 
 // TestShardedSweepRestoresNominal: every fleet board — the caller's
-// template included — must end at nominal voltage, and so must the
-// sequential path on error exits (the defer-restore contract).
+// template included — must end at nominal voltage, and so must a
+// one-worker sweep on error exits (the defer-restore contract).
 func TestShardedSweepRestoresNominal(t *testing.T) {
 	b := testBoard(t, board.Config{Scale: 1024})
 	_, err := RunReliability(t.Context(), ReliabilityConfig{
@@ -115,8 +115,8 @@ func TestShardedSweepRestoresNominal(t *testing.T) {
 	}
 }
 
-// TestRunReliabilityCancelRestoresNominal: an early exit from the
-// sequential path (here context cancellation while the board sits
+// TestRunReliabilityCancelRestoresNominal: an early exit from a
+// one-worker sweep (here context cancellation while the board sits
 // undervolted) must still restore nominal conditions via the deferred
 // restore.
 func TestRunReliabilityCancelRestoresNominal(t *testing.T) {

@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"hbmvolt/internal/prf"
@@ -56,9 +58,10 @@ func buildClusters(seed uint64, stack, pc int, rowsPerPC uint64, frac float64, c
 			raw = append(raw, rowRange{start, end})
 		}
 	}
-	sort.Slice(raw, func(i, j int) bool { return raw[i].Lo < raw[j].Lo })
-	// Merge overlaps so coverage accounting is exact.
-	merged := make([]rowRange, 0, len(raw))
+	slices.SortFunc(raw, func(a, b rowRange) int { return cmp.Compare(a.Lo, b.Lo) })
+	// Merge overlaps, in place, so coverage accounting is exact. Ranges
+	// with equal Lo merge to the same result in either order.
+	merged := raw[:0]
 	for _, r := range raw {
 		if n := len(merged); n > 0 && r.Lo <= merged[n-1].Hi {
 			if r.Hi > merged[n-1].Hi {

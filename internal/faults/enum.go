@@ -1,14 +1,15 @@
 package faults
 
 // Shared fault enumeration: the cross-pattern computation-sharing core
-// of the sweep planner.
+// of every Algorithm 1 sweep (internal/core).
 //
 // A cell's stuck position and polarity at a given voltage are
 // properties of the silicon — they do not depend on which data pattern
 // is later written. Only the *observed flips* depend on the pattern: a
 // stuck-at-0 cell flips exactly where a 1 was written, a stuck-at-1
-// cell exactly where a 0 was. The legacy samplers ignore that structure
-// and re-enumerate the whole fault set once per pattern test; an
+// cell exactly where a 0 was. The per-pattern samplers behind the
+// traffic generators ignore that structure and re-enumerate the whole
+// fault set once per pattern test; an
 // Enumeration computes the pattern-agnostic stuck-cell realization of
 // one (pseudo channel, voltage, batch rep) window once, as one pair of
 // 64-bit masks (stuck cells, stuck-at-1 cells) per faulted lane of a
@@ -17,15 +18,16 @@ package faults
 // two popcounts against the pattern word.
 //
 // Determinism discipline: the enumerated (low-rate) regime consumes the
-// exact per-row draws the legacy sparse sampler consumes — and, on the
-// bit-exact sampler, the exact per-cell draws — so wherever no
+// exact per-row draws the per-pattern sparse sampler consumes — and, on
+// the bit-exact sampler, the exact per-cell draws — so wherever no
 // aggregate segment engages the derived statistics are bit-identical
 // to the per-pattern path. Only the aggregate (high-rate) regime draws
 // differently: its stuck-cell counts are keyed pattern-agnostically
-// (saltShared) where the legacy path keys flip counts per pattern pair
-// (saltAggregate). Shared-mode sweeps are therefore a distinct — but
-// statistically identical — realization, pinned by their own goldens
-// and by Poisson-bound equivalence tests against the legacy streams.
+// (saltShared) where the per-pattern samplers key flip counts per
+// pattern pair (saltAggregate). Sweeps are therefore a distinct — but statistically
+// identical — realization of a per-pattern traffic-generator pass,
+// pinned by the campaign goldens and by Poisson-bound equivalence tests
+// against the per-pattern streams.
 
 import (
 	"math"

@@ -351,10 +351,9 @@ type opaquePattern struct{}
 func (opaquePattern) Word(addr uint64) pattern.Word { return pattern.Word{addr} }
 func (opaquePattern) Name() string                  { return "opaque" }
 
-// BenchmarkSharedVsIsolatedEnumeration quantifies the tentpole win: at
-// one voltage point, evaluating P patterns costs P full fault
-// enumerations on the isolated (legacy) path, but one enumeration plus
-// P allocation-free mask passes on the shared path.
+// BenchmarkSharedVsIsolatedEnumeration times the pattern pass of a
+// sweep: P allocation-free mask passes over one enumeration. Its name
+// keys the committed baseline rows in BENCH_sweep.json.
 func BenchmarkSharedVsIsolatedEnumeration(b *testing.B) {
 	const words = 1 << 16
 	pats := []pattern.Pattern{
@@ -362,16 +361,6 @@ func BenchmarkSharedVsIsolatedEnumeration(b *testing.B) {
 	}
 	for _, v := range []float64{0.90, 0.87} {
 		m := sparseModel(b, 17, words)
-		b.Run(fmt.Sprintf("isolated/%.2fV", v), func(b *testing.B) {
-			b.ReportAllocs()
-			s := m.NewBatchSampler(1, 2, v, 0)
-			for i := 0; i < b.N; i++ {
-				for _, pat := range pats {
-					legacyFlips(s, pat, words)
-				}
-			}
-			b.ReportMetric(float64(len(pats))*float64(b.N)/b.Elapsed().Seconds(), "patterns/sec")
-		})
 		b.Run(fmt.Sprintf("shared/%.2fV", v), func(b *testing.B) {
 			b.ReportAllocs()
 			e := m.Enumerate(nil, 1, 2, v, 0, words)

@@ -388,7 +388,7 @@ func (f *Forwarder) ExecuteSweep(ctx context.Context, key uint64, req service.Sw
 		second = v.peers[ranked[1]]
 	}
 
-	payload, served, err := f.forward(ctx, req, primary, second)
+	payload, served, err := f.forward(ctx, key, req, primary, second)
 	if err == nil {
 		f.forwarded.Add(1)
 		info := service.ServeInfo{
@@ -423,12 +423,26 @@ func (f *Forwarder) ExecuteSweep(ctx context.Context, key uint64, req service.Sw
 	return payload, service.ServeInfo{ServedBy: f.self, Degraded: true}, lerr
 }
 
-// fetch drives one remote execution: submit, long-poll the status to
-// terminal, fetch the verified payload — three round trips when the
-// job finishes within one long-poll, and no fixed-interval sleep. Every
-// call runs under the hedging deadline; a single failed call fails the
-// fetch — retrying is the degradation path's job, not this one's.
-func (f *Forwarder) fetch(ctx context.Context, p *peer, req service.SweepRequest) ([]byte, error) {
+// KeyMismatchError reports an owner that accepted a forwarded request
+// under another cache key than the forwarding node computed for it, as
+// a peer normalizing requests differently does during a rolling
+// upgrade. Its payload answers a request this node never keyed, so the
+// forward fails and the serve degrades to local compute.
+type KeyMismatchError struct {
+	Peer, Want, Got string
+}
+
+func (e *KeyMismatchError) Error() string {
+	return fmt.Sprintf("fleet: %s keyed the request %s, want %s", e.Peer, e.Got, e.Want)
+}
+
+// fetch drives one remote execution of req, whose cache key on this
+// node is key: submit, long-poll the status to terminal, fetch the
+// verified payload — three round trips when the job finishes within one
+// long-poll, and no fixed-interval sleep. Every call runs under the
+// hedging deadline; a single failed call fails the fetch — retrying is
+// the degradation path's job, not this one's.
+func (f *Forwarder) fetch(ctx context.Context, p *peer, key uint64, req service.SweepRequest) ([]byte, error) {
 	p.forwards.Add(1)
 	// The owner picks its own fleet size; the submitter's parallelism
 	// hint is meaningless on another node's hardware.
@@ -442,6 +456,9 @@ func (f *Forwarder) fetch(ctx context.Context, p *peer, req service.SweepRequest
 	})
 	if err != nil {
 		return nil, fmt.Errorf("submit to %s: %w", p.name, err)
+	}
+	if want := service.FormatKey(key); sub.Key != want {
+		return nil, &KeyMismatchError{Peer: p.name, Want: want, Got: sub.Key}
 	}
 
 	// Long-poll rather than stream: the owner answers the moment the

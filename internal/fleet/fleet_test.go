@@ -1,10 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -461,6 +464,56 @@ func TestDegradeWhenOwnerDown(t *testing.T) {
 	}
 	if resp.Header.Get(service.HeaderDegraded) != "true" {
 		t.Fatal("degraded serve must carry the degraded header")
+	}
+}
+
+// TestDegradeWhenOwnerKeysDifferently: an owner that answers the
+// submit under another cache key than the forwarding node computed —
+// one normalizing requests differently, as mid-upgrade — is not
+// trusted with the payload. The serve degrades to local compute, byte
+// identical to a single-node run.
+func TestDegradeWhenOwnerKeysDifferently(t *testing.T) {
+	lns, urls := listenN(t, 2)
+	nodes := startNodesOn(t, lns[:1], urls, nil, nil)
+	owner, err := service.Open(service.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(owner.Close)
+	hs := &httptest.Server{Listener: lns[1], Config: &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/sweeps" {
+			owner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		owner.ServeHTTP(rec, r)
+		var sub service.SubmitResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sub); err != nil {
+			t.Error(err)
+		}
+		sub.Key = strings.Repeat("0", 16)
+		service.WriteJSON(w, rec.Code, sub)
+	})}}
+	hs.Start()
+	t.Cleanup(hs.Close)
+
+	req := smallReq(seedOwnedBy(t, nodes[0].fwd, urls[1]))
+	want := localPayload(t, req)
+	j, _, _, err := nodes[0].srv.Manager().SubmitOpts(req, service.SubmitOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := j.Wait(t.Context()); err != nil || st != service.StateDone {
+		t.Fatalf("Wait = %v, %v", st, err)
+	}
+	if !bytes.Equal(j.Payload(), want) {
+		t.Fatal("degraded payload differs from single-node compute")
+	}
+	if info := j.ServeInfo(); info.ServedBy != nodes[0].url || !info.Degraded {
+		t.Fatalf("ServeInfo = %+v, want a degraded local serve", info)
+	}
+	if got := telemetrytest.Scrape(t, nodes[0].srv)[servesDegraded]; got != 1 {
+		t.Fatalf("degraded = %v, want 1", got)
 	}
 }
 

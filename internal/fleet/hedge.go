@@ -70,12 +70,12 @@ type raceResult struct {
 	err     error
 }
 
-// forward serves req from primary, hedging to second (which may be
+// forward serves req, keyed key here, from primary, hedging to second (which may be
 // nil) when the primary is slow past the hedge delay or fails outright.
 // The losing fetch is cancelled; breaker bookkeeping happens here for
 // both contenders. It returns the payload and the peer that produced
 // it, or an error once every viable choice failed.
-func (f *Forwarder) forward(ctx context.Context, req service.SweepRequest, primary, second *peer) ([]byte, *peer, error) {
+func (f *Forwarder) forward(ctx context.Context, key uint64, req service.SweepRequest, primary, second *peer) ([]byte, *peer, error) {
 	if !primary.breaker.Allow() {
 		// The owner's circuit is open: no point waiting a hedge delay.
 		// Go straight at the second choice when its breaker admits.
@@ -83,7 +83,7 @@ func (f *Forwarder) forward(ctx context.Context, req service.SweepRequest, prima
 			return nil, nil, errOpenCircuit
 		}
 		start := time.Now()
-		payload, err := f.fetch(ctx, second, req)
+		payload, err := f.fetch(ctx, second, key, req)
 		if err == nil {
 			second.breaker.Success()
 			f.hedge.window.Observe(time.Since(start))
@@ -101,7 +101,7 @@ func (f *Forwarder) forward(ctx context.Context, req service.SweepRequest, prima
 	resc := make(chan raceResult, 2)
 	start := time.Now()
 	run := func(p *peer) {
-		payload, err := f.fetch(rctx, p, req)
+		payload, err := f.fetch(rctx, p, key, req)
 		resc <- raceResult{p, payload, err}
 	}
 	go run(primary)

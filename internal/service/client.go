@@ -293,7 +293,9 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(Event) error) er
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	// Events are one short JSON line each: start from the scanner's own
+	// 4 KB buffer, which grows up to the 1 MB line bound only when needed.
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

@@ -783,13 +783,10 @@ func (m *Manager) runJob(j *Job) {
 }
 
 // executeSweep is the real sweep path, labeled for profilers: every
-// sample taken under it carries the request kind and enumeration mode,
-// so a CPU or mutex profile of a busy daemon splits by workload.
+// sample taken under it carries the request kind, so a CPU or mutex
+// profile of a busy daemon splits by workload.
 func (m *Manager) executeSweep(ctx context.Context, j *Job) (payload []byte, err error) {
-	pprof.Do(ctx, pprof.Labels(
-		"hbmvolt_kind", j.Req.Kind,
-		"hbmvolt_shared", strconv.FormatBool(j.Req.Shared),
-	), func(ctx context.Context) {
+	pprof.Do(ctx, pprof.Labels("hbmvolt_kind", j.Req.Kind), func(ctx context.Context) {
 		payload, err = m.sweepPayload(ctx, j)
 	})
 	return payload, err
@@ -863,14 +860,13 @@ func (m *Manager) sweepPayload(ctx context.Context, j *Job) ([]byte, error) {
 			workers = m.cfg.FleetSize
 		}
 		res, err := core.RunReliability(ctx, core.ReliabilityConfig{
-			Board:             b,
-			Ports:             ports,
-			Patterns:          patterns,
-			BatchSize:         req.Batch,
-			Grid:              req.Grid,
-			Workers:           workers,
-			SharedEnumeration: req.Shared,
-			OnPoint:           onPoint,
+			Board:     b,
+			Ports:     ports,
+			Patterns:  patterns,
+			BatchSize: req.Batch,
+			Grid:      req.Grid,
+			Workers:   workers,
+			OnPoint:   onPoint,
 		})
 		if err != nil {
 			return nil, err

@@ -76,13 +76,12 @@ type SweepRequest struct {
 	// Exact selects the bit-exact per-cell fault sampler instead of the
 	// default sparse enumeration ("mode" in the cache key).
 	Exact bool `json:"exact,omitempty"`
-	// Shared evaluates every pattern of a voltage point from one
-	// pattern-agnostic stuck-cell enumeration per (port, rep) — the
-	// sweep planner's computation-sharing mode (reliability only). On the sparse sampler
-	// shared sweeps are a distinct (statistically identical, separately
-	// golden-pinned) realization, so Shared is part of the cache key; on
-	// the bit-exact sampler results are bit-identical to the legacy path
-	// but the key still separates the two modes for uniformity.
+	// Shared is true on every normalized reliability request: every
+	// sweep derives a voltage point's patterns from one stuck-cell
+	// enumeration per (port, rep). Normalize sets it whatever the client
+	// sent, so a request with or without it keys one cache entry. It
+	// stays in the wire format and the cache key only so that keys and
+	// payloads keep their bytes until a physics epoch changes every key.
 	Shared bool `json:"shared,omitempty"`
 	// Grid is the voltage ladder, descending; nil → the paper's
 	// 1.20 V → 0.81 V sweep.
@@ -187,6 +186,7 @@ func (r *SweepRequest) Normalize() error {
 		if len(r.PortCounts) != 0 || r.Samples != 0 {
 			return badRequest("port_counts/samples apply to kind %q only", KindPower)
 		}
+		r.Shared = true
 		if r.Batch == 0 {
 			r.Batch = 5
 		}

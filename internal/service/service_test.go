@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -831,10 +833,10 @@ func TestPowerNoiseKeyed(t *testing.T) {
 	}
 }
 
-// TestSharedRequestKeyAndExecution pins the planner-facing service
-// surface: Shared applies to reliability only, folds into the cache
-// key (sparse shared sweeps are a distinct realization), and executes
-// end to end into a reliability envelope.
+// TestSharedRequestKeyAndExecution pins the service surface of the
+// shared field: it applies to reliability only, every reliability
+// request normalizes to it, and a request that omits it coalesces onto
+// the job of one that sends it, serving the same bytes.
 func TestSharedRequestKeyAndExecution(t *testing.T) {
 	for _, kind := range []string{KindPower, KindFaultMap, KindECCStudy} {
 		r := SweepRequest{Kind: kind, Shared: true}
@@ -852,23 +854,9 @@ func TestSharedRequestKeyAndExecution(t *testing.T) {
 	}
 	shared := base
 	shared.Shared = true
-	key := func(r SweepRequest) uint64 {
-		t.Helper()
-		if err := r.Normalize(); err != nil {
-			t.Fatal(err)
-		}
-		k, err := r.CacheKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	if key(base) == key(shared) {
-		t.Fatal("shared not folded into the cache key")
-	}
 
 	m := openManager(t, Config{Workers: 1})
-	j, _, _, err := m.SubmitOpts(shared, SubmitOptions{})
+	j, _, _, err := m.SubmitOpts(base, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -880,25 +868,79 @@ func TestSharedRequestKeyAndExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	if env.Reliability == nil || !env.Request.Shared {
-		t.Fatalf("shared sweep envelope malformed: %+v", env.Request)
+		t.Fatalf("reliability envelope malformed: %+v", env.Request)
 	}
 	if len(env.Reliability.Points) != 2 {
 		t.Fatalf("points = %d", len(env.Reliability.Points))
 	}
-	// Shared and legacy keys resolve to distinct computations.
-	j2, coalesced, _, err := m.SubmitOpts(base, SubmitOptions{})
+	j2, _, cacheHit, err := m.SubmitOpts(shared, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if coalesced {
-		t.Fatal("legacy request coalesced onto the shared job")
+	if !cacheHit {
+		t.Fatal("explicitly shared request missed the cache entry of the same sweep")
 	}
 	if st, err := j2.Wait(context.Background()); err != nil || st != StateDone {
 		t.Fatalf("wait = %v, %v (%s)", st, err, j2.Err())
 	}
-	if bytes.Equal(j.Payload(), j2.Payload()) {
-		// Sparse realizations differ (the request echo alone differs).
-		t.Fatal("shared and legacy payloads identical including request echo")
+	if !bytes.Equal(j.Payload(), j2.Payload()) {
+		t.Fatal("requests with and without shared served different payloads")
+	}
+}
+
+// TestSharedFieldNormalizesToGoldenKey: whatever a reliability body
+// says about shared, it keys the cache entry the committed smoke
+// campaign manifest records for that sweep.
+func TestSharedFieldNormalizesToGoldenKey(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("..", "..", "testdata", "campaign", "paper-repro-smoke-shared", "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest struct {
+		Scenarios []struct {
+			Name  string
+			Cells []struct{ Key string }
+		}
+	}
+	if err := json.Unmarshal(blob, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	want := ""
+	for _, sc := range manifest.Scenarios {
+		if sc.Name == "algorithm1-exact" {
+			want = sc.Cells[0].Key
+		}
+	}
+	if want == "" {
+		t.Fatal("golden manifest has no algorithm1-exact cell")
+	}
+
+	const cell = `"kind":"reliability","exact":true,"grid":[0.93,0.9,0.87],"patterns":["all1"],"batch":2,"ports":[5,18]`
+	tests := []struct {
+		name string
+		body string
+	}{
+		{"shared omitted", `{` + cell + `}`},
+		{"shared false", `{` + cell + `,"shared":false}`},
+		{"shared true", `{` + cell + `,"shared":true}`},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			var r SweepRequest
+			if err := json.Unmarshal([]byte(tt.body), &r); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			key, err := r.CacheKey()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := FormatKey(key); got != want {
+				t.Errorf("key = %s, want the golden manifest's %s", got, want)
+			}
+		})
 	}
 }
 

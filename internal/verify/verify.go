@@ -190,9 +190,6 @@ type Options struct {
 	Jobs int
 	// Fleet is the per-sweep board-fleet size hint.
 	Fleet int
-	// Shared routes the campaign through the sweep planner
-	// (shared-enumeration realization).
-	Shared bool
 	// OnCell forwards campaign progress.
 	OnCell func(done, total int)
 }
@@ -202,10 +199,9 @@ type Options struct {
 func Run(ctx context.Context, opts Options) (*Report, error) {
 	spec := campaign.PaperRepro(opts.Smoke)
 	res, err := campaign.Run(ctx, spec, campaign.Options{
-		Jobs:              opts.Jobs,
-		Fleet:             opts.Fleet,
-		OnCell:            opts.OnCell,
-		SharedEnumeration: opts.Shared,
+		Jobs:   opts.Jobs,
+		Fleet:  opts.Fleet,
+		OnCell: opts.OnCell,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("verify: %w", err)

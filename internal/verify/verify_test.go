@@ -25,7 +25,7 @@ func goldenEvidence(t *testing.T) *Evidence {
 
 func goldenEnvelopes(t *testing.T) []campaign.CellEnvelope {
 	t.Helper()
-	dir := filepath.Join("..", "..", "testdata", "campaign", "paper-repro-smoke")
+	dir := filepath.Join("..", "..", "testdata", "campaign", "paper-repro-smoke-shared")
 	var envs []campaign.CellEnvelope
 	for _, name := range []string{"fig2-power", "faultmap", "ecc-mitigation", "algorithm1", "algorithm1-exact"} {
 		data, err := os.ReadFile(filepath.Join(dir, name+".ndjson"))
