@@ -123,11 +123,22 @@ func TestCampaignRenderAnalyticFigures(t *testing.T) {
 // name, so the name stays. Regenerate with:
 // go test -run TestCampaignPaperReproSmokeGolden -update .
 func TestCampaignPaperReproSmokeGolden(t *testing.T) {
+	checkSmokeGolden(t, CampaignOptions{})
+}
+
+// TestCampaignPaperReproSmokeSharedGolden: the SharedEnumeration option
+// is a no-op kept for callers that still set it; a campaign run with it
+// must produce the same golden bytes as one without.
+func TestCampaignPaperReproSmokeSharedGolden(t *testing.T) {
+	checkSmokeGolden(t, CampaignOptions{SharedEnumeration: true})
+}
+
+func checkSmokeGolden(t *testing.T, opts CampaignOptions) {
+	t.Helper()
 	run := func(jobs, fleet int) map[string][]byte {
 		t.Helper()
-		res, err := RunCampaign(context.Background(), PaperReproCampaign(true), CampaignOptions{
-			Jobs: jobs, Fleet: fleet,
-		})
+		opts.Jobs, opts.Fleet = jobs, fleet
+		res, err := RunCampaign(context.Background(), PaperReproCampaign(true), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

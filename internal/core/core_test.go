@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -658,6 +659,37 @@ func TestCapacityStudyRowGranularRecovers(t *testing.T) {
 func TestCapacityStudyValidation(t *testing.T) {
 	if _, err := RunCapacityStudy(nil, nil); err == nil {
 		t.Fatal("nil model accepted")
+	}
+}
+
+// TestRunReliabilityParallelMatchesSequential: a whole-HBM sweep sharded
+// over several boards must equal, bit for bit, in-order traffic-generator
+// passes over every port on one board (oracleSweep in shared_test.go).
+func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
+	cfg := board.Config{Scale: 256, Seed: 4}
+	var ports []hbm.PortID
+	for p := 0; p < hbm.MaxPorts; p++ {
+		ports = append(ports, hbm.PortID(p))
+	}
+	rc := ReliabilityConfig{
+		Board:     testBoard(t, cfg),
+		Ports:     ports,
+		Patterns:  []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()},
+		Grid:      []float64{0.92, 0.90},
+		BatchSize: 3,
+		Workers:   2,
+	}
+	res, err := RunReliability(t.Context(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Board = testBoard(t, cfg)
+	seq := oracleSweep(t, rc)
+	if !reflect.DeepEqual(res.Points, seq.Points) {
+		t.Fatal("sharded sweep differs from in-order port passes")
+	}
+	if seq.Points[len(seq.Points)-1].MeanFlips == 0 {
+		t.Fatal("no flips at 0.90 V; the comparison is vacuous")
 	}
 }
 
