@@ -214,7 +214,7 @@ func BenchmarkAlgorithm1FullPC(b *testing.B) {
 
 // BenchmarkReliabilitySweep measures the full-grid Algorithm 1 sweep
 // (1.20V→0.81V, both patterns, every port, sparse sampler) under the
-// sweep scheduler at increasing board-fleet sizes. Results are
+// sweep scheduler at increasing worker counts. Results are
 // bit-identical at every worker count (pinned by the determinism test
 // suite); only wall clock changes, so points/sec across the j=N
 // sub-benchmarks is the scaling curve. CI emits these lines as

@@ -66,7 +66,7 @@ var (
 	flagBatch = flag.Int("batch", 5, "reliability: batch size (paper uses 130)")
 	flagVolts = flag.Float64("volts", 0, "reliability: single test voltage (0 = full 1.20V→0.81V sweep)")
 	flagExact = flag.Bool("exact", false, "bit-exact per-cell fault sampling instead of sparse enumeration (slow at full scale; pair with -scale)")
-	flagJ     = flag.Int("j", runtime.GOMAXPROCS(0), "reliability: sweep workers — voltage points are sharded across this many board clones; results are bit-identical at any count (1 = sequential)")
+	flagJ     = flag.Int("j", runtime.GOMAXPROCS(0), "reliability: sweep workers — voltage points are sharded across this many goroutines; results are bit-identical at any count (1 = sequential)")
 
 	flagSpec     = flag.String("spec", "paper-repro", "campaign: built-in campaign name or spec file path")
 	flagSmoke    = flag.Bool("smoke", false, "campaign: select a built-in campaign's smoke-scale variant")
@@ -397,9 +397,8 @@ func gridAround(hi, lo float64) []float64 {
 func runReliability(sys *hbmvolt.System) error {
 	// The default is the paper's whole-HBM methodology: every word of
 	// every pseudo channel, across the full voltage ladder. The sweep is
-	// sharded across -j board-fleet workers; on one board (-j 1, or a
-	// single -volts point) core runs the ports within each point
-	// concurrently instead. Both produce identical results.
+	// sharded across -j workers; -j 1, or a single -volts point, runs
+	// on one core. Both produce identical results.
 	var grid []float64
 	where := "1.20V→0.81V sweep"
 	if *flagVolts != 0 {

@@ -248,7 +248,7 @@ func TestVoltageAboveVoutMaxRejected(t *testing.T) {
 		{"board", func(t *testing.T, v float64) error { return newBoard(t).SetHBMVoltage(v) }},
 		{"core.RunReliability", func(t *testing.T, v float64) error {
 			_, err := core.RunReliability(ctx, core.ReliabilityConfig{
-				Board: newBoard(t), Grid: []float64{v}, Ports: []hbm.PortID{0}, BatchSize: 1,
+				Faults: newBoard(t).Faults, Grid: []float64{v}, Ports: []hbm.PortID{0}, BatchSize: 1,
 			})
 			return err
 		}},

@@ -1,6 +1,6 @@
 // Command hbmvoltd serves Algorithm 1 reliability sweeps and Fig. 2/3
 // power sweeps over HTTP — the sweep-as-a-service daemon on top of the
-// board-fleet scheduler.
+// sharded sweep scheduler.
 //
 // Usage:
 //
@@ -110,7 +110,7 @@ func bindFlags(fs *flag.FlagSet, o *daemon.Options) (peers, join *string) {
 	fs.StringVar(&o.CacheDir, "cache-dir", o.CacheDir, "durable result-cache directory: computed sweeps survive restarts and crashes (verified on read; empty = memory only)")
 	fs.Int64Var(&o.DiskCacheBytes, "cache-disk-bytes", o.DiskCacheBytes, "disk cache payload-byte bound, LRU-evicted (0 = unbounded; needs -cache-dir)")
 	fs.IntVar(&o.MaxJobs, "max-jobs", o.MaxJobs, "retained job records (oldest terminal jobs evicted)")
-	fs.IntVar(&o.FleetSize, "j", o.FleetSize, "default board-fleet size per sharded sweep (request \"workers\" overrides)")
+	fs.IntVar(&o.FleetSize, "j", o.FleetSize, "default worker count per sharded sweep (request \"workers\" overrides)")
 	fs.Float64Var(&o.RatePerSec, "rate", o.RatePerSec, "per-client submission rate limit in requests/second (0 = off); rejections get 429 with a latency-derived Retry-After")
 	fs.IntVar(&o.RateBurst, "burst", o.RateBurst, "per-client token-bucket burst (with -rate)")
 	fs.DurationVar(&o.DrainTimeout, "drain-timeout", o.DrainTimeout, "graceful-shutdown budget: in-flight sweeps get this long to finish before being cancelled")

@@ -62,8 +62,6 @@ const MaxHBMVoltage = 1.30
 
 // Board is the assembled platform.
 type Board struct {
-	cfg Config
-
 	Org    hbm.Organization
 	Faults *faults.Model
 	Device *hbm.Device
@@ -138,7 +136,7 @@ func New(cfg Config) (*Board, error) {
 		return nil, err
 	}
 
-	b := &Board{cfg: cfg, Org: org, Faults: fm, Device: dev, Power: pm}
+	b := &Board{Org: org, Faults: fm, Device: dev, Power: pm}
 
 	b.Regulator = pmbus.NewISL68301(pmbus.ISLConfig{
 		VoutMax:  MaxHBMVoltage,
@@ -198,24 +196,6 @@ func MustNew(cfg Config) *Board {
 	return b
 }
 
-// Config returns the (default-filled) configuration the board was built
-// from.
-func (b *Board) Config() Config { return b.cfg }
-
-// Clone builds an independent board of the same configuration: same
-// seed, scale, temperature and fault realization, but fresh electrical
-// and memory state (contents zeroed, regulator at nominal, counters
-// reset). The fault model draws are pure functions of the seeded
-// configuration, so a clone observes exactly the faults the original
-// does at every (voltage, rep) — which is what lets a sweep scheduler
-// fan one logical device out across a fleet of clones and still produce
-// bit-identical results. Cloned models with equal fingerprints share the
-// memoized analytic rate atlas, so a fleet costs no redundant analytic
-// work.
-func (b *Board) Clone() (*Board, error) {
-	return New(b.cfg)
-}
-
 // railAmps models the rail's current draw at voltage v given how many
 // ports are actively generating traffic.
 func (b *Board) railAmps(v float64) float64 {
@@ -245,15 +225,38 @@ func (b *Board) SetActivePorts(n int) error {
 // ActivePorts returns the number of traffic-generating ports.
 func (b *Board) ActivePorts() int { return b.activePorts }
 
+// voutExp is the regulator's VOUT_MODE exponent (244 µV LSB).
+const voutExp = -12
+
+// voutCommand encodes volts as the VOUT_COMMAND word the board writes,
+// refusing a voltage above MaxHBMVoltage rather than letting the
+// regulator clamp it.
+func voutCommand(volts float64) (uint16, error) {
+	if volts > MaxHBMVoltage {
+		return 0, fmt.Errorf("board: HBM voltage %vV above the regulator's VOUT_MAX %.2fV", volts, MaxHBMVoltage)
+	}
+	return pmbus.Linear16(volts, voutExp)
+}
+
+// RailVoltage returns the rail voltage SetHBMVoltage(volts) drives the
+// stacks to: volts quantized through LINEAR16 and capped at VOUT_MAX,
+// with the same refusals. The stacks crash iff it is below
+// faults.VCritical; the regulator's under-voltage latch trips only
+// below that, so it never changes which points crash.
+func RailVoltage(volts float64) (float64, error) {
+	w, err := voutCommand(volts)
+	if err != nil {
+		return 0, err
+	}
+	return min(pmbus.FromLinear16(w, voutExp), MaxHBMVoltage), nil
+}
+
 // SetHBMVoltage programs the regulator over PMBus. The voltage reaches
 // the stacks through the rail coupling; driving it below the HBM's
 // V_critical crashes the memory exactly as on the real board. A voltage
 // above MaxHBMVoltage is refused rather than clamped by the regulator.
 func (b *Board) SetHBMVoltage(volts float64) error {
-	if volts > MaxHBMVoltage {
-		return fmt.Errorf("board: HBM voltage %vV above the regulator's VOUT_MAX %.2fV", volts, MaxHBMVoltage)
-	}
-	w, err := pmbus.Linear16(volts, -12)
+	w, err := voutCommand(volts)
 	if err != nil {
 		return err
 	}
@@ -266,7 +269,7 @@ func (b *Board) HBMVoltage() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return pmbus.FromLinear16(w, -12), nil
+	return pmbus.FromLinear16(w, voutExp), nil
 }
 
 // MeasurePower reads the INA226 power register (watts).

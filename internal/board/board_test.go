@@ -3,6 +3,7 @@ package board
 import (
 	"hbmvolt/internal/axi"
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"hbmvolt/internal/faults"
@@ -51,6 +52,40 @@ func TestSetHBMVoltageReachesStacks(t *testing.T) {
 	}
 	if math.Abs(v-0.95) > 0.001 {
 		t.Fatalf("read back %v", v)
+	}
+}
+
+// TestRailVoltageMatchesBoard: RailVoltage is the rail a fresh board
+// drives its stacks to. Over the paper grid and seeded voltages in
+// [0, VOUT_MAX], it equals the regulator's output wherever the
+// regulator has not latched off, and it is below V_critical exactly
+// when the board crashed. Voltages the board refuses, it refuses too.
+func TestRailVoltageMatchesBoard(t *testing.T) {
+	volts := append(faults.PaperGrid(), 0, MaxHBMVoltage)
+	r := rand.New(rand.NewPCG(1, 2))
+	for range 200 {
+		volts = append(volts, r.Float64()*MaxHBMVoltage)
+	}
+	for _, v := range volts {
+		rail, err := RailVoltage(v)
+		if err != nil {
+			t.Fatalf("RailVoltage(%v): %v", v, err)
+		}
+		b := newBoard(t, Config{})
+		if err := b.SetHBMVoltage(v); err != nil {
+			t.Fatal(err)
+		}
+		if out := b.Regulator.Vout(); out != 0 && rail != out {
+			t.Fatalf("RailVoltage(%v) = %v, regulator drives %v", v, rail, out)
+		}
+		if (rail < faults.VCritical) != b.Crashed() {
+			t.Fatalf("%vV: rail %v, board crashed = %v", v, rail, b.Crashed())
+		}
+	}
+	for _, v := range []float64{1.31, -0.1, math.NaN()} {
+		if _, err := RailVoltage(v); err == nil {
+			t.Fatalf("RailVoltage(%v) accepted", v)
+		}
 	}
 }
 

@@ -20,9 +20,9 @@ type Options struct {
 	// Jobs is the number of sweeps executing concurrently (the job
 	// manager's worker count; default 2).
 	Jobs int
-	// Fleet is the per-sweep board-fleet size hint applied to every
+	// Fleet is the per-sweep worker-count hint applied to every
 	// submitted cell (default 1, sequential). Results are bit-identical
-	// at every fleet size, so Fleet never appears in cache keys,
+	// at every worker count, so Fleet never appears in cache keys,
 	// manifests or artifacts.
 	Fleet int
 	// OnCell, when non-nil, is called after each completed (cell,

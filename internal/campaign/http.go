@@ -75,8 +75,8 @@ type SubmitBody struct {
 	Smoke   bool   `json:"smoke,omitempty"`
 	// Spec is an inline campaign spec.
 	Spec *Spec `json:"spec,omitempty"`
-	// Fleet is the per-sweep board-fleet size hint (never affects
-	// results or the manifest).
+	// Fleet is the per-sweep worker-count hint (never affects results
+	// or the manifest).
 	Fleet int `json:"fleet,omitempty"`
 }
 

@@ -3,10 +3,10 @@
 // reusable library:
 //
 //   - RunReliability runs Algorithm 1 (batched sequential write/read-check
-//     over a voltage ladder) against a simulated VCU128 board, sharding
-//     the voltage points across a fleet of board clones when Workers > 1
-//     (bit-identical to the single-board path at any worker count, with
-//     context cancellation and progress callbacks);
+//     over a voltage ladder) against a device's fault model, sharding the
+//     voltage points across goroutines when Workers > 1 (bit-identical
+//     to the one-worker path at any worker count, with context
+//     cancellation and progress callbacks); it never programs a board;
 //   - PowerSweep regenerates the power study (Fig. 2) and the effective
 //     switched-capacitance analysis (Fig. 3);
 //   - ReliabilitySweep regenerates the per-stack fault-fraction curves
@@ -17,8 +17,9 @@
 //
 // Experiments have two evaluation paths that share one fault model:
 // analytic expectations (exact, full-size, used for figures) and
-// Monte-Carlo runs through the board's AXI traffic generators (Algorithm
-// 1 verbatim, used for validation and scaled studies).
+// Monte-Carlo Algorithm 1 runs that enumerate the model's stuck cells
+// (used for validation and scaled studies; on the bit-exact sampler
+// they match the board's AXI traffic generators bit for bit).
 package core
 
 // PaperBatchSize is the repetition count the paper uses for every test:

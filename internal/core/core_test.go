@@ -21,6 +21,21 @@ func testBoard(t testing.TB, cfg board.Config) *board.Board {
 	return b
 }
 
+// testModel builds the fault model of the board cfg describes, the
+// device a reliability sweep evaluates.
+func testModel(t testing.TB, cfg board.Config) *faults.Model {
+	t.Helper()
+	fcfg, err := board.FaultConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := faults.New(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func fullModel(t testing.TB) *faults.Model {
 	t.Helper()
 	m, err := faults.New(faults.DefaultConfig())
@@ -33,9 +48,8 @@ func fullModel(t testing.TB) *faults.Model {
 // --- Algorithm 1 -----------------------------------------------------
 
 func TestRunReliabilityGuardbandClean(t *testing.T) {
-	b := testBoard(t, board.Config{Scale: 1024})
 	res, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:     b,
+		Faults:    testModel(t, board.Config{Scale: 1024}),
 		Grid:      faults.VoltageGrid(1.20, 0.98),
 		BatchSize: 2,
 	})
@@ -53,11 +67,11 @@ func TestRunReliabilityGuardbandClean(t *testing.T) {
 }
 
 func TestRunReliabilityMatchesAnalytic(t *testing.T) {
-	b := testBoard(t, board.Config{Scale: 64, Seed: 3})
+	fm := testModel(t, board.Config{Scale: 64, Seed: 3})
 	const port = 18 // sensitive PC18
 	v := 0.89
 	res, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:     b,
+		Faults:    fm,
 		Ports:     []hbm.PortID{port},
 		Patterns:  []pattern.Pattern{pattern.AllOnes()},
 		Grid:      []float64{v},
@@ -70,7 +84,7 @@ func TestRunReliabilityMatchesAnalytic(t *testing.T) {
 	if pt == nil {
 		t.Fatal("missing point")
 	}
-	want := b.Faults.ExpectedFaults(1, 2, v, faults.OneToZero, 0, b.Org.WordsPerPC)
+	want := fm.ExpectedFaults(1, 2, v, faults.OneToZero, 0, fm.Geometry().WordsPerPC)
 	sd := math.Sqrt(math.Max(want, 1))
 	if math.Abs(pt.MeanFlips-want) > 6*sd {
 		t.Fatalf("mean flips %v, want %v ± %v", pt.MeanFlips, want, 6*sd)
@@ -82,9 +96,8 @@ func TestRunReliabilityMatchesAnalytic(t *testing.T) {
 
 func TestRunReliabilityBatchVariance(t *testing.T) {
 	// Metastable cells make batch runs differ; the summary must show it.
-	b := testBoard(t, board.Config{Scale: 64, Seed: 9})
 	res, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:     b,
+		Faults:    testModel(t, board.Config{Scale: 64, Seed: 9}),
 		Ports:     []hbm.PortID{5},
 		Patterns:  []pattern.Pattern{pattern.AllOnes()},
 		Grid:      []float64{0.88},
@@ -106,9 +119,8 @@ func TestRunReliabilityBatchVariance(t *testing.T) {
 }
 
 func TestRunReliabilityCrashRecovery(t *testing.T) {
-	b := testBoard(t, board.Config{Scale: 1024})
 	res, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:        b,
+		Faults:       testModel(t, board.Config{Scale: 1024}),
 		Ports:        []hbm.PortID{0},
 		Grid:         []float64{0.82, 0.80, 0.82}, // dips below V_critical
 		WordsPerPort: 512,
@@ -126,23 +138,20 @@ func TestRunReliabilityCrashRecovery(t *testing.T) {
 	if !res.Points[1].Crashed {
 		t.Fatal("no crash recorded at 0.80V")
 	}
-	// After the power cycle the next point must be measurable again.
+	// A crash does not carry over: the next point is measurable again.
 	if res.Points[2].Crashed {
-		t.Fatal("board did not recover after power cycle")
-	}
-	if b.Crashed() {
-		t.Fatal("board left crashed")
+		t.Fatal("still crashed after the sub-critical point")
 	}
 }
 
 func TestRunReliabilityConfigValidation(t *testing.T) {
 	if _, err := RunReliability(t.Context(), ReliabilityConfig{}); err == nil {
-		t.Fatal("nil board accepted")
+		t.Fatal("nil fault model accepted")
 	}
-	b := testBoard(t, board.Config{Scale: 1024})
+	fm := testModel(t, board.Config{Scale: 1024})
 	if _, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:        b,
-		WordsPerPort: b.Org.WordsPerPC + 1,
+		Faults:       fm,
+		WordsPerPort: fm.Geometry().WordsPerPC + 1,
 	}); err == nil {
 		t.Fatal("oversized window accepted")
 	}
@@ -165,7 +174,7 @@ func TestRunReliabilityRejectsBadPorts(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			_, err := RunReliability(t.Context(), ReliabilityConfig{
-				Board:     testBoard(t, board.Config{Scale: 1024}),
+				Faults:    testModel(t, board.Config{Scale: 1024}),
 				Ports:     tt.ports,
 				Grid:      []float64{0.90},
 				BatchSize: 1,
@@ -663,7 +672,7 @@ func TestCapacityStudyValidation(t *testing.T) {
 }
 
 // TestRunReliabilityParallelMatchesSequential: a whole-HBM sweep sharded
-// over several boards must equal, bit for bit, in-order traffic-generator
+// over several workers must equal, bit for bit, in-order traffic-generator
 // passes over every port on one board (oracleSweep in shared_test.go).
 func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
 	cfg := board.Config{Scale: 256, Seed: 4}
@@ -672,7 +681,7 @@ func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
 		ports = append(ports, hbm.PortID(p))
 	}
 	rc := ReliabilityConfig{
-		Board:     testBoard(t, cfg),
+		Faults:    testModel(t, cfg),
 		Ports:     ports,
 		Patterns:  []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()},
 		Grid:      []float64{0.92, 0.90},
@@ -683,8 +692,7 @@ func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc.Board = testBoard(t, cfg)
-	seq := oracleSweep(t, rc)
+	seq := oracleSweep(t, testBoard(t, cfg), rc)
 	if !reflect.DeepEqual(res.Points, seq.Points) {
 		t.Fatal("sharded sweep differs from in-order port passes")
 	}
@@ -693,15 +701,14 @@ func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMeasuredUnsafeRegionShape drives Algorithm 1 through the full
-// board stack across the unsafe region and checks the shapes the paper
+// TestMeasuredUnsafeRegionShape drives Algorithm 1 over the bit-exact
+// fault model across the unsafe region and checks the shapes the paper
 // reports — exponential growth and per-PC variability — from measured
 // counts rather than analytics.
 func TestMeasuredUnsafeRegionShape(t *testing.T) {
-	b := testBoard(t, board.Config{Scale: 256, Seed: 2})
 	ports := []hbm.PortID{1, 5, 13, 18, 25} // robust, sensitive, good, sensitive, robust
 	res, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:     b,
+		Faults:    testModel(t, board.Config{Scale: 256, Seed: 2}),
 		Ports:     ports,
 		Grid:      []float64{0.93, 0.90, 0.87},
 		BatchSize: 2,

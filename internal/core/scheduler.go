@@ -1,29 +1,23 @@
 package core
 
-// Board-fleet parallelism for Algorithm 1 sweeps.
+// Parallelism for Algorithm 1 sweeps.
 //
-// A reliability sweep is embarrassingly parallel across voltage points —
-// each point programs the rail, writes patterns and reads them back, and
+// A reliability sweep is embarrassingly parallel across voltage points:
 // every random draw underneath (cell critical voltages, metastability
 // jitter, sparse row realizations, aggregate count draws) is a pure
 // function of (seed, PC, address, rep, voltage), never of evaluation
 // order. RunReliability exploits that: with cfg.Workers > 1 it
-// instantiates one independent board clone per worker and distributes
-// the grid points over a bounded worker pool, so a full-grid sweep
-// scales with cores instead of pinning one; one worker on cfg.Board is
-// the sequential sweep. Because the draws are keyed rather than
-// streamed, the output is bit-identical at any worker count — the
-// determinism tests pin this across worker counts and patterns.
-//
-// Cloned boards share the memoized analytic rate atlas (same config
-// fingerprint), so the fleet duplicates electrical state but never
-// analytic work.
+// distributes the grid points over a bounded pool of goroutines that
+// all read cfg.Faults, so a full-grid sweep scales with cores instead
+// of pinning one; one worker is the sequential sweep. Because the draws
+// are keyed rather than streamed, the output is bit-identical at any
+// worker count — the determinism tests pin this across worker counts
+// and patterns.
 
 import (
 	"context"
 	"sync"
 
-	"hbmvolt/internal/board"
 	"hbmvolt/internal/faults"
 )
 
@@ -39,8 +33,7 @@ type SweepProgress struct {
 	// Volts is the completed point's voltage; under a sharded sweep
 	// points complete out of grid order.
 	Volts float64 `json:"volts,omitempty"`
-	// Crashed marks a point below V_critical (the board was power
-	// cycled).
+	// Crashed marks a point below V_critical.
 	Crashed bool `json:"crashed,omitempty"`
 	// MeanFlips is the point's batch-mean flip count over all ports and
 	// patterns. Zero for power-sweep progress.
@@ -85,36 +78,14 @@ func (p *progressTracker) completed(pt VoltagePoint) {
 // regrow its lane slice by doubling on every job.
 var enumPool = sync.Pool{New: func() any { return new(faults.Enumeration) }}
 
-// runSharded drives a fleet of workers boards: cfg.Board (the fleet
-// template) plus workers-1 clones. Grid indices flow through an
-// unbuffered channel so a cancelled context stops dispatch immediately;
-// each worker owns its board exclusively, writes results into its grid
-// slot, and the first error cancels the rest of the sweep. The ports of
-// a point run in order. Each worker also takes one enumeration buffer
-// from enumPool, refilled by every point it evaluates.
-func runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityResult, prog *progressTracker, workers int) (err error) {
-	boards := make([]*board.Board, workers)
-	boards[0] = cfg.Board
-	for w := 1; w < workers; w++ {
-		b, cerr := cfg.Board.Clone()
-		if cerr != nil {
-			// Restore the clones built so far before bailing.
-			for _, built := range boards[:w] {
-				restoreNominal(built, &err)
-			}
-			if err == nil {
-				err = cerr
-			}
-			return err
-		}
-		boards[w] = b
-	}
-	defer func() {
-		for _, b := range boards {
-			restoreNominal(b, &err)
-		}
-	}()
-
+// runSharded evaluates the grid on workers goroutines. Grid indices
+// flow through an unbuffered channel so a cancelled context stops
+// dispatch immediately; each worker writes results into its grid slot,
+// and the first error cancels the rest of the sweep. The ports of a
+// point run in order. Each worker also takes one enumeration buffer
+// from enumPool, refilled by every point it evaluates. rails holds each
+// grid point's rail voltage.
+func runSharded(ctx context.Context, cfg *ReliabilityConfig, rails []float64, res *ReliabilityResult, prog *progressTracker, workers int) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -135,12 +106,12 @@ func runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityRes
 	tasks := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(b *board.Board) {
+		go func() {
 			defer wg.Done()
 			buf := enumPool.Get().(*faults.Enumeration)
 			defer enumPool.Put(buf)
 			for i := range tasks {
-				pt, perr := runVoltagePoint(ctx, b, cfg, cfg.Grid[i], buf)
+				pt, perr := runVoltagePoint(ctx, cfg, cfg.Grid[i], rails[i], buf)
 				if perr != nil {
 					fail(perr)
 					return
@@ -148,7 +119,7 @@ func runSharded(ctx context.Context, cfg *ReliabilityConfig, res *ReliabilityRes
 				res.Points[i] = pt
 				prog.completed(pt)
 			}
-		}(boards[w])
+		}()
 	}
 
 feed:
@@ -165,8 +136,5 @@ feed:
 	if firstErr != nil {
 		return firstErr
 	}
-	if cerr := ctx.Err(); cerr != nil {
-		return cerr
-	}
-	return nil
+	return ctx.Err()
 }

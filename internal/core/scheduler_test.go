@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -22,13 +23,13 @@ func shardGrid() []float64 {
 }
 
 // sweepAtWorkers runs the full-ladder sweep with the given worker count
-// on a fresh board of the given config. A port subset spanning both
-// stacks and the sensitive PCs keeps the bit-exact collapse points
+// on the fault model of the given board config. A port subset spanning
+// both stacks and the sensitive PCs keeps the bit-exact collapse points
 // affordable.
 func sweepAtWorkers(t *testing.T, bcfg board.Config, workers int, pats []pattern.Pattern) *ReliabilityResult {
 	t.Helper()
 	res, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:     testBoard(t, bcfg),
+		Faults:    testModel(t, bcfg),
 		Ports:     []hbm.PortID{0, 4, 5, 18, 19, 31},
 		Patterns:  pats,
 		Grid:      shardGrid(),
@@ -67,7 +68,7 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 				}
 			}
 			if crashes == 0 {
-				t.Fatal("grid never crashed the board; crash-marker equality is vacuous")
+				t.Fatal("grid never crashed; crash-marker equality is vacuous")
 			}
 			for _, workers := range []int{2, 8} {
 				sharded := sweepAtWorkers(t, c.bcfg, workers, c.pats)
@@ -85,49 +86,13 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 	}
 }
 
-// nearVNom reports whether a PMBus readback equals V_nom up to Linear16
-// quantization (2^-12 V exponent).
-func nearVNom(v float64) bool {
-	return v > faults.VNom-1.0/4096 && v < faults.VNom+1.0/4096
-}
-
-// TestShardedSweepRestoresNominal: every fleet board — the caller's
-// template included — must end at nominal voltage, and so must a
-// one-worker sweep on error exits (the defer-restore contract).
-func TestShardedSweepRestoresNominal(t *testing.T) {
-	b := testBoard(t, board.Config{Scale: 1024})
-	_, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:     b,
-		Ports:     []hbm.PortID{0, 1},
-		Grid:      shardGrid(),
-		BatchSize: 2,
-		Workers:   4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := b.HBMVoltage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nearVNom(v) {
-		t.Fatalf("board left at %vV after sharded sweep, want %vV", v, faults.VNom)
-	}
-}
-
-// TestRunReliabilityCancelRestoresNominal: an early exit from a
-// one-worker sweep (here context cancellation while the board sits
-// undervolted) must still restore nominal conditions via the deferred
-// restore.
-func TestRunReliabilityCancelRestoresNominal(t *testing.T) {
-	b := testBoard(t, board.Config{Scale: 1024})
-	if err := b.SetHBMVoltage(0.90); err != nil {
-		t.Fatal(err)
-	}
+// TestRunReliabilityCancelledBeforeFirstPoint: a sweep whose context
+// is cancelled before it starts returns ctx.Err().
+func TestRunReliabilityCancelledBeforeFirstPoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first point
 	_, err := RunReliability(ctx, ReliabilityConfig{
-		Board:     b,
+		Faults:    testModel(t, board.Config{Scale: 1024}),
 		Ports:     []hbm.PortID{0},
 		Grid:      []float64{0.95, 0.94},
 		BatchSize: 2,
@@ -135,23 +100,33 @@ func TestRunReliabilityCancelRestoresNominal(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	v, err := b.HBMVoltage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nearVNom(v) {
-		t.Fatalf("board left at %vV after cancelled sweep, want %vV", v, faults.VNom)
+}
+
+// TestRunReliabilityRejectsGridUpFront: a grid point the regulator
+// refuses (above VOUT_MAX) fails the whole sweep before any point runs,
+// wherever it sits in the ladder.
+func TestRunReliabilityRejectsGridUpFront(t *testing.T) {
+	_, err := RunReliability(t.Context(), ReliabilityConfig{
+		Faults:    testModel(t, board.Config{Scale: 1024}),
+		Ports:     []hbm.PortID{0},
+		Grid:      []float64{0.95, 1.35},
+		BatchSize: 1,
+		OnPoint: func(p SweepProgress) {
+			t.Errorf("point %vV ran before the grid was refused", p.Volts)
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "VOUT_MAX") {
+		t.Fatalf("err = %v, want a VOUT_MAX refusal", err)
 	}
 }
 
 // TestShardedSweepCancellation: cancelling mid-sweep stops dispatch and
 // surfaces ctx.Err from the sharded path too.
 func TestShardedSweepCancellation(t *testing.T) {
-	b := testBoard(t, board.Config{Scale: 1024})
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	_, err := RunReliability(ctx, ReliabilityConfig{
-		Board:     b,
+		Faults:    testModel(t, board.Config{Scale: 1024}),
 		Ports:     []hbm.PortID{0, 1, 2, 3},
 		Grid:      faults.VoltageGrid(1.20, 0.90),
 		BatchSize: 2,
@@ -175,7 +150,7 @@ func TestSweepProgressCallback(t *testing.T) {
 		seen := map[float64]int{}
 		last := 0
 		res, err := RunReliability(t.Context(), ReliabilityConfig{
-			Board:     testBoard(t, board.Config{Scale: 1024}),
+			Faults:    testModel(t, board.Config{Scale: 1024}),
 			Ports:     []hbm.PortID{0, 18},
 			Grid:      grid,
 			BatchSize: 2,
@@ -209,13 +184,13 @@ func TestSweepProgressCallback(t *testing.T) {
 }
 
 // TestSchedulerZeroValue: a sweep with more workers than grid points
-// and no progress callback must work, cap its fleet at the grid size
+// and no progress callback must work, cap its workers at the grid size
 // and return the points in grid order.
 func TestSchedulerZeroValue(t *testing.T) {
 	res, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:     testBoard(t, board.Config{Scale: 1024}),
+		Faults:    testModel(t, board.Config{Scale: 1024}),
 		Ports:     []hbm.PortID{18},
-		Grid:      []float64{0.90, 0.89}, // fleet capped at 2
+		Grid:      []float64{0.90, 0.89}, // workers capped at 2
 		BatchSize: 2,
 		Workers:   8,
 	})
@@ -227,35 +202,5 @@ func TestSchedulerZeroValue(t *testing.T) {
 	}
 	if res.Points[0].Volts != 0.90 || res.Points[1].Volts != 0.89 {
 		t.Fatalf("points out of grid order: %+v", res.Points)
-	}
-}
-
-// TestBoardCloneIndependence: a clone realizes the same device (same
-// fault draws at every voltage) but owns independent electrical state.
-func TestBoardCloneIndependence(t *testing.T) {
-	b := testBoard(t, board.Config{Scale: 256, Seed: 5})
-	c, err := b.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetHBMVoltage(0.85); err != nil {
-		t.Fatal(err)
-	}
-	cv, err := c.HBMVoltage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !nearVNom(cv) {
-		t.Fatalf("clone rail moved to %vV with the original", cv)
-	}
-	// Same realization: identical fault sets on sensitive PC18 (stack 1,
-	// pc 2).
-	want := b.Faults.NewSampler(1, 2, 0.89).WordFaults(4096, nil)
-	got := c.Faults.NewSampler(1, 2, 0.89).WordFaults(4096, nil)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("clone realizes a different device: %v vs %v", want, got)
-	}
-	if c.Config() != b.Config() {
-		t.Fatal("clone config differs")
 	}
 }

@@ -15,8 +15,8 @@ package core
 // window once rather than for every voltage point or (port, rep).
 
 import (
-	"hbmvolt/internal/board"
 	"hbmvolt/internal/faults"
+	"hbmvolt/internal/hbm"
 	"hbmvolt/internal/pattern"
 	"hbmvolt/internal/stats"
 )
@@ -28,18 +28,15 @@ type portAcc struct {
 }
 
 // sharedVoltagePoint finishes one non-crashed voltage point: pt carries
-// the programmed grid voltage. The enumerations are drawn at the
-// regulator's effective output voltage — the PMBus-quantized rail the
-// stacks actually see, exactly what the device samplers key their draws
-// on. The outcome is a pure function of (voltage, pattern set, port
-// set, batch size) and the board's seeded configuration, so sharded
-// sweeps stay bit-identical at any worker count. buf is the calling
-// worker's enumeration buffer: each Enumerate resets it, so what an
-// earlier point left there never reaches this one, and no two workers
-// share one.
-func sharedVoltagePoint(b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint, buf *faults.Enumeration) (VoltagePoint, error) {
-	fm := b.Faults
-	vEff := b.Regulator.Vout()
+// the programmed grid voltage and rail its quantized rail voltage
+// (board.RailVoltage), the voltage the stacks actually see and the one
+// the device samplers key their draws on. The outcome is a pure function
+// of (voltage, pattern set, port set, batch size) and the seeded fault
+// model, so sharded sweeps stay bit-identical at any worker count. buf
+// is the calling worker's enumeration buffer: each Enumerate resets it,
+// so what an earlier point left there never reaches this one, and no
+// two workers share one.
+func sharedVoltagePoint(cfg *ReliabilityConfig, pt VoltagePoint, rail float64, buf *faults.Enumeration) (VoltagePoint, error) {
 	words := cfg.WordsPerPort
 	batch := cfg.BatchSize
 
@@ -55,10 +52,10 @@ func sharedVoltagePoint(b *board.Board, cfg *ReliabilityConfig, pt VoltagePoint,
 
 	for rep := 0; rep < batch; rep++ {
 		for i, port := range cfg.Ports {
-			stack, pc := port.StackPC(b.Org)
+			stack, pc := port.StackPC(hbm.DefaultOrganization)
 			// One physics evaluation per (port, rep); every pattern below
 			// derives from it before the next one refills buf.
-			e := fm.Enumerate(buf, stack, pc, vEff, uint64(rep), words)
+			e := cfg.Faults.Enumerate(buf, stack, pc, rail, uint64(rep), words)
 			for pi, pat := range cfg.Patterns {
 				// fill admitted only patterns with a ones density, so the
 				// flips are always derivable.

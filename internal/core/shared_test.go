@@ -7,6 +7,7 @@ import (
 
 	"hbmvolt/internal/axi"
 	"hbmvolt/internal/board"
+	"hbmvolt/internal/faults"
 	"hbmvolt/internal/hbm"
 	"hbmvolt/internal/pattern"
 	"hbmvolt/internal/stats"
@@ -14,9 +15,9 @@ import (
 
 // sharedCfg is the sweep the determinism tests pin: both paper
 // patterns plus an address-dependent one, a sensitive and a quiet port.
-func sharedCfg(b *board.Board, workers int) ReliabilityConfig {
+func sharedCfg(fm *faults.Model, workers int) ReliabilityConfig {
 	return ReliabilityConfig{
-		Board:     b,
+		Faults:    fm,
 		Ports:     []hbm.PortID{5, 18, 25},
 		Patterns:  []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros(), pattern.Checkerboard()},
 		Grid:      []float64{0.95, 0.91, 0.89, 0.87, 0.85},
@@ -39,8 +40,7 @@ func TestSharedSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, grid := range grids {
 		run := func(workers int) *ReliabilityResult {
 			t.Helper()
-			b := board.MustNew(board.Config{Scale: 1024, SparseFaults: true})
-			cfg := sharedCfg(b, workers)
+			cfg := sharedCfg(testModel(t, board.Config{Scale: 1024, SparseFaults: true}), workers)
 			cfg.Grid = grid
 			res, err := RunReliability(t.Context(), cfg)
 			if err != nil {
@@ -68,10 +68,10 @@ func TestSharedSweepBitIdenticalAcrossWorkers(t *testing.T) {
 // sweep's test oracle: at every voltage, each pattern's batch writes
 // and reads back every port's whole window through its traffic
 // generator, once per rep, with the device's rep register selecting the
-// metastability realization.
-func oracleSweep(t *testing.T, cfg ReliabilityConfig) *ReliabilityResult {
+// metastability realization. It runs on b, behind the board's real
+// regulator and crash latch; cfg supplies the rest of the sweep.
+func oracleSweep(t *testing.T, b *board.Board, cfg ReliabilityConfig) *ReliabilityResult {
 	t.Helper()
-	b := cfg.Board
 	margin, err := stats.MarginOfError(cfg.BatchSize, DefaultConfidence)
 	if err != nil {
 		t.Fatal(err)
@@ -144,14 +144,13 @@ func oracleSweep(t *testing.T, cfg ReliabilityConfig) *ReliabilityResult {
 // per-pattern traffic-generator fill/check bit for bit — every
 // observation, every statistic, crashes included.
 func TestSharedExactMatchesLegacy(t *testing.T) {
-	cfg := sharedCfg(board.MustNew(board.Config{Scale: 1024}), 1)
+	cfg := sharedCfg(testModel(t, board.Config{Scale: 1024}), 1)
 	cfg.Grid = append(cfg.Grid, 0.80) // crashes
 	got, err := RunReliability(t.Context(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Board = board.MustNew(board.Config{Scale: 1024})
-	want := oracleSweep(t, cfg)
+	want := oracleSweep(t, board.MustNew(board.Config{Scale: 1024}), cfg)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("exact-mode sweep differs from the traffic-generator oracle:\noracle: %+v\nsweep:  %+v",
 			want.Points, got.Points)
@@ -170,9 +169,8 @@ func TestSharedExactMatchesLegacy(t *testing.T) {
 // closed-form ones density is refused at config time with a
 // *PatternError, not mid-sweep.
 func TestSharedRejectsUnknownDensity(t *testing.T) {
-	b := board.MustNew(board.Config{Scale: 1024, SparseFaults: true})
 	_, err := RunReliability(t.Context(), ReliabilityConfig{
-		Board:     b,
+		Faults:    testModel(t, board.Config{Scale: 1024, SparseFaults: true}),
 		Ports:     []hbm.PortID{18},
 		Patterns:  []pattern.Pattern{pattern.AllOnes(), opaquePattern{}},
 		Grid:      []float64{0.90},

@@ -16,8 +16,10 @@ import (
 
 // ReliabilityConfig configures Algorithm 1.
 type ReliabilityConfig struct {
-	// Board under test.
-	Board *board.Board
+	// Faults is the device under test. A point's outcome depends on
+	// nothing else, so the sweep programs no board, and every worker
+	// reads this one model.
+	Faults *faults.Model
 	// Ports to exercise; nil means all 32 (the paper's whole-HBM test;
 	// a single entry reproduces the per-PC test).
 	Ports []hbm.PortID
@@ -32,10 +34,9 @@ type ReliabilityConfig struct {
 	// 1.20 V → 0.81 V sweep.
 	Grid []float64
 	// Workers is the sweep's only parallelism setting: the voltage
-	// points are sharded over min(Workers, len(Grid)) boards — Board plus
-	// clones — each running its ports in order; 0 or 1 runs the grid on
-	// Board alone. Results are bit-identical at every worker count; only
-	// wall time changes.
+	// points are sharded over min(Workers, len(Grid)) goroutines, each
+	// running its ports in order; 0 or 1 runs the grid in order. Results
+	// are bit-identical at every worker count; only wall time changes.
 	Workers int
 	// OnPoint, when non-nil, is invoked after each completed voltage
 	// point with monotone progress counters. Under a sharded sweep the
@@ -55,9 +56,12 @@ func (e *PatternError) Error() string {
 	return fmt.Sprintf("core: pattern %q has no closed-form ones density", e.Pattern)
 }
 
-func (c *ReliabilityConfig) fill() error {
-	if c.Board == nil {
-		return errors.New("core: ReliabilityConfig.Board is nil")
+// fill applies the defaults, validates the config and returns the rail
+// voltage of every grid point (board.RailVoltage), so a grid the
+// regulator refuses fails before any point runs.
+func (c *ReliabilityConfig) fill() ([]float64, error) {
+	if c.Faults == nil {
+		return nil, errors.New("core: ReliabilityConfig.Faults is nil")
 	}
 	if c.Ports == nil {
 		for i := 0; i < hbm.MaxPorts; i++ {
@@ -67,22 +71,22 @@ func (c *ReliabilityConfig) fill() error {
 	var seen [hbm.MaxPorts]bool
 	for _, p := range c.Ports {
 		if p < 0 || p >= hbm.MaxPorts {
-			return fmt.Errorf("core: port %d out of [0, %d)", p, hbm.MaxPorts)
+			return nil, fmt.Errorf("core: port %d out of [0, %d)", p, hbm.MaxPorts)
 		}
 		if seen[p] {
-			return fmt.Errorf("core: port %d listed twice", p)
+			return nil, fmt.Errorf("core: port %d listed twice", p)
 		}
 		seen[p] = true
 	}
 	if c.Patterns == nil {
 		c.Patterns = []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()}
 	}
+	pcWords := c.Faults.Geometry().WordsPerPC
 	if c.WordsPerPort == 0 {
-		c.WordsPerPort = c.Board.Org.WordsPerPC
+		c.WordsPerPort = pcWords
 	}
-	if c.WordsPerPort > c.Board.Org.WordsPerPC {
-		return fmt.Errorf("core: WordsPerPort %d exceeds PC capacity %d",
-			c.WordsPerPort, c.Board.Org.WordsPerPC)
+	if c.WordsPerPort > pcWords {
+		return nil, fmt.Errorf("core: WordsPerPort %d exceeds PC capacity %d", c.WordsPerPort, pcWords)
 	}
 	if c.BatchSize == 0 {
 		c.BatchSize = 5
@@ -92,10 +96,18 @@ func (c *ReliabilityConfig) fill() error {
 	}
 	for _, p := range c.Patterns {
 		if _, ok := pattern.OnesFraction(p); !ok {
-			return &PatternError{Pattern: p.Name()}
+			return nil, &PatternError{Pattern: p.Name()}
 		}
 	}
-	return nil
+	rails := make([]float64, len(c.Grid))
+	for i, v := range c.Grid {
+		r, err := board.RailVoltage(v)
+		if err != nil {
+			return nil, fmt.Errorf("core: grid point %vV: %w", v, err)
+		}
+		rails[i] = r
+	}
+	return rails, nil
 }
 
 // PortObservation is the batch-averaged outcome of one (port, pattern)
@@ -154,16 +166,16 @@ func (r *ReliabilityResult) Point(v float64) *VoltagePoint {
 
 // RunReliability executes Algorithm 1: for each voltage of the grid (top
 // down), repeat batchSize times {reset ports; write pattern; read back
-// and count mismatches}, for every configured pattern and port. A crash
-// (voltage below V_critical) is recorded and the board power-cycled, as
-// the paper's procedure requires. cfg.Workers alone sets the
-// parallelism (see runSharded); results are bit-identical at every
-// worker count. Every exit — success, mid-sweep error, or cancellation —
-// leaves the board (and every fleet clone) back at nominal voltage. A
-// cancelled ctx stops the sweep between voltage points and returns
-// ctx.Err().
+// and count mismatches}, for every configured pattern and port. A point
+// whose rail voltage is below V_critical is recorded as a crash, where
+// the paper's procedure power-cycles the board. The sweep evaluates
+// cfg.Faults alone and never programs any board. cfg.Workers alone sets
+// the parallelism (see runSharded); results are bit-identical at every
+// worker count. A cancelled ctx stops the sweep between voltage points
+// and returns ctx.Err().
 func RunReliability(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	if err := cfg.fill(); err != nil {
+	rails, err := cfg.fill()
+	if err != nil {
 		return nil, err
 	}
 	margin, err := stats.MarginOfError(cfg.BatchSize, DefaultConfidence)
@@ -176,19 +188,10 @@ func RunReliability(ctx context.Context, cfg ReliabilityConfig) (*ReliabilityRes
 	}
 	prog := &progressTracker{total: len(cfg.Grid), fn: cfg.OnPoint}
 	workers := max(min(cfg.Workers, len(cfg.Grid)), 1)
-	if err := runSharded(ctx, &cfg, res, prog, workers); err != nil {
+	if err := runSharded(ctx, &cfg, rails, res, prog, workers); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// restoreNominal re-programs the board to V_nom, joining a restore
-// failure into err unless an earlier error already explains the exit.
-// Deferred by every sweep path so no exit leaves the board undervolted.
-func restoreNominal(b *board.Board, err *error) {
-	if rerr := b.SetHBMVoltage(faults.VNom); rerr != nil && *err == nil {
-		*err = fmt.Errorf("core: restoring nominal voltage: %w", rerr)
-	}
 }
 
 // voltageBand buckets a grid voltage into a 0.05 V band for profiling
@@ -200,36 +203,26 @@ func voltageBand(v float64) string {
 	return fmt.Sprintf("%.2f-%.2f", lo, lo+0.05)
 }
 
-// runVoltagePoint executes one full Algorithm 1 step at voltage v on b:
-// program the rail, record and recover a crash, otherwise run every
+// runVoltagePoint executes one full Algorithm 1 step at grid voltage v,
+// whose rail voltage is rail: a crash below V_critical, otherwise every
 // configured pattern over every port for the whole batch. The outcome is
 // a pure function of (voltage, pattern set, port set, batch size) and
-// the board's seeded configuration — it depends neither on which board
-// of a fleet evaluates it nor on which points ran before, which is the
-// invariant that makes sweeps bit-identical at every worker count. ctx
-// carries the profiling label of the voltage band; it never influences
-// the outcome, and neither does what buf (the worker's enumeration
-// buffer) held before.
-func runVoltagePoint(ctx context.Context, b *board.Board, cfg *ReliabilityConfig, v float64, buf *faults.Enumeration) (VoltagePoint, error) {
-	if err := b.SetHBMVoltage(v); err != nil {
-		return VoltagePoint{}, fmt.Errorf("core: setting %vV: %w", v, err)
-	}
+// the seeded fault model — it depends neither on which worker evaluates
+// it nor on which points ran before, which is the invariant that makes
+// sweeps bit-identical at every worker count. ctx carries the profiling
+// label of the voltage band; it never influences the outcome, and
+// neither does what buf (the worker's enumeration buffer) held before.
+func runVoltagePoint(ctx context.Context, cfg *ReliabilityConfig, v, rail float64, buf *faults.Enumeration) (VoltagePoint, error) {
 	pt := VoltagePoint{Volts: v}
-	if b.Crashed() {
-		// Below V_critical the stacks stop responding; restoring the
-		// voltage does not help — power cycle and move on.
+	if rail < faults.VCritical {
+		// Below V_critical the stacks stop responding: there is nothing
+		// to read back.
 		pt.Crashed = true
-		if err := b.PowerCycle(); err != nil {
-			return VoltagePoint{}, err
-		}
 		return pt, nil
 	}
 	var err error
 	pprof.Do(ctx, pprof.Labels("hbmvolt_vband", voltageBand(v)), func(context.Context) {
-		pt, err = sharedVoltagePoint(b, cfg, pt, buf)
+		pt, err = sharedVoltagePoint(cfg, pt, rail, buf)
 	})
-	if err != nil {
-		return VoltagePoint{}, err
-	}
-	return pt, nil
+	return pt, err
 }

@@ -28,9 +28,9 @@ package faults
 //
 // Every draw here is a pure function of its key — there is no stream
 // shared across voltages, patterns or pseudo channels — which is the
-// property that lets the sweep scheduler shard voltage points across a
-// board fleet and still produce bit-identical results at any worker
-// count.
+// property that lets the sweep scheduler shard voltage points across
+// workers sharing one Model and still produce bit-identical results at
+// any worker count.
 //
 // The sparse device is a different realization than the bit-exact one
 // (and, unlike it, re-rolls whole rows across batch reps rather than
@@ -196,8 +196,8 @@ func (s *Sampler) sparseRange(start, count uint64, visit func(addr uint64, f Cel
 // A cell drawn twice keeps its first draw's polarity. The draws depend
 // only on (seed, PC, row, rep, voltage), never on the query window or
 // on any previously evaluated voltage point, so overlapping range
-// scans — and sweeps sharded across a board fleet in any order —
-// observe one consistent device.
+// scans — and sweeps sharded across workers in any order — observe one
+// consistent device.
 func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) (first, end int) {
 	wpr := s.wordsPerRow
 	nBits := wpr * 256

@@ -254,7 +254,7 @@ type JobStatus struct {
 // Config parameterizes a Manager (and its Server).
 type Config struct {
 	// Workers is the number of sweeps running concurrently (default 2).
-	// Distinct from SweepRequest.Workers, the per-sweep board-fleet size.
+	// Distinct from SweepRequest.Workers, the per-sweep worker count.
 	Workers int
 	// QueueDepth bounds the backlog of queued jobs; submissions beyond
 	// it fail with ErrQueueFull (default 16).
@@ -270,7 +270,7 @@ type Config struct {
 	// MaxJobs bounds retained job records; the oldest terminal jobs are
 	// evicted beyond it (their payloads survive in the LRU) (default 1024).
 	MaxJobs int
-	// FleetSize is the default per-sweep board-fleet size when a request
+	// FleetSize is the default per-sweep worker count when a request
 	// leaves Workers at 0 (default 1, sequential).
 	FleetSize int
 	// CacheDir, when non-empty, adds the crash-durable disk tier under
@@ -792,10 +792,9 @@ func (m *Manager) executeSweep(ctx context.Context, j *Job) (payload []byte, err
 	return payload, err
 }
 
-// sweepPayload builds the request's board (or, for the analytic kinds,
-// its full-capacity fault model), runs the configured study through
-// internal/core with progress events, and marshals the deterministic
-// payload.
+// sweepPayload builds the request's fault model (or, for a power sweep,
+// its board), runs the configured study through internal/core with
+// progress events, and marshals the deterministic payload.
 func (m *Manager) sweepPayload(ctx context.Context, j *Job) ([]byte, error) {
 	req := j.Req
 	onPoint := func(p core.SweepProgress) {
@@ -805,44 +804,36 @@ func (m *Manager) sweepPayload(ctx context.Context, j *Job) ([]byte, error) {
 	env.Request = req
 	env.Request.Workers = 0
 
-	// The analytic kinds need no board — just the device's fault model
-	// at full geometry, the same construction System's atlas uses.
-	if req.Kind == KindFaultMap || req.Kind == KindECCStudy {
-		fcfg, err := board.FaultConfig(board.Config{Seed: req.Seed, Scale: req.Scale})
+	if req.Kind == KindPower {
+		b, err := board.New(board.Config{Seed: req.Seed, Scale: req.Scale, NoiseSigma: req.Noise})
 		if err != nil {
 			return nil, err
 		}
-		fm, err := faults.New(fcfg)
+		res, err := core.RunPowerSweep(ctx, core.PowerSweepConfig{
+			Board:      b,
+			Grid:       req.Grid,
+			PortCounts: req.PortCounts,
+			Samples:    req.Samples,
+			OnPoint:    onPoint,
+		})
 		if err != nil {
 			return nil, err
 		}
-		switch req.Kind {
-		case KindFaultMap:
-			study, err := core.RunFaultMapStudy(fm, req.Grid)
-			if err != nil {
-				return nil, err
-			}
-			env.FaultMap = study
-		case KindECCStudy:
-			study, err := core.RunECCStudy(fm, req.Grid)
-			if err != nil {
-				return nil, err
-			}
-			env.ECC = study
-		}
+		env.Power = res
 		return report.Marshal(env)
 	}
 
-	b, err := board.New(board.Config{
-		Seed:         req.Seed,
-		Scale:        req.Scale,
-		NoiseSigma:   req.Noise,
-		SparseFaults: !req.Exact,
-	})
+	// Every other kind needs only the device's fault model. Normalize
+	// rejects Exact on the analytic kinds, and the analytic rates do
+	// not depend on the sampling mode.
+	fcfg, err := board.FaultConfig(board.Config{Seed: req.Seed, Scale: req.Scale, SparseFaults: !req.Exact})
 	if err != nil {
 		return nil, err
 	}
-
+	fm, err := faults.New(fcfg)
+	if err != nil {
+		return nil, err
+	}
 	switch req.Kind {
 	case KindReliability:
 		patterns := make([]pattern.Pattern, len(req.Patterns))
@@ -860,7 +851,7 @@ func (m *Manager) sweepPayload(ctx context.Context, j *Job) ([]byte, error) {
 			workers = m.cfg.FleetSize
 		}
 		res, err := core.RunReliability(ctx, core.ReliabilityConfig{
-			Board:     b,
+			Faults:    fm,
 			Ports:     ports,
 			Patterns:  patterns,
 			BatchSize: req.Batch,
@@ -872,18 +863,18 @@ func (m *Manager) sweepPayload(ctx context.Context, j *Job) ([]byte, error) {
 			return nil, err
 		}
 		env.Reliability = res
-	case KindPower:
-		res, err := core.RunPowerSweep(ctx, core.PowerSweepConfig{
-			Board:      b,
-			Grid:       req.Grid,
-			PortCounts: req.PortCounts,
-			Samples:    req.Samples,
-			OnPoint:    onPoint,
-		})
+	case KindFaultMap:
+		study, err := core.RunFaultMapStudy(fm, req.Grid)
 		if err != nil {
 			return nil, err
 		}
-		env.Power = res
+		env.FaultMap = study
+	case KindECCStudy:
+		study, err := core.RunECCStudy(fm, req.Grid)
+		if err != nil {
+			return nil, err
+		}
+		env.ECC = study
 	default:
 		return nil, badRequest("unknown kind %q", req.Kind)
 	}

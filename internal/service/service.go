@@ -1,5 +1,5 @@
 // Package service exposes the repository's Algorithm 1 sweeps as a
-// long-lived HTTP service — sweep-as-a-service over the board-fleet
+// long-lived HTTP service — sweep-as-a-service over the sharded sweep
 // scheduler (internal/core) instead of one-shot CLI runs.
 //
 // The API is JSON over HTTP:
@@ -102,7 +102,7 @@ type SweepRequest struct {
 	// (power sweeps only; 0 = exact). Noise draws are keyed on the seed
 	// and sample counter, so noisy sweeps stay deterministic.
 	Noise float64 `json:"noise,omitempty"`
-	// Workers is the board-fleet size for sharded reliability sweeps
+	// Workers is the worker count for sharded reliability sweeps
 	// (0 → the server default). A parallelism hint only: results are
 	// bit-identical at every worker count, so Workers is excluded from
 	// the cache key.

@@ -188,7 +188,7 @@ type Options struct {
 	Smoke bool
 	// Jobs is the campaign engine's concurrent sweep count.
 	Jobs int
-	// Fleet is the per-sweep board-fleet size hint.
+	// Fleet is the per-sweep worker-count hint.
 	Fleet int
 	// OnCell forwards campaign progress.
 	OnCell func(done, total int)

@@ -194,11 +194,13 @@ func (s *System) MeasureGuardband(wordsPerPort uint64, grid []float64) (Guardban
 	return core.MeasureGuardband(s.Board, wordsPerPort, grid)
 }
 
-// RunReliability executes Algorithm 1 with this system's board. With
-// cfg.Workers > 1 the voltage grid is sharded across a fleet of board
-// clones; results are bit-identical to the single-board sweep.
+// RunReliability executes Algorithm 1 on this system's device: it
+// evaluates the board's fault model and never programs the board, so
+// the result does not depend on the board's voltage or crash state.
+// With cfg.Workers > 1 the voltage grid is sharded across that many
+// goroutines; results are bit-identical to the one-worker sweep.
 func (s *System) RunReliability(cfg ReliabilityConfig) (*ReliabilityResult, error) {
-	cfg.Board = s.Board
+	cfg.Faults = s.Board.Faults
 	return core.RunReliability(context.Background(), cfg)
 }
 

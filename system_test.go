@@ -3,6 +3,7 @@ package hbmvolt
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -227,6 +228,37 @@ func TestReliabilityThroughFacade(t *testing.T) {
 	}
 	if res.Points[0].MeanFlips != 0 {
 		t.Fatal("faults at 1.0V")
+	}
+}
+
+// TestReliabilityIgnoresBoardState: a sweep evaluates the device, not
+// the board's present rail, so a board the caller left crashed sweeps
+// exactly like a fresh one at every worker count.
+func TestReliabilityIgnoresBoardState(t *testing.T) {
+	cfg := ReliabilityConfig{Grid: []float64{1.20, 1.15, 1.10, 1.05}, BatchSize: 2}
+	want, err := newSystem(t, Config{Scale: 1024}).RunReliability(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		sys := newSystem(t, Config{Scale: 1024})
+		if err := sys.SetVoltage(0.80); err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = workers
+		got, err := sys.RunReliability(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Points {
+			if !reflect.DeepEqual(want.Points[i], got.Points[i]) {
+				t.Fatalf("workers=%d: %vV on a crashed board (crashed=%v) differs from a fresh one (crashed=%v)",
+					workers, want.Points[i].Volts, got.Points[i].Crashed, want.Points[i].Crashed)
+			}
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: sweep on a crashed board differs outside Points", workers)
+		}
 	}
 }
 
