@@ -17,8 +17,6 @@ package core
 import (
 	"context"
 	"sync"
-
-	"hbmvolt/internal/faults"
 )
 
 // SweepProgress reports one completed voltage point of a running sweep.
@@ -72,19 +70,11 @@ func (p *progressTracker) completed(pt VoltagePoint) {
 	})
 }
 
-// enumPool recycles sweep workers' enumeration buffers across sweeps.
-// A buffer grows to the largest window its worker enumerates, and a
-// daemon runs one sweep per job, so a fresh buffer per sweep would
-// regrow its lane slice by doubling on every job.
-var enumPool = sync.Pool{New: func() any { return new(faults.Enumeration) }}
-
 // runSharded evaluates the grid on workers goroutines. Grid indices
 // flow through an unbuffered channel so a cancelled context stops
 // dispatch immediately; each worker writes results into its grid slot,
 // and the first error cancels the rest of the sweep. The ports of a
-// point run in order. Each worker also takes one enumeration buffer
-// from enumPool, refilled by every point it evaluates. rails holds each
-// grid point's rail voltage.
+// point run in order. rails holds each grid point's rail voltage.
 func runSharded(ctx context.Context, cfg *ReliabilityConfig, rails []float64, res *ReliabilityResult, prog *progressTracker, workers int) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -108,10 +98,8 @@ func runSharded(ctx context.Context, cfg *ReliabilityConfig, rails []float64, re
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := enumPool.Get().(*faults.Enumeration)
-			defer enumPool.Put(buf)
 			for i := range tasks {
-				pt, perr := runVoltagePoint(ctx, cfg, cfg.Grid[i], rails[i], buf)
+				pt, perr := runVoltagePoint(ctx, cfg, cfg.Grid[i], rails[i])
 				if perr != nil {
 					fail(perr)
 					return

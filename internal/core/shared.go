@@ -4,15 +4,13 @@ package core
 //
 // Which cells are stuck at a voltage is a property of the silicon that
 // no written pattern can change; only the observed flips depend on the
-// pattern. So a point computes the pattern-agnostic stuck-cell
-// enumeration of each (port, rep) once and derives every pattern's flip
-// statistics from it with an allocation-free popcount pass over
-// per-lane stuck-cell masks: a point with P patterns costs one physics
-// evaluation, not P. On the bit-exact sampler this reproduces a
-// per-pattern traffic-generator fill/check bit for bit (the test oracle
-// in shared_test.go). Every enumeration of a sweep worker is refilled
-// into the worker's one buffer, so a sweep allocates for its largest
-// window once rather than for every voltage point or (port, rep).
+// pattern. So a point enumerates the pattern-agnostic stuck cells of
+// each (port, rep) once, and one faults.Model.CountFlips call counts
+// every pattern's flip statistics while it does: a point with P
+// patterns costs one physics evaluation, not P, and stores no fault
+// set. On the bit-exact sampler this reproduces a per-pattern
+// traffic-generator fill/check bit for bit (the test oracle in
+// shared_test.go).
 
 import (
 	"hbmvolt/internal/faults"
@@ -32,11 +30,8 @@ type portAcc struct {
 // (board.RailVoltage), the voltage the stacks actually see and the one
 // the device samplers key their draws on. The outcome is a pure function
 // of (voltage, pattern set, port set, batch size) and the seeded fault
-// model, so sharded sweeps stay bit-identical at any worker count. buf
-// is the calling worker's enumeration buffer: each Enumerate resets it,
-// so what an earlier point left there never reaches this one, and no
-// two workers share one.
-func sharedVoltagePoint(cfg *ReliabilityConfig, pt VoltagePoint, rail float64, buf *faults.Enumeration) (VoltagePoint, error) {
+// model, so sharded sweeps stay bit-identical at any worker count.
+func sharedVoltagePoint(cfg *ReliabilityConfig, pt VoltagePoint, rail float64) (VoltagePoint, error) {
 	words := cfg.WordsPerPort
 	batch := cfg.BatchSize
 
@@ -50,20 +45,19 @@ func sharedVoltagePoint(cfg *ReliabilityConfig, pt VoltagePoint, rail float64, b
 		}
 	}
 
+	counts := make([]faults.PatternCount, len(cfg.Patterns))
 	for rep := 0; rep < batch; rep++ {
 		for i, port := range cfg.Ports {
 			stack, pc := port.StackPC(hbm.DefaultOrganization)
-			// One physics evaluation per (port, rep); every pattern below
-			// derives from it before the next one refills buf.
-			e := cfg.Faults.Enumerate(buf, stack, pc, rail, uint64(rep), words)
-			for pi, pat := range cfg.Patterns {
-				// fill admitted only patterns with a ones density, so the
-				// flips are always derivable.
-				f, fw, _ := e.PatternFlips(pat)
+			// One physics evaluation per (port, rep) counts every
+			// pattern. fill admitted only patterns with a ones density,
+			// so the counts are always complete.
+			cfg.Faults.CountFlips(stack, pc, rail, uint64(rep), words, cfg.Patterns, counts)
+			for pi, c := range counts {
 				a := &accs[pi][i]
-				a.flips += float64(f.Total())
-				a.faulty += float64(fw)
-				a.runs = append(a.runs, float64(f.Total()))
+				a.flips += float64(c.Flips.Total())
+				a.faulty += float64(c.Faulty)
+				a.runs = append(a.runs, float64(c.Flips.Total()))
 			}
 		}
 	}

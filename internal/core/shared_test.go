@@ -29,9 +29,10 @@ func sharedCfg(fm *faults.Model, workers int) ReliabilityConfig {
 // TestSharedSweepBitIdenticalAcrossWorkers pins the sweep's sharding
 // contract at the acceptance worker counts: -j {1, 8} (and 2,
 // and 3, which does not divide the grid) produce bit-identical results,
-// crashes included. Every worker refills one enumeration buffer, so the
-// second grid steps from dense low-voltage points back up to sparse
-// ones: a refill that kept anything of the previous point would show.
+// crashes included. Every worker reuses pooled row bitmaps and pattern
+// scratch, so the second grid steps from dense low-voltage points back
+// up to sparse ones: scratch that kept anything of the previous point
+// would show.
 func TestSharedSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	grids := [][]float64{
 		{0.93, 0.90, 0.87, 0.80}, // 0.80 crashes

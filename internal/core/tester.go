@@ -210,9 +210,8 @@ func voltageBand(v float64) string {
 // the seeded fault model — it depends neither on which worker evaluates
 // it nor on which points ran before, which is the invariant that makes
 // sweeps bit-identical at every worker count. ctx carries the profiling
-// label of the voltage band; it never influences the outcome, and
-// neither does what buf (the worker's enumeration buffer) held before.
-func runVoltagePoint(ctx context.Context, cfg *ReliabilityConfig, v, rail float64, buf *faults.Enumeration) (VoltagePoint, error) {
+// label of the voltage band; it never influences the outcome.
+func runVoltagePoint(ctx context.Context, cfg *ReliabilityConfig, v, rail float64) (VoltagePoint, error) {
 	pt := VoltagePoint{Volts: v}
 	if rail < faults.VCritical {
 		// Below V_critical the stacks stop responding: there is nothing
@@ -222,7 +221,7 @@ func runVoltagePoint(ctx context.Context, cfg *ReliabilityConfig, v, rail float6
 	}
 	var err error
 	pprof.Do(ctx, pprof.Labels("hbmvolt_vband", voltageBand(v)), func(context.Context) {
-		pt, err = sharedVoltagePoint(cfg, pt, rail, buf)
+		pt, err = sharedVoltagePoint(cfg, pt, rail)
 	})
 	return pt, err
 }

@@ -3,7 +3,7 @@ package faults
 import (
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 	"testing"
 
 	"hbmvolt/internal/pattern"
@@ -43,24 +43,10 @@ func packFault(addr uint64, f CellFault) uint64 {
 	return addr<<9 | uint64(f.Bit)<<1 | uint64(f.Polarity)
 }
 
-// packLanes expands an enumeration's lane masks back to packed stuck
-// cells, in ascending (addr, bit) order.
-func packLanes(e *Enumeration) []uint64 {
-	var out []uint64
-	for _, l := range e.lanes {
-		addr, lane := l.key>>2, int(l.key&3)
-		for m := l.set; m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			out = append(out, packFault(addr, CellFault{Bit: lane<<6 + i, Polarity: Polarity(l.one >> i & 1)}))
-		}
-	}
-	return out
-}
-
-// perFaultFlips is the pattern pass the lane masks replaced, kept as
-// their oracle: per packed stuck cell, one mask op against the pattern
-// word (regenerated once per faulted address) decides whether the stuck
-// value differs from the written bit.
+// perFaultFlips is the per-fault pattern pass, kept as the oracle of
+// CountFlips's popcounts: per packed stuck cell, one mask op against
+// the pattern word (regenerated once per faulted address) decides
+// whether the stuck value differs from the written bit.
 func perFaultFlips(packed []uint64, pat pattern.Pattern) (flips pattern.Flips, faulty uint64) {
 	var w pattern.Word
 	cur, last := ^uint64(0), ^uint64(0)
@@ -105,14 +91,54 @@ func builtinPatterns(t testing.TB) []pattern.Pattern {
 	return pats
 }
 
-// TestPatternFlipsMatchPerFaultOracle pins the lane-mask pattern pass
-// to the per-fault pass it replaced. Over seeded random windows —
-// device seed, pseudo channel, voltage in [0.84, 0.95], rep, row width,
-// whole and mid-row window ends — on sparse and bit-exact models, every
-// built-in pattern's flips and faulty words, and the FaultCount, must
-// equal the oracle's over the RangeFaults stream. Aggregate segments
-// are not enumerated, so their addresses are dropped from the stream
-// and their pattern splits added to the oracle.
+// countFlips is CountFlips into a fresh slice.
+func countFlips(m *Model, stack, pc int, v float64, rep, words uint64, pats []pattern.Pattern) ([]PatternCount, bool) {
+	out := make([]PatternCount, len(pats))
+	ok := m.CountFlips(stack, pc, v, rep, words, pats, out)
+	return out, ok
+}
+
+// windowAggregates returns the aggregate segments CountFlips draws for
+// the window [0, words) of (stack, pc) at (v, rep), in address order.
+func windowAggregates(m *Model, stack, pc int, v float64, rep, words uint64) []enumAggregate {
+	s := m.NewBatchSampler(stack, pc, v, rep)
+	if !s.sparse || !s.anyFaults {
+		return nil
+	}
+	var aggs []enumAggregate
+	s.segments(0, words, func(lo, hi uint64, in bool) {
+		if p, t := s.regionParams(in); p > 0 && aggregated(hi-lo, p) {
+			aggs = append(aggs, s.sharedAggregate(lo, hi, p, t))
+		}
+	})
+	return aggs
+}
+
+// enumeratedFaults returns the window's stuck cells outside its
+// aggregate segments as packed cells, in ascending (addr, bit) order:
+// the fault set CountFlips classifies cell by cell.
+func enumeratedFaults(m *Model, stack, pc int, v float64, rep, words uint64, aggs []enumAggregate) []uint64 {
+	var packed []uint64
+	m.NewBatchSampler(stack, pc, v, rep).RangeFaults(0, words, func(addr uint64, f CellFault) {
+		for _, a := range aggs {
+			if addr >= a.lo && addr < a.lo+a.words {
+				return
+			}
+		}
+		packed = append(packed, packFault(addr, f))
+	})
+	return packed
+}
+
+// TestPatternFlipsMatchPerFaultOracle pins CountFlips's popcount pass
+// to the per-fault pass. Over seeded random windows — device seed,
+// pseudo channel, voltage in [0.84, 0.95], rep, row width (48 takes the
+// modulo rather than the mask), whole and mid-row window ends — on
+// sparse and bit-exact models, every built-in pattern's flips and
+// faulty words from one CountFlips call must equal the oracle's over
+// the RangeFaults stream. Aggregate segments are not enumerated, so
+// their addresses are dropped from the stream and their pattern splits
+// added to the oracle.
 func TestPatternFlipsMatchPerFaultOracle(t *testing.T) {
 	rnd := prf.NewSource(0x1a2e)
 	pats := builtinPatterns(t)
@@ -138,45 +164,27 @@ func TestPatternFlipsMatchPerFaultOracle(t *testing.T) {
 		name := fmt.Sprintf("case %d (seed %#x, sparse %v, wpr %d, pc %d/%d, %.4fV, rep %d, %d words)",
 			i, cfg.Seed, cfg.SparseEnumeration, wpr, stack, pc, v, rep, words)
 
-		e := m.Enumerate(nil, stack, pc, v, rep, words)
-		if e.Streamed() {
-			t.Fatalf("%s: streamed; the window is too small to spill", name)
-		}
-		var packed []uint64
-		m.NewBatchSampler(stack, pc, v, rep).RangeFaults(0, words, func(addr uint64, f CellFault) {
-			for _, a := range e.aggs {
-				if addr >= a.lo && addr < a.lo+a.words {
-					return
-				}
-			}
-			packed = append(packed, packFault(addr, f))
-		})
-		if got := e.FaultCount(); got != len(packed) {
-			t.Fatalf("%s: FaultCount %d, oracle stream %d cells", name, got, len(packed))
-		}
+		aggs := windowAggregates(m, stack, pc, v, rep, words)
+		packed := enumeratedFaults(m, stack, pc, v, rep, words, aggs)
 		enumerated += len(packed)
-		if e.Aggregated() {
+		if len(aggs) > 0 {
 			aggregated++
 		}
-		for _, pat := range pats {
-			gotF, gotW, gotOK := e.PatternFlips(pat)
+		got, ok := countFlips(m, stack, pc, v, rep, words, pats)
+		if !ok {
+			t.Fatalf("%s: CountFlips refused built-in patterns", name)
+		}
+		for pi, pat := range pats {
 			wantF, wantW := perFaultFlips(packed, pat)
-			d, wantOK := pattern.OnesFraction(pat)
-			wantOK = wantOK || !e.Aggregated()
-			for _, a := range e.aggs {
+			d, _ := pattern.OnesFraction(pat)
+			for _, a := range aggs {
 				f, fw := a.patternSplit(d, patternSig(pat))
 				wantF.Add(f)
 				wantW += fw
 			}
-			if !wantOK {
-				if gotOK {
-					t.Errorf("%s %s: accepted a density-less pattern over an aggregated window", name, pat.Name())
-				}
-				continue
-			}
-			if gotF != wantF || gotW != wantW || !gotOK {
-				t.Errorf("%s %s: lane masks (%+v, %d, %v), per-fault oracle (%+v, %d)",
-					name, pat.Name(), gotF, gotW, gotOK, wantF, wantW)
+			if got[pi].Flips != wantF || got[pi].Faulty != wantW {
+				t.Errorf("%s %s: CountFlips (%+v, %d), per-fault oracle (%+v, %d)",
+					name, pat.Name(), got[pi].Flips, got[pi].Faulty, wantF, wantW)
 			}
 		}
 	}
@@ -187,7 +195,7 @@ func TestPatternFlipsMatchPerFaultOracle(t *testing.T) {
 
 // TestEnumerationExactBitIdentical pins the strongest form of the
 // sharing contract: on the bit-exact sampler the fault set is already
-// pattern-agnostic, so flips derived from one shared Enumeration must
+// pattern-agnostic, so flips counted by one CountFlips pass must
 // equal the legacy per-pattern evaluation bit for bit — every pattern,
 // several voltages and reps, a sensitive and a quiet PC.
 func TestEnumerationExactBitIdentical(t *testing.T) {
@@ -198,20 +206,16 @@ func TestEnumerationExactBitIdentical(t *testing.T) {
 	for _, pc := range []struct{ stack, pc int }{{1, 2}, {0, 1}} {
 		for _, v := range []float64{0.93, 0.90, 0.87, 0.85} {
 			for rep := uint64(0); rep < 2; rep++ {
-				e := m.Enumerate(nil, pc.stack, pc.pc, v, rep, words)
-				if e.Aggregated() {
-					t.Fatalf("bit-exact enumeration aggregated at %vV", v)
+				got, ok := countFlips(m, pc.stack, pc.pc, v, rep, words, enumPatterns())
+				if !ok {
+					t.Fatalf("CountFlips !ok on the bit-exact sampler")
 				}
 				s := m.NewBatchSampler(pc.stack, pc.pc, v, rep)
-				for _, pat := range enumPatterns() {
-					gotF, gotW, ok := e.PatternFlips(pat)
-					if !ok {
-						t.Fatalf("PatternFlips !ok without aggregate segments")
-					}
+				for pi, pat := range enumPatterns() {
 					wantF, wantW := legacyFlips(s, pat, words)
-					if gotF != wantF || gotW != wantW {
+					if got[pi].Flips != wantF || got[pi].Faulty != wantW {
 						t.Errorf("stack%d pc%d %vV rep%d %s: shared (%+v, %d) vs legacy (%+v, %d)",
-							pc.stack, pc.pc, v, rep, pat.Name(), gotF, gotW, wantF, wantW)
+							pc.stack, pc.pc, v, rep, pat.Name(), got[pi].Flips, got[pi].Faulty, wantF, wantW)
 					}
 				}
 			}
@@ -228,20 +232,19 @@ func TestEnumerationSparsePositionalIdentical(t *testing.T) {
 	m := sparseModel(t, 0, words)
 	for _, v := range []float64{0.93, 0.91, 0.90, 0.89} {
 		for rep := uint64(0); rep < 2; rep++ {
-			e := m.Enumerate(nil, 1, 2, v, rep, words)
-			if e.Aggregated() {
+			if len(windowAggregates(m, 1, 2, v, rep, words)) > 0 {
 				t.Skipf("aggregate regime engaged at %vV for this window; covered by the statistical test", v)
 			}
+			got, ok := countFlips(m, 1, 2, v, rep, words, enumPatterns())
+			if !ok {
+				t.Fatalf("CountFlips !ok without aggregate segments")
+			}
 			s := m.NewBatchSampler(1, 2, v, rep)
-			for _, pat := range enumPatterns() {
-				gotF, gotW, ok := e.PatternFlips(pat)
-				if !ok {
-					t.Fatalf("PatternFlips !ok without aggregate segments")
-				}
+			for pi, pat := range enumPatterns() {
 				wantF, wantW := legacyFlips(s, pat, words)
-				if gotF != wantF || gotW != wantW {
+				if got[pi].Flips != wantF || got[pi].Faulty != wantW {
 					t.Errorf("%vV rep%d %s: shared (%+v, %d) vs legacy (%+v, %d)",
-						v, rep, pat.Name(), gotF, gotW, wantF, wantW)
+						v, rep, pat.Name(), got[pi].Flips, got[pi].Faulty, wantF, wantW)
 				}
 			}
 		}
@@ -262,16 +265,12 @@ func TestEnumerationStatisticalEquivalence(t *testing.T) {
 	}{
 		{1, 2, 0.90}, {0, 4, 0.92}, {0, 12, 0.87}, {0, 1, 0.85}, {0, 3, 0.845},
 	} {
-		e := m.Enumerate(nil, c.stack, c.pc, c.v, 0, words)
-		aggregated = aggregated || e.Aggregated()
-		f10, _, ok := e.PatternFlips(pattern.AllOnes())
+		aggregated = aggregated || len(windowAggregates(m, c.stack, c.pc, c.v, 0, words)) > 0
+		got, ok := countFlips(m, c.stack, c.pc, c.v, 0, words, []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()})
 		if !ok {
-			t.Fatalf("all1 density unknown")
+			t.Fatalf("all1/all0 density unknown")
 		}
-		f01, _, ok := e.PatternFlips(pattern.AllZeros())
-		if !ok {
-			t.Fatalf("all0 density unknown")
-		}
+		f10, f01 := got[0].Flips, got[1].Flips
 		exp10 := m.ExpectedFaults(c.stack, c.pc, c.v, OneToZero, 0, words)
 		exp01 := m.ExpectedFaults(c.stack, c.pc, c.v, ZeroToOne, 0, words)
 		for _, chk := range []struct {
@@ -298,26 +297,27 @@ func TestEnumerationStatisticalEquivalence(t *testing.T) {
 
 // TestEnumerationAggregateSharedAcrossPatterns: the stuck-cell counts
 // of an aggregate segment are a property of the silicon — all-1s and
-// all-0s probes of one enumeration must observe complementary splits
+// all-0s probes of one CountFlips pass must observe complementary splits
 // of the same k0/k1 draws (exactly k0 1→0 flips under all-1s, exactly
 // k1 0→1 flips under all-0s).
 func TestEnumerationAggregateSharedAcrossPatterns(t *testing.T) {
 	const words = 1 << 18
 	m := sparseModel(t, 5, words)
-	e := m.Enumerate(nil, 0, 3, 0.85, 0, words)
-	if !e.Aggregated() {
+	aggs := windowAggregates(m, 0, 3, 0.85, 0, words)
+	if len(aggs) == 0 {
 		t.Fatal("0.85V window did not aggregate; test is vacuous")
 	}
 	var k0, k1 uint64
-	for i := range e.aggs {
-		k0 += e.aggs[i].k0
-		k1 += e.aggs[i].k1
+	for i := range aggs {
+		k0 += aggs[i].k0
+		k1 += aggs[i].k1
 	}
-	f10, _, _ := e.PatternFlips(pattern.AllOnes())
-	f01, _, _ := e.PatternFlips(pattern.AllZeros())
+	got, _ := countFlips(m, 0, 3, 0.85, 0, words, []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()})
+	f10, f01 := got[0].Flips, got[1].Flips
 	// Enumerated segments contribute too; subtract their exact counts.
-	e10, _ := e.uniformFlips(pattern.AllOnesWord)
-	e01, _ := e.uniformFlips(pattern.AllZerosWord)
+	packed := enumeratedFaults(m, 0, 3, 0.85, 0, words, aggs)
+	e10, _ := perFaultFlips(packed, pattern.AllOnes())
+	e01, _ := perFaultFlips(packed, pattern.AllZeros())
 	if uint64(f10.OneToZero-e10.OneToZero) != k0 {
 		t.Errorf("all1 aggregate flips %d != shared k0 %d", f10.OneToZero-e10.OneToZero, k0)
 	}
@@ -333,14 +333,15 @@ func TestEnumerationUnknownDensity(t *testing.T) {
 	opaque := opaquePattern{}
 	const words = 1 << 18
 	m := sparseModel(t, 5, words)
-	if e := m.Enumerate(nil, 0, 3, 0.85, 0, words); !e.Aggregated() {
+	pats := []pattern.Pattern{opaque}
+	if len(windowAggregates(m, 0, 3, 0.85, 0, words)) == 0 {
 		t.Fatal("expected aggregate segments at 0.85V")
-	} else if _, _, ok := e.PatternFlips(opaque); ok {
+	} else if _, ok := countFlips(m, 0, 3, 0.85, 0, words, pats); ok {
 		t.Fatal("aggregate window accepted a pattern with unknown density")
 	}
-	if e := m.Enumerate(nil, 1, 2, 0.90, 0, 1<<13); e.Aggregated() {
+	if len(windowAggregates(m, 1, 2, 0.90, 0, 1<<13)) > 0 {
 		t.Skip("small window unexpectedly aggregated")
-	} else if _, _, ok := e.PatternFlips(opaque); !ok {
+	} else if _, ok := countFlips(m, 1, 2, 0.90, 0, 1<<13, pats); !ok {
 		t.Fatal("fully enumerated window refused a density-less pattern")
 	}
 }
@@ -351,25 +352,23 @@ type opaquePattern struct{}
 func (opaquePattern) Word(addr uint64) pattern.Word { return pattern.Word{addr} }
 func (opaquePattern) Name() string                  { return "opaque" }
 
-// BenchmarkSharedVsIsolatedEnumeration times the pattern pass of a
-// sweep: P allocation-free mask passes over one enumeration. Its name
-// keys the committed baseline rows in BENCH_sweep.json.
-func BenchmarkSharedVsIsolatedEnumeration(b *testing.B) {
+// BenchmarkCountFlips times one voltage point's work on one (port,
+// rep): a CountFlips call that enumerates the window and counts four
+// patterns. Its name keys the committed baseline rows in
+// BENCH_sweep.json.
+func BenchmarkCountFlips(b *testing.B) {
 	const words = 1 << 16
 	pats := []pattern.Pattern{
 		pattern.AllOnes(), pattern.AllZeros(), pattern.Checkerboard(), pattern.WalkingOnes(),
 	}
+	out := make([]PatternCount, len(pats))
 	for _, v := range []float64{0.90, 0.87} {
 		m := sparseModel(b, 17, words)
-		b.Run(fmt.Sprintf("shared/%.2fV", v), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%.2fV", v), func(b *testing.B) {
 			b.ReportAllocs()
-			e := m.Enumerate(nil, 1, 2, v, 0, words)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, pat := range pats {
-					if _, _, ok := e.PatternFlips(pat); !ok {
-						b.Fatal("density unknown")
-					}
+				if !m.CountFlips(1, 2, v, 0, words, pats, out) {
+					b.Fatal("density unknown")
 				}
 			}
 			b.ReportMetric(float64(len(pats))*float64(b.N)/b.Elapsed().Seconds(), "patterns/sec")
@@ -377,41 +376,32 @@ func BenchmarkSharedVsIsolatedEnumeration(b *testing.B) {
 	}
 }
 
-// TestEnumerationExactStreamsWhenDense: a bit-exact window whose
-// expected fault count exceeds the materialization budget spills to
-// streaming mode — no fault list, bit-identical statistics.
+// TestEnumerationExactStreamsWhenDense: a bit-exact window with
+// millions of stuck cells is counted in one streaming pass over its
+// faulted words, bit-identical to the per-pattern evaluation.
 func TestEnumerationExactStreamsWhenDense(t *testing.T) {
 	const words = 1 << 17 // ×256 bits ×~12.5% stuck at 0.85V ≈ 4M faults
 	cfg := DefaultConfig()
 	cfg.Geometry = Geometry{WordsPerPC: words, WordsPerRow: 32}
 	m := MustNew(cfg)
-	e := m.Enumerate(nil, 0, 3, 0.85, 0, words)
-	if !e.Streamed() {
-		t.Fatal("dense bit-exact window did not spill to streaming mode")
+	got, ok := countFlips(m, 0, 3, 0.85, 0, words, enumPatterns())
+	if !ok {
+		t.Fatal("CountFlips !ok on the bit-exact sampler")
 	}
-	if e.FaultCount() != 0 || e.SizeBytes() > 256 {
-		t.Fatalf("streamed enumeration retained %d faults / %d bytes", e.FaultCount(), e.SizeBytes())
+	if got[0].Flips.OneToZero < 1<<20 {
+		t.Fatalf("all1 read %d 1→0 flips; the window is not dense", got[0].Flips.OneToZero)
 	}
 	s := m.NewBatchSampler(0, 3, 0.85, 0)
-	for _, pat := range enumPatterns() {
-		gotF, gotW, ok := e.PatternFlips(pat)
-		if !ok {
-			t.Fatalf("streamed PatternFlips !ok for %s", pat.Name())
-		}
+	for pi, pat := range enumPatterns() {
 		wantF, wantW := legacyFlips(s, pat, words)
-		if gotF != wantF || gotW != wantW {
-			t.Errorf("%s: streamed (%+v, %d) vs legacy (%+v, %d)", pat.Name(), gotF, gotW, wantF, wantW)
+		if got[pi].Flips != wantF || got[pi].Faulty != wantW {
+			t.Errorf("%s: streamed (%+v, %d) vs legacy (%+v, %d)", pat.Name(), got[pi].Flips, got[pi].Faulty, wantF, wantW)
 		}
-	}
-	// A sparse window of the same shape keeps using the aggregate
-	// regime, never the spill.
-	if es := sparseModel(t, 0, words).Enumerate(nil, 0, 3, 0.85, 0, words); es.Streamed() {
-		t.Fatal("sparse window spilled; aggregate regime should bound it")
 	}
 }
 
 // enumWindow is one (model, pseudo channel, voltage, rep, size) window
-// an Enumeration covers.
+// CountFlips covers.
 type enumWindow struct {
 	m         *Model
 	stack, pc int
@@ -420,19 +410,17 @@ type enumWindow struct {
 	words     uint64
 }
 
-func (w enumWindow) enumerate(dst *Enumeration) *Enumeration {
-	return w.m.Enumerate(dst, w.stack, w.pc, w.v, w.rep, w.words)
+func (w enumWindow) count(pats []pattern.Pattern, out []PatternCount) bool {
+	return w.m.CountFlips(w.stack, w.pc, w.v, w.rep, w.words, pats, out)
 }
 
-// TestEnumerateIntoReusedDst: refilling a used Enumeration must leave
-// no trace of its previous window. Each case fills dst from one window
-// and then enumerates a different window into it; every observable of
-// the refilled dst — PatternFlips for every built-in pattern,
-// FaultCount, Aggregated, Streamed and SizeBytes — must equal a fresh
-// Enumerate(nil, ...) of the second window, and lane entries that fit
-// must reuse dst's buffer. (A streamed window is only ever the first:
-// its pattern passes re-walk every cell, seconds per case, and they
-// read neither buffer the reset clears.)
+// TestEnumerateIntoReusedDst: counting into an out slice that holds a
+// previous window's counts, with row bitmaps and pattern scratch pooled
+// from that window's pass, must leave no trace of it. Each case counts
+// one window and then a different window into the same out; the
+// refilled counts of every built-in pattern must equal a fresh
+// CountFlips of the second window. The streamed window is the dense
+// bit-exact one, counted in one pass over its faulted words.
 func TestEnumerateIntoReusedDst(t *testing.T) {
 	const exactWords = 1 << 17 // TestEnumerationExactStreamsWhenDense's shape
 	exact := DefaultConfig()
@@ -443,20 +431,23 @@ func TestEnumerateIntoReusedDst(t *testing.T) {
 		"aggregated": {m: sparseModel(t, 5, 1<<16), stack: 0, pc: 3, v: 0.85, words: 1 << 16},
 		"streamed":   {m: MustNew(exact), stack: 0, pc: 3, v: 0.85, words: exactWords},
 	}
+	builtins := builtinPatterns(t)
 	// The windows must be what their names say, or the cases below test
 	// less than they claim.
-	for name, want := range map[string][3]bool{ // faults, aggregated, streamed
-		"dense":      {true, false, false},
-		"dense-rep1": {true, false, false},
-		"aggregated": {true, true, false},
-		"streamed":   {false, false, true},
+	for name, want := range map[string][3]bool{ // faults, aggregated, sparse
+		"dense":      {true, false, true},
+		"dense-rep1": {true, false, true},
+		"aggregated": {true, true, true},
+		"streamed":   {true, false, false},
 	} {
-		e := windows[name].enumerate(nil)
-		if got := [3]bool{e.FaultCount() > 0, e.Aggregated(), e.Streamed()}; got != want {
-			t.Fatalf("window %s: (faults, aggregated, streamed) = %v, want %v", name, got, want)
+		w := windows[name]
+		out := make([]PatternCount, len(builtins))
+		w.count(builtins, out)
+		got := [3]bool{out[0].Flips.Total() > 0, len(windowAggregates(w.m, w.stack, w.pc, w.v, w.rep, w.words)) > 0, w.m.Config().SparseEnumeration}
+		if got != want {
+			t.Fatalf("window %s: (faults, aggregated, sparse) = %v, want %v", name, got, want)
 		}
 	}
-	builtins := builtinPatterns(t)
 
 	tests := []struct {
 		name       string
@@ -469,28 +460,13 @@ func TestEnumerateIntoReusedDst(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			dst := windows[tt.fill].enumerate(nil)
-			capBefore := cap(dst.lanes)
-			got := windows[tt.then].enumerate(dst)
-			if got != dst {
-				t.Fatal("Enumerate did not return its dst")
-			}
-			want := windows[tt.then].enumerate(nil)
-			if got.FaultCount() != want.FaultCount() || got.Aggregated() != want.Aggregated() ||
-				got.Streamed() != want.Streamed() || got.SizeBytes() != want.SizeBytes() || got.Words() != want.Words() {
-				t.Fatalf("refilled (faults %d, aggregated %v, streamed %v, %d bytes, %d words), fresh (%d, %v, %v, %d, %d)",
-					got.FaultCount(), got.Aggregated(), got.Streamed(), got.SizeBytes(), got.Words(),
-					want.FaultCount(), want.Aggregated(), want.Streamed(), want.SizeBytes(), want.Words())
-			}
-			if len(want.lanes) <= capBefore && cap(got.lanes) != capBefore {
-				t.Errorf("lane buffer reallocated: cap %d -> %d for %d entries", capBefore, cap(got.lanes), len(want.lanes))
-			}
-			for _, pat := range builtins {
-				gf, gw, gok := got.PatternFlips(pat)
-				wf, ww, wok := want.PatternFlips(pat)
-				if gf != wf || gw != ww || gok != wok {
-					t.Errorf("%s: refilled (%+v, %d, %v), fresh (%+v, %d, %v)", pat.Name(), gf, gw, gok, wf, ww, wok)
-				}
+			got := make([]PatternCount, len(builtins))
+			windows[tt.fill].count(builtins, got)
+			gok := windows[tt.then].count(builtins, got)
+			want := make([]PatternCount, len(builtins))
+			wok := windows[tt.then].count(builtins, want)
+			if gok != wok || !slices.Equal(got, want) {
+				t.Errorf("refilled (%+v, %v), fresh (%+v, %v)", got, gok, want, wok)
 			}
 		})
 	}

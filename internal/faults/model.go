@@ -306,7 +306,6 @@ type Sampler struct {
 	idx         int
 	seed        uint64
 	wordsPerRow uint64
-	v           float64
 	// vbits keys the sparse-mode draws on the sampled voltage (exact bit
 	// pattern; grid builders produce identical float64s for equal grid
 	// points), so every draw site is a pure function of
@@ -314,6 +313,10 @@ type Sampler struct {
 	// particular the order a sharded sweep visits voltage points — can
 	// never change a realization.
 	vbits uint64
+	// per-cell stuck probability and its always-stuck-at-0 tail for
+	// cells outside / inside clusters (regionParams)
+	survOut, tailOut float64
+	survIn, tailIn   float64
 	// thresholds (scaled to uint64) for cells outside / inside clusters
 	outStuck, outTail uint64
 	inStuck, inTail   uint64
@@ -342,17 +345,21 @@ func scale64(p float64) uint64 {
 // NewSampler prepares a per-bit fault sampler for (stack, pc) at supply
 // voltage v, without batch jitter (the time-averaged fault set).
 func (m *Model) NewSampler(stack, pc int, v float64) *Sampler {
-	return m.newSampler(stack, pc, v, false, 0)
+	s := m.newSampler(stack, pc, v, false, 0)
+	return &s
 }
 
 // NewBatchSampler prepares a sampler for one batch repetition: marginal
 // cells within ±JitterMV of their critical voltage resolve differently
 // per rep, modelling run-to-run metastability.
 func (m *Model) NewBatchSampler(stack, pc int, v float64, rep uint64) *Sampler {
-	return m.newSampler(stack, pc, v, true, rep)
+	s := m.newSampler(stack, pc, v, true, rep)
+	return &s
 }
 
-func (m *Model) newSampler(stack, pc int, v float64, jitter bool, rep uint64) *Sampler {
+// newSampler returns the sampler by value, so callers that keep it on
+// their stack (CountFlips) allocate nothing for it.
+func (m *Model) newSampler(stack, pc int, v float64, jitter bool, rep uint64) Sampler {
 	idx := pcIndex(stack, pc)
 	sOut := m.cellSurvival(idx, v, false)
 	sIn := m.cellSurvival(idx, v, true)
@@ -360,13 +367,16 @@ func (m *Model) newSampler(stack, pc int, v float64, jitter bool, rep uint64) *S
 	// polarityTailV). Clamped to the stuck threshold for v > tail.
 	tOut := math.Min(sOut, m.cellSurvival(idx, polarityTailV, false))
 	tIn := math.Min(sIn, m.cellSurvival(idx, polarityTailV, true))
-	s := &Sampler{
+	s := Sampler{
 		m:           m,
 		idx:         idx,
 		seed:        m.cfg.Seed,
 		wordsPerRow: m.cfg.Geometry.WordsPerRow,
-		v:           v,
 		vbits:       math.Float64bits(v),
+		survOut:     sOut,
+		tailOut:     tOut,
+		survIn:      sIn,
+		tailIn:      tIn,
 		outStuck:    scale64(sOut),
 		outTail:     scale64(tOut),
 		inStuck:     scale64(sIn),

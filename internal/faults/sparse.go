@@ -14,15 +14,16 @@ package faults
 //
 // Faults are independent per-cell events, so a row's faults form a set
 // per cell rather than a list: the per-row kernel marks its draws in two
-// bitmaps of one 256-bit mask per word of the row — "faulty" and
-// "stuck-at-1" — instead of sorting them. Two draws landing on one cell
-// are one fault, and the first draw wins: a marked cell is skipped, so
-// its polarity is the one its earliest draw gave it (the outcome a
-// stable sort by position would keep). Readers then take the row's
-// faulted words in ascending order, either as whole-word masks (the
-// uniform check: read = stored &^ faulty | stuck-at-1; the shared
-// enumeration keeps them per 64-bit lane) or bit by bit (range scans),
-// which is already ascending (address, bit) order. The bitmaps are scratch taken from a pool and
+// bitmaps over the row's cells — "faulty" and "stuck-at-1", as flat
+// 64-bit lanes, four per word — and in a mask of the lanes it marked,
+// instead of sorting them. Two draws landing on one cell are one fault,
+// and the first draw wins: a marked cell is skipped, so its polarity is
+// the one its earliest draw gave it (the outcome a stable sort by
+// position would keep). Readers then take only the marked lanes, in
+// ascending order: as whole-word masks (the uniform check: read =
+// stored &^ faulty | stuck-at-1), as lane masks (CountFlips: two
+// popcounts per lane per pattern) or bit by bit (range scans), which is
+// already ascending (address, bit) order. The bitmaps are scratch taken from a pool and
 // left all-zero by the readers, so a Sampler stays immutable and safe
 // for concurrent use, and a range scan allocates nothing per row.
 //
@@ -48,8 +49,8 @@ import (
 )
 
 // sparseEnumThreshold is the expected-fault count per segment above
-// which CheckUniformRange stops drawing individual fault positions and
-// draws aggregate flip counts instead.
+// which CheckUniformRange and CountFlips stop drawing individual fault
+// positions and draw aggregate counts instead.
 const sparseEnumThreshold = 4096
 
 // Sparse reports whether this sampler uses the O(#faults) sparse
@@ -61,9 +62,17 @@ func (s *Sampler) Sparse() bool { return s.sparse }
 // always-stuck-at-0 tail for cells inside or outside clusters, at the
 // sampler's voltage.
 func (s *Sampler) regionParams(in bool) (p, t float64) {
-	p = s.m.cellSurvival(s.idx, s.v, in)
-	t = math.Min(p, s.m.cellSurvival(s.idx, polarityTailV, in))
-	return p, t
+	if in {
+		return s.survIn, s.tailIn
+	}
+	return s.survOut, s.tailOut
+}
+
+// aggregated reports whether a segment of n words at per-cell stuck
+// probability p expects more than sparseEnumThreshold faults, so its
+// statistics are drawn in aggregate rather than per fault.
+func aggregated(n uint64, p float64) bool {
+	return float64(n)*256*p > sparseEnumThreshold
 }
 
 // segments splits the word window [start, end) into maximal runs that
@@ -104,25 +113,52 @@ func (s *Sampler) segments(start, end uint64, visit func(lo, hi uint64, in bool)
 // rowDraw holds what every row of one homogeneous segment shares in the
 // per-row draw: rows there have the same cell count n and per-cell
 // stuck probability p, so exp(-n·p) — the Poisson inversion's first
-// term — and the stuck-at-1 share are computed once per segment.
+// term — the stuck-at-1 threshold and the row key's prefix are computed
+// once per segment.
 type rowDraw struct {
-	p       float64 // per-cell stuck probability
-	p1Share float64 // share of drawn faults that are stuck-at-1
-	q0      float64 // exp(-n·p) for a row of n cells
+	p   float64 // per-cell stuck probability
+	q0  float64 // exp(-n·p) for a row of n cells
+	thr uint64  // stuckAt1Threshold of the stuck-at-1 share of faults
+	key uint64  // Hash2(seed^saltSparse, PC), the row key's prefix
 }
 
 // rowDraw returns the segment constants for a region with per-cell
 // stuck probability p > 0 and always-stuck-at-0 tail t (regionParams).
 func (s *Sampler) rowDraw(p, t float64) rowDraw {
 	lam := float64(int(s.wordsPerRow)*256) * p
-	return rowDraw{p: p, p1Share: (p - t) * pStuckAt1 / p, q0: math.Exp(-lam)}
+	return rowDraw{
+		p:   p,
+		q0:  math.Exp(-lam),
+		thr: stuckAt1Threshold((p - t) * pStuckAt1 / p),
+		key: prf.Hash2(s.seed^saltSparse, uint64(s.idx)),
+	}
 }
 
-// rowBits is one row's fault bitmaps: per word of the row, the mask of
-// its faulty cells and the mask of those stuck at 1. Readers clear every
-// word they take, so a rowBits is all-zero between rows.
+// stuckAt1Threshold returns thr = ceil(share·2^53), the integer form of
+// the polarity test prf.Float64(u) < share. Float64(u) is (u>>11)/2^53,
+// exact in float64, so for the integer u>>11 the test holds exactly
+// when u>>11 < thr.
+func stuckAt1Threshold(share float64) uint64 {
+	return uint64(math.Ceil(share * (1 << 53)))
+}
+
+// stuckAt1Bit is the polarity test u>>11 < thr as a 0/1 bit, with no
+// branch: both sides are at most 2^53, so the difference wraps to a
+// value with its top bit set exactly when u>>11 is the smaller.
+func stuckAt1Bit(u, thr uint64) uint64 {
+	return (u>>11 - thr) >> 63
+}
+
+// rowBits is one row's fault bitmaps as flat 64-bit lanes, four per
+// word: set marks the row's faulty cells and one those of them stuck at
+// 1, so the cell at bit position pos of the row lives in lane pos>>6.
+// dirty marks, one bit per lane, the lanes that hold a fault. Readers
+// take every dirty lane, clearing it, so a rowBits is all-zero between
+// rows. draws is the kernel's block of stream words, kept here so that
+// no row pays for zeroing it.
 type rowBits struct {
-	set, one []pattern.Word
+	set, one, dirty []uint64
+	draws           [256]uint64
 }
 
 // rowBitsPool recycles row bitmaps across range scans. Scratch cannot
@@ -133,41 +169,41 @@ var rowBitsPool = sync.Pool{New: func() any { return new(rowBits) }}
 // Return them with rowBitsPool.Put once every marked row is read.
 func getRowBits(wpr uint64) *rowBits {
 	b := rowBitsPool.Get().(*rowBits)
-	n := int(wpr)
+	n := int(wpr) * 4
+	nd := (n + 63) / 64
 	if cap(b.set) < n {
-		b.set, b.one = make([]pattern.Word, n), make([]pattern.Word, n)
+		b.set, b.one = make([]uint64, n), make([]uint64, n)
 	}
-	b.set, b.one = b.set[:n], b.one[:n]
+	if cap(b.dirty) < nd {
+		b.dirty = make([]uint64, nd)
+	}
+	b.set, b.one, b.dirty = b.set[:n], b.one[:n], b.dirty[:nd]
 	return b
 }
 
-// take returns word w's faulty and stuck-at-1 masks and clears them; ok
-// is false when the word holds no fault.
-func (b *rowBits) take(w int) (set, one pattern.Word, ok bool) {
-	set, one = b.set[w], b.one[w]
-	if set[0]|set[1]|set[2]|set[3] == 0 {
-		return set, one, false
-	}
-	b.set[w], b.one[w] = pattern.Word{}, pattern.Word{}
-	return set, one, true
+// take returns lane li's faulty and stuck-at-1 masks and clears them.
+// The caller clears li's dirty bit.
+func (b *rowBits) take(li int) (set, one uint64) {
+	set, one = b.set[li], b.one[li]
+	b.set[li], b.one[li] = 0, 0
+	return set, one
 }
 
-// drain yields the faults marked in words [first, end) of the row in
-// ascending (address, bit) order and leaves the bitmaps all-zero.
-// rowBase is the row's first word address.
-func (b *rowBits) drain(rowBase uint64, first, end int, visit func(addr uint64, f CellFault)) {
-	for w := first; w < end; w++ {
-		set, one, ok := b.take(w)
-		if !ok {
-			continue
-		}
-		addr := rowBase + uint64(w)
-		for lane, m := range set {
+// drain yields the faults marked in the row in ascending (address, bit)
+// order and leaves the bitmaps all-zero. rowBase is the row's first
+// word address.
+func (b *rowBits) drain(rowBase uint64, visit func(addr uint64, f CellFault)) {
+	for i, dm := range b.dirty {
+		for ; dm != 0; dm &= dm - 1 {
+			li := i<<6 | bits.TrailingZeros64(dm)
+			m, one := b.take(li)
+			addr, base := rowBase+uint64(li>>2), li&3<<6
 			for ; m != 0; m &= m - 1 {
-				i := bits.TrailingZeros64(m)
-				visit(addr, CellFault{Bit: lane<<6 + i, Polarity: Polarity(one[lane] >> i & 1)})
+				j := bits.TrailingZeros64(m)
+				visit(addr, CellFault{Bit: base + j, Polarity: Polarity(one >> j & 1)})
 			}
 		}
+		b.dirty[i] = 0
 	}
 }
 
@@ -183,28 +219,29 @@ func (s *Sampler) sparseRange(start, count uint64, visit func(addr uint64, f Cel
 		}
 		d := s.rowDraw(p, t)
 		for r := lo / wpr; r*wpr < hi; r++ {
-			first, end := s.sparseRowFaults(r, lo, hi, d, b)
-			b.drain(r*wpr, first, end, visit)
+			s.sparseRowFaults(r, lo, hi, d, b)
+			b.drain(r*wpr, visit)
 		}
 	})
 	rowBitsPool.Put(b)
 }
 
 // sparseRowFaults draws row's fault count and positions and marks, in
-// b, the faults whose word address falls in [lo, hi); every marked word
-// lies in [first, end) of the row, which is empty when none is marked.
-// A cell drawn twice keeps its first draw's polarity. The draws depend
-// only on (seed, PC, row, rep, voltage), never on the query window or
-// on any previously evaluated voltage point, so overlapping range
-// scans — and sweeps sharded across workers in any order — observe one
-// consistent device.
-func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) (first, end int) {
+// b, the faults whose word address falls in [lo, hi), and the lanes
+// that hold them. A cell drawn twice keeps its first draw's polarity.
+// The draws depend only on (seed, PC, row, rep, voltage), never on the
+// query window or on any previously evaluated voltage point, so
+// overlapping range scans — and sweeps sharded across workers in any
+// order — observe one consistent device.
+func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) {
 	wpr := s.wordsPerRow
 	nBits := wpr * 256
-	src := prf.NewSource(prf.Hash5(s.seed^saltSparse, uint64(s.idx), row, s.rep, s.vbits))
+	// The key is Hash5(seed^saltSparse, PC, row, rep, voltage); d.key
+	// holds its first two terms.
+	src := prf.NewSource(prf.Mix64(prf.Mix64(prf.Mix64(d.key^row)^s.rep) ^ s.vbits))
 	k := binomialDraw(src, int(nBits), d.p, d.q0)
 	if k == 0 {
-		return 0, 0
+		return
 	}
 	// The window as word offsets within the row.
 	rowBase := row * wpr
@@ -215,34 +252,37 @@ func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) (fi
 	if hi < rowBase+wpr {
 		whi = hi - rowBase
 	}
+	// A power-of-two row (32 words is 8192 cells) reduces a drawn
+	// position by a mask, which equals the modulo there.
+	mask := nBits - 1
+	pow2 := nBits&mask == 0
+	set, one, dirty := b.set, b.one, b.dirty
 	// Each fault consumes exactly two stream words (position, polarity),
 	// so the draws are pulled in blocks via Fill — identical values to
 	// sequential Intn/Float64 calls, without the per-draw call setup.
-	first = int(wpr)
-	var draws [256]uint64
 	for j := 0; j < k; {
-		chunk := min(k-j, len(draws)/2)
-		dr := draws[:2*chunk]
+		chunk := min(k-j, len(b.draws)/2)
+		dr := b.draws[:2*chunk]
 		src.Fill(dr)
-		for c := 0; c < chunk; c++ {
-			pos := dr[2*c] % nBits
-			w := pos / 256
+		for c := 0; c < len(dr); c += 2 {
+			pos := dr[c] & mask
+			if !pow2 {
+				pos = dr[c] % nBits
+			}
+			w := pos >> 8
 			if w < wlo || w >= whi {
 				continue
 			}
-			lane, m := pos/64%4, uint64(1)<<(pos%64)
-			if b.set[w][lane]&m != 0 {
+			li, sh := pos>>6, pos&63
+			if set[li]>>sh&1 != 0 {
 				continue // collision: one cell, one fault; the first draw wins
 			}
-			b.set[w][lane] |= m
-			if prf.Float64(dr[2*c+1]) < d.p1Share {
-				b.one[w][lane] |= m
-			}
-			first, end = min(first, int(w)), max(end, int(w)+1)
+			set[li] |= 1 << sh
+			one[li] |= stuckAt1Bit(dr[c+1], d.thr) << sh
+			dirty[li>>6] |= 1 << (li & 63)
 		}
 		j += chunk
 	}
-	return first, end
 }
 
 // binomialDraw returns a deterministic Binomial(n, p) variate from src:
@@ -358,15 +398,24 @@ func (s *Sampler) checkSegment(lo, hi uint64, in bool, a *adjuster, b *rowBits) 
 		return // baseline already accounts for a fault-free segment
 	}
 	n := hi - lo
-	if lam := float64(n) * 256 * p; lam <= sparseEnumThreshold {
+	if !aggregated(n, p) {
 		d := s.rowDraw(p, t)
 		wpr := s.wordsPerRow
 		for r := lo / wpr; r*wpr < hi; r++ {
-			first, end := s.sparseRowFaults(r, lo, hi, d, b)
-			for w := first; w < end; w++ {
-				if set, one, ok := b.take(w); ok {
+			s.sparseRowFaults(r, lo, hi, d, b)
+			// Read whole words: take a dirty lane's word, all four of
+			// its lanes, and clear their dirty bits.
+			for i, dm := range b.dirty {
+				for dm != 0 {
+					w := (i<<6 | bits.TrailingZeros64(dm)) >> 2
+					dm &^= 0xf << ((w & 15) * 4)
+					var set, one pattern.Word
+					for l := range set {
+						set[l], one[l] = b.take(4*w + l)
+					}
 					a.read(a.stored.AndNot(set).Or(one))
 				}
+				b.dirty[i] = 0
 			}
 		}
 		return

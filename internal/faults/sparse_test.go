@@ -298,7 +298,7 @@ func packStream(enum func(visit func(addr uint64, f CellFault))) []uint64 {
 // TestBitmapKernelMatchesStableSortOracle pins the bitmap kernel's only
 // difference from the sort-based one it replaced to the tie-break: with
 // the sort made stable, the (addr, bit, polarity) streams, uniform
-// checks and shared enumerations are identical over random seeds,
+// checks and CountFlips counts are identical over random seeds,
 // voltages, reps, partial-row windows and row widths.
 func TestBitmapKernelMatchesStableSortOracle(t *testing.T) {
 	rnd := prf.NewSource(0x5eed)
@@ -353,11 +353,15 @@ func TestBitmapKernelMatchesStableSortOracle(t *testing.T) {
 					}
 				}
 			}
-			if e := m.Enumerate(nil, stack, pc, v, rep, words); !e.Aggregated() {
-				want := packStream(func(visit func(uint64, CellFault)) { oracleRange(s, 0, words, visit) })
-				if !slices.Equal(packLanes(e), want) {
-					t.Fatalf("wpr %d seed %#x pc %d/%d %vV rep %d: Enumerate differs from the stable-sort oracle",
-						wpr, seed, stack, pc, v, rep)
+			if len(windowAggregates(m, stack, pc, v, rep, words)) == 0 {
+				packed := packStream(func(visit func(uint64, CellFault)) { oracleRange(s, 0, words, visit) })
+				pats := builtinPatterns(t)
+				got, _ := countFlips(m, stack, pc, v, rep, words, pats)
+				for pi, pat := range pats {
+					if wf, ww := perFaultFlips(packed, pat); got[pi].Flips != wf || got[pi].Faulty != ww {
+						t.Fatalf("wpr %d seed %#x pc %d/%d %vV rep %d %s: CountFlips %+v/%d, stable-sort oracle %+v/%d",
+							wpr, seed, stack, pc, v, rep, pat.Name(), got[pi].Flips, got[pi].Faulty, wf, ww)
+					}
 				}
 			}
 		}
@@ -383,6 +387,7 @@ func TestBitmapKernelFirstDrawWins(t *testing.T) {
 	s := m.NewBatchSampler(1, 2, 0.90, 0)
 	const p, tail = 0.2, 0.0
 	d := s.rowDraw(p, tail)
+	p1Share := (p - tail) * pStuckAt1 / p
 	b := getRowBits(1) // not returned: a failed check may leave it marked
 	mixed := 0
 	for row := uint64(0); row < 64; row++ {
@@ -393,7 +398,7 @@ func TestBitmapKernelFirstDrawWins(t *testing.T) {
 		for j := 0; j < k; j++ {
 			pos := int(src.Uint64() % 256)
 			pol := StuckAt0
-			if src.Float64() < d.p1Share {
+			if src.Float64() < p1Share {
 				pol = StuckAt1
 			}
 			if prev, seen := first[pos]; !seen {
@@ -403,8 +408,8 @@ func TestBitmapKernelFirstDrawWins(t *testing.T) {
 			}
 		}
 		var got []uint64
-		from, end := s.sparseRowFaults(row, row, row+1, d, b)
-		b.drain(row, from, end, func(addr uint64, f CellFault) { got = append(got, packFault(addr, f)) })
+		s.sparseRowFaults(row, row, row+1, d, b)
+		b.drain(row, func(addr uint64, f CellFault) { got = append(got, packFault(addr, f)) })
 		if len(got) != len(first) {
 			t.Fatalf("row %d: %d faults marked, %d distinct cells drawn", row, len(got), len(first))
 		}
@@ -425,17 +430,18 @@ func TestBitmapKernelFirstDrawWins(t *testing.T) {
 }
 
 // TestCheckUniformRangeSparseZeroAllocs pins the sparse uniform check
-// of a faulted window in the enumerated regime to zero allocations: the
-// row bitmaps come from a pool and nothing per fault reaches the heap.
+// of a faulted window in the enumerated regime, and CountFlips over it,
+// to zero allocations: the row bitmaps and pattern scratch come from
+// pools, CountFlips keeps its sampler on the stack, and nothing per
+// fault reaches the heap.
 func TestCheckUniformRangeSparseZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random, so pooled scratch allocates")
 	}
 	const words = 1 << 16
 	m := sparseModel(t, 23, words)
-	if e := m.Enumerate(nil, 1, 2, 0.90, 0, words); e.FaultCount() == 0 || e.Aggregated() {
-		t.Fatalf("window has %d enumerated faults (aggregated %v); want a faulted enumerated-regime window",
-			e.FaultCount(), e.Aggregated())
+	if len(windowAggregates(m, 1, 2, 0.90, 0, words)) > 0 {
+		t.Fatal("window aggregated; want an enumerated-regime window")
 	}
 	s := m.NewBatchSampler(1, 2, 0.90, 0)
 	var f pattern.Flips
@@ -447,6 +453,17 @@ func TestCheckUniformRangeSparseZeroAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("CheckUniformRange allocated %v times per call, want 0", allocs)
+	}
+	pats := []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros(), pattern.Checkerboard()}
+	out := make([]PatternCount, len(pats))
+	allocs = testing.AllocsPerRun(100, func() {
+		m.CountFlips(1, 2, 0.90, 0, words, pats, out)
+	})
+	if out[0].Flips != f {
+		t.Fatalf("CountFlips all1 flips %+v, uniform check %+v", out[0].Flips, f)
+	}
+	if allocs != 0 {
+		t.Fatalf("CountFlips allocated %v times per call, want 0", allocs)
 	}
 }
 
@@ -486,4 +503,115 @@ func TestSparseSamplerConcurrent(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
+}
+
+// TestStuckAt1ThresholdMatchesFloat pins the kernel's integer polarity
+// test to the float one it replaced: for every share — 0, 1, multiples
+// of 2^-53, and the stuck-at-1 share of every calibrated region on the
+// paper's grid — stuckAt1Bit(u, thr) must be 1 exactly when
+// prf.Float64(u) < share, at u>>11 just below, at and just above thr.
+func TestStuckAt1ThresholdMatchesFloat(t *testing.T) {
+	const one53 = 1 << 53
+	shares := []float64{0, 1, pStuckAt1, 1.0 / 3}
+	for _, k := range []uint64{1, 2, 3, 1 << 20, 1<<52 - 1, 1 << 52, 1<<52 + 1, one53 - 1} {
+		shares = append(shares, float64(k)/one53)
+	}
+	m := MustNew(DefaultConfig())
+	calibrated := 0
+	for idx := 0; idx < NumPCs; idx++ {
+		for _, v := range PaperGrid() {
+			s := m.NewBatchSampler(idx/PCsPerStack, idx%PCsPerStack, v, 0)
+			for _, in := range []bool{false, true} {
+				if p, tl := s.regionParams(in); p > 0 {
+					shares = append(shares, (p-tl)*pStuckAt1/p)
+					calibrated++
+				}
+			}
+		}
+	}
+	if calibrated == 0 {
+		t.Fatal("no calibrated region has faults on the paper grid; the test is vacuous")
+	}
+	rnd := prf.NewSource(0x7417)
+	for _, share := range shares {
+		thr := stuckAt1Threshold(share)
+		if thr > one53 {
+			t.Fatalf("share %v: threshold %d above 2^53", share, thr)
+		}
+		for _, x := range []uint64{thr - 1, thr, thr + 1} {
+			if x >= one53 {
+				continue // no 53-bit value; thr-1 wraps when thr is 0
+			}
+			u := x<<11 | rnd.Uint64()&(1<<11-1)
+			want := uint64(0)
+			if prf.Float64(u) < share {
+				want = 1
+			}
+			if got := stuckAt1Bit(u, thr); got != want {
+				t.Errorf("share %v (thr %d), u>>11 = %d: integer test %d, float test %d", share, thr, x, got, want)
+			}
+		}
+	}
+}
+
+// TestRowBitsCleanAfterMidRowWindow: every reader of the row bitmaps —
+// the range scan's drain, CountFlips's counter and the uniform check —
+// must leave set, one and dirty all-zero after a window that starts
+// and ends mid-row, so the next user of the pool starts clean. Rows of
+// 96 words take two dirty-mask words and the modulo position path.
+func TestRowBitsCleanAfterMidRowWindow(t *testing.T) {
+	const wpr = 96
+	cfg := DefaultConfig()
+	cfg.Geometry = Geometry{WordsPerPC: 64 * wpr, WordsPerRow: wpr}
+	cfg.SparseEnumeration = true
+	m := MustNew(cfg)
+	s := m.NewBatchSampler(1, 2, 0.87, 0)
+	lo, hi := uint64(wpr+70), uint64(4*wpr+3)
+	b := getRowBits(wpr) // not returned: a failed check may leave it marked
+	dirty := func() bool {
+		return slices.ContainsFunc(b.set, func(l uint64) bool { return l != 0 }) ||
+			slices.ContainsFunc(b.one, func(l uint64) bool { return l != 0 }) ||
+			slices.ContainsFunc(b.dirty, func(l uint64) bool { return l != 0 })
+	}
+	var c flipCounter
+	out := make([]PatternCount, 2)
+	c.reset([]pattern.Pattern{pattern.AllOnes(), pattern.Checkerboard()}, out)
+	marked := 0
+	readers := map[string]func(rowBase uint64){
+		"drain": func(rowBase uint64) {
+			b.drain(rowBase, func(addr uint64, _ CellFault) {
+				if addr < lo || addr >= hi {
+					t.Fatalf("drain yielded word %d outside [%d, %d)", addr, lo, hi)
+				}
+				marked++
+			})
+		},
+		"CountFlips": func(rowBase uint64) { c.row(rowBase, b) },
+	}
+	for name, read := range readers {
+		s.segments(lo, hi, func(slo, shi uint64, in bool) {
+			p, tl := s.regionParams(in)
+			if p <= 0 {
+				return
+			}
+			d := s.rowDraw(p, tl)
+			for r := slo / wpr; r*wpr < shi; r++ {
+				s.sparseRowFaults(r, slo, shi, d, b)
+				read(r * wpr)
+				if dirty() {
+					t.Fatalf("%s left row %d's bitmaps marked", name, r)
+				}
+			}
+		})
+	}
+	if marked == 0 || out[0].Flips.Total() == 0 {
+		t.Fatalf("%d faults drained, %d all1 flips counted; the window is not faulted", marked, out[0].Flips.Total())
+	}
+	s.segments(lo, hi, func(slo, shi uint64, in bool) {
+		a := adjuster{expected: pattern.AllOnesWord, stored: pattern.AllOnesWord}
+		s.checkSegment(slo, shi, in, &a, b)
+		if dirty() {
+			t.Fatalf("the uniform check left segment [%d, %d)'s bitmaps marked", slo, shi)
+		}
+	})
 }
