@@ -120,6 +120,38 @@ func TestBulkDirtyBackground(t *testing.T) {
 	}
 }
 
+// TestBulkMismatchedFill writes all0 and read-checks all1 on the
+// bit-exact device: the fill differs from the checked pattern, so the
+// bulk path reads the run word by word. It must agree with the
+// reference, and every word must be faulty, stuck cells or not.
+func TestBulkMismatchedFill(t *testing.T) {
+	for _, v := range []float64{1.10, 0.90, 0.85} {
+		run := func(wordwise bool) Stats {
+			dev := testDevice(t, 512)
+			dev.SetVoltage(v)
+			tg := NewTrafficGen(testPort(t, dev, 18))
+			tg.Wordwise = wordwise
+			words := dev.Org.WordsPerPC
+			st, err := tg.Run([]Macro{
+				{Op: OpWriteSeq, Start: 0, Count: words, Pattern: pattern.AllZeros()},
+				{Op: OpReadCheck, Start: 0, Count: words, Pattern: pattern.AllOnes()},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.FaultyWords != words {
+				t.Errorf("%vV wordwise %v: %d of %d words faulty, want all", v, wordwise, st.FaultyWords, words)
+			}
+			return st
+		}
+		bulk, word := run(false), run(true)
+		if bulk.Flips != word.Flips || bulk.FaultyWords != word.FaultyWords {
+			t.Errorf("%vV all0 fill checked as all1: bulk {%+v %d} vs wordwise {%+v %d}",
+				v, bulk.Flips, bulk.FaultyWords, word.Flips, word.FaultyWords)
+		}
+	}
+}
+
 // TestBulkReadSeqAndTiming checks that bulk macros still account
 // elapsed time and bandwidth, and that read-seq counts words without
 // checking.

@@ -8,8 +8,10 @@ package core
 // each (port, rep) once, and one faults.Model.CountFlips call counts
 // every pattern's flip statistics while it does: a point with P
 // patterns costs one physics evaluation, not P, and stores no fault
-// set. On the bit-exact sampler this reproduces a per-pattern
-// traffic-generator fill/check bit for bit (the test oracle in
+// set. The board's uniform fill/check counts through the same
+// counter, so a sweep reproduces a per-pattern traffic-generator
+// fill/check of all1/all0 bit for bit in both fault modes, and of every
+// pattern on the bit-exact sampler (the test oracles in
 // shared_test.go).
 
 import (

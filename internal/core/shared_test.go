@@ -166,6 +166,31 @@ func TestSharedExactMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestSharedSparseMatchesBoard is TestSharedExactMatchesLegacy's sparse
+// arm: the board's uniform fill/check and the sweep count through one
+// reader, so on the sparse sampler too the sweep must reproduce the
+// traffic-generator oracle exactly — aggregate segments included, down
+// to the bulk collapse. Checkerboard reads word by word on the board,
+// not through the sweep's counter, so it is left out.
+func TestSharedSparseMatchesBoard(t *testing.T) {
+	bcfg := board.Config{Scale: 1024, SparseFaults: true}
+	cfg := sharedCfg(testModel(t, bcfg), 1)
+	cfg.Patterns = []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()}
+	cfg.Grid = append(cfg.Grid, 0.80) // crashes
+	got, err := RunReliability(t.Context(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleSweep(t, board.MustNew(bcfg), cfg)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("sparse sweep differs from the traffic-generator oracle:\noracle: %+v\nsweep:  %+v",
+			want.Points, got.Points)
+	}
+	if !want.Points[len(want.Points)-1].Crashed || want.Points[len(want.Points)-2].MeanFlips == 0 {
+		t.Fatal("no faults at 0.85V or no crash observed; equivalence test is vacuous")
+	}
+}
+
 // TestSharedRejectsUnknownDensity: a custom pattern without a
 // closed-form ones density is refused at config time with a
 // *PatternError, not mid-sweep.

@@ -170,13 +170,11 @@ const (
 	saltCluster = 0xc0ffee_0003
 	saltJitter  = 0xc0ffee_0004
 	// saltSparse keys the per-row fault-count and position draws of the
-	// sparse enumeration mode on (seed, PC, row, rep, voltage);
-	// saltAggregate keys its per-segment aggregate count draws on
-	// (seed, PC, segment, rep, voltage × pattern). Both are pure keyed
-	// functions — no cross-voltage stream — so sharded sweeps evaluating
-	// points out of order realize the same device as a sequential sweep.
-	saltSparse    = 0xc0ffee_0005
-	saltAggregate = 0xc0ffee_0006
+	// sparse enumeration mode on (seed, PC, row, rep, voltage): a pure
+	// keyed function — no cross-voltage stream — so sharded sweeps
+	// evaluating points out of order realize the same device as a
+	// sequential sweep.
+	saltSparse = 0xc0ffee_0005
 	// saltShared keys the shared-enumeration aggregate stuck-cell count
 	// draws on (seed, PC, segment, rep, voltage) — deliberately without
 	// any pattern term, because a cell's stuck state is a property of the

@@ -1,15 +1,14 @@
 package faults
 
-// Fused fault counting: the cross-pattern computation-sharing core of
-// every Algorithm 1 sweep (internal/core).
+// Fused fault counting: the one reader of Algorithm 1's measurement,
+// shared by every sweep (internal/core) and by the emulated board's
+// uniform fill/check (hbm.Stack.ReadCheckRange).
 //
 // A cell's stuck position and polarity at a given voltage are
 // properties of the silicon — they do not depend on which data pattern
 // is later written. Only the *observed flips* depend on the pattern: a
 // stuck-at-0 cell flips exactly where a 1 was written, a stuck-at-1
-// cell exactly where a 0 was. The per-pattern samplers behind the
-// traffic generators ignore that structure and re-enumerate the whole
-// fault set once per pattern test; CountFlips enumerates the
+// cell exactly where a 0 was. CountFlips enumerates the
 // pattern-agnostic stuck cells of one (pseudo channel, voltage, batch
 // rep) window once and counts every pattern's flips as it goes. Each
 // faulted word's stuck-cell and stuck-at-1 masks are taken from the row
@@ -18,16 +17,14 @@ package faults
 // fault set is ever stored.
 //
 // Determinism discipline: the enumerated (low-rate) regime consumes the
-// exact per-row draws the per-pattern sparse sampler consumes — and, on
-// the bit-exact sampler, the exact per-cell draws — so wherever no
-// aggregate segment engages the derived statistics are bit-identical
-// to the per-pattern path. Only the aggregate (high-rate) regime draws
-// differently: its stuck-cell counts are keyed pattern-agnostically
-// (saltShared) where the per-pattern samplers key flip counts per
-// pattern pair (saltAggregate). Sweeps are therefore a distinct — but statistically
-// identical — realization of a per-pattern traffic-generator pass,
-// pinned by the campaign goldens and by Poisson-bound equivalence tests
-// against the per-pattern streams.
+// exact per-row draws (sparse) or per-cell draws (bit-exact) that
+// RangeFaults and WordFaults consume, so wherever no aggregate segment
+// engages the counts are bit-identical to reading the device word by
+// word. The aggregate (high-rate) regime draws its segment's stuck-cell
+// counts once, keyed pattern-agnostically (saltShared), and splits them
+// per pattern; it is pinned within Poisson bounds of the analytic
+// expectation. A board fill/check and a sweep of the same port, voltage
+// and rep both count here, so they report one device in both modes.
 
 import (
 	"math"
@@ -58,35 +55,41 @@ type enumAggregate struct {
 // CountFlips derives, for every pattern of pats, the flip statistics of
 // one uniform fill/check pass of that pattern over the word window
 // [0, words) of (stack, pc) at supply voltage v for batch repetition
-// rep — Algorithm 1's inner measurement, where the stored data equals
-// the written pattern — and stores them in out[i]. out must hold at
-// least len(pats) entries; what they held before is overwritten.
-//
-// The window is enumerated once for all patterns: the draws it consumes
-// are exactly the ones the legacy per-pattern samplers consume
-// (bit-exact per-cell draws, or the sparse per-row count/position
-// draws), except in the aggregate regime, where the segment's stuck-cell
-// counts are drawn pattern-agnostically and split per pattern using its
-// ones density. CountFlips reports false — and the statistics of a
-// pattern without a known density (pattern.OnesFraction) are then
-// incomplete — only when such a segment exists. Callers validate
-// densities up front.
+// rep: Algorithm 1's inner measurement. It is Sampler.CountFlips on the
+// batch sampler of that point, kept on the stack.
 func (m *Model) CountFlips(stack, pc int, v float64, rep, words uint64, pats []pattern.Pattern, out []PatternCount) bool {
+	s := m.newSampler(stack, pc, v, true, rep)
+	return s.CountFlips(0, words, pats, out)
+}
+
+// CountFlips derives, for every pattern of pats, the flip statistics of
+// one uniform fill/check pass of that pattern over the word window
+// [start, start+count), where the stored data equals the written
+// pattern, and stores them in out[i]. out must hold at least len(pats)
+// entries; what they held before is overwritten.
+//
+// The window is enumerated once for all patterns: bit-exact per-cell
+// draws, or the sparse per-row count/position draws, except in the
+// aggregate regime, where the segment's stuck-cell counts are drawn
+// pattern-agnostically and split per pattern using its ones density.
+// CountFlips reports false — and the statistics of a pattern without a
+// known density (pattern.OnesFraction) are then incomplete — only when
+// such a segment exists. Callers validate densities up front.
+func (s *Sampler) CountFlips(start, count uint64, pats []pattern.Pattern, out []PatternCount) bool {
 	out = out[:len(pats)]
 	clear(out)
-	s := m.newSampler(stack, pc, v, true, rep)
-	if !s.anyFaults || words == 0 || len(pats) == 0 {
+	if !s.anyFaults || count == 0 || len(pats) == 0 {
 		return true
 	}
 	c := flipCounterPool.Get().(*flipCounter)
 	c.reset(pats, out)
 	ok := true
 	if s.sparse {
-		ok = s.countSparse(words, c)
+		ok = s.countSparse(start, start+count, c)
 	} else {
 		// The bit-exact sampler has no aggregate regime: one pass over
 		// its stuck cells counts every pattern.
-		s.RangeFaults(0, words, func(addr uint64, f CellFault) {
+		s.RangeFaults(start, count, func(addr uint64, f CellFault) {
 			sh := f.Bit & 63
 			c.lane(addr, f.Bit>>6, 1<<sh, uint64(f.Polarity)<<sh)
 		})
@@ -95,14 +98,14 @@ func (m *Model) CountFlips(stack, pc int, v float64, rep, words uint64, pats []p
 	return ok
 }
 
-// countSparse is CountFlips on the sparse sampler: per row, the kernel
-// marks the row bitmaps and c counts every faulted lane, while
-// aggregate segments split their shared stuck-cell counts.
-func (s *Sampler) countSparse(words uint64, c *flipCounter) bool {
+// countSparse is CountFlips on the sparse sampler over [start, end):
+// per row, the kernel marks the row bitmaps and c counts every faulted
+// lane, while aggregate segments split their shared stuck-cell counts.
+func (s *Sampler) countSparse(start, end uint64, c *flipCounter) bool {
 	ok := true
 	b := getRowBits(s.wordsPerRow)
 	wpr := s.wordsPerRow
-	s.segments(0, words, func(lo, hi uint64, in bool) {
+	s.segments(start, end, func(lo, hi uint64, in bool) {
 		p, t := s.regionParams(in)
 		if p <= 0 {
 			return
@@ -261,9 +264,9 @@ func patternSig(pat pattern.Pattern) uint64 {
 
 // patternSplit derives one pattern's flip statistics from the
 // segment's shared stuck-cell counts: thinning the pattern-agnostic
-// Binomial cell counts by the pattern's ones density is statistically
-// identical to the legacy per-pattern aggregate draw, while keeping
-// the underlying physics draw shared.
+// Binomial cell counts by the pattern's ones density gives its flips
+// the statistics of a per-pattern draw, while keeping the underlying
+// physics draw shared.
 func (a *enumAggregate) patternSplit(d float64, sig uint64) (flips pattern.Flips, faulty uint64) {
 	src := prf.NewSource(prf.Hash2(a.key^saltSharedSplit, sig))
 	fk0, fk1 := float64(a.k0), float64(a.k1)

@@ -17,13 +17,10 @@ func enumPatterns() []pattern.Pattern {
 	return []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros(), pattern.Checkerboard()}
 }
 
-// legacyFlips evaluates one pattern the way the legacy per-pattern
-// sampler path does: a uniform fill/check through CheckUniformRange for
-// uniform patterns, a word-by-word overlay compare otherwise.
+// legacyFlips evaluates one pattern word by word: every faulted word of
+// the RangeFaultWords stream is read back through Overlay and compared
+// against the written word.
 func legacyFlips(s *Sampler, pat pattern.Pattern, words uint64) (pattern.Flips, uint64) {
-	if w, ok := pattern.UniformWord(pat); ok {
-		return s.CheckUniformRange(0, words, w, w)
-	}
 	var flips pattern.Flips
 	var faulty uint64
 	s.RangeFaultWords(0, words, func(addr uint64, fs []CellFault) {
@@ -101,12 +98,17 @@ func countFlips(m *Model, stack, pc int, v float64, rep, words uint64, pats []pa
 // windowAggregates returns the aggregate segments CountFlips draws for
 // the window [0, words) of (stack, pc) at (v, rep), in address order.
 func windowAggregates(m *Model, stack, pc int, v float64, rep, words uint64) []enumAggregate {
-	s := m.NewBatchSampler(stack, pc, v, rep)
+	return segmentAggregates(m.NewBatchSampler(stack, pc, v, rep), 0, words)
+}
+
+// segmentAggregates returns the aggregate segments s.CountFlips draws
+// for the window [start, end), in address order.
+func segmentAggregates(s *Sampler, start, end uint64) []enumAggregate {
 	if !s.sparse || !s.anyFaults {
 		return nil
 	}
 	var aggs []enumAggregate
-	s.segments(0, words, func(lo, hi uint64, in bool) {
+	s.segments(start, end, func(lo, hi uint64, in bool) {
 		if p, t := s.regionParams(in); p > 0 && aggregated(hi-lo, p) {
 			aggs = append(aggs, s.sharedAggregate(lo, hi, p, t))
 		}

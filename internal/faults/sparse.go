@@ -6,11 +6,10 @@ package faults
 // Range scans then cost O(#faults touched) rather than O(bits scanned),
 // which is what makes whole-HBM Algorithm 1 sweeps at the paper's full
 // memSize tractable. Above a per-segment expected-fault threshold even
-// the positions stop mattering for uniform-pattern checks, and the flip
-// counters are drawn in aggregate from the same binomial statistics the
-// analytic path integrates (keyed additionally on the expected/stored
-// word pair, so the two pattern tests draw independent measurement
-// noise).
+// the positions stop mattering for uniform-pattern counts, and
+// CountFlips (enum.go) draws the segment's stuck-cell counts in
+// aggregate from the same binomial statistics the analytic path
+// integrates.
 //
 // Faults are independent per-cell events, so a row's faults form a set
 // per cell rather than a list: the per-row kernel marks its draws in two
@@ -20,10 +19,9 @@ package faults
 // and the first draw wins: a marked cell is skipped, so its polarity is
 // the one its earliest draw gave it (the outcome a stable sort by
 // position would keep). Readers then take only the marked lanes, in
-// ascending order: as whole-word masks (the uniform check: read =
-// stored &^ faulty | stuck-at-1), as lane masks (CountFlips: two
-// popcounts per lane per pattern) or bit by bit (range scans), which is
-// already ascending (address, bit) order. The bitmaps are scratch taken from a pool and
+// ascending order: as lane masks (CountFlips: two popcounts per lane
+// per pattern) or bit by bit (range scans), which is already ascending
+// (address, bit) order. The bitmaps are scratch taken from a pool and
 // left all-zero by the readers, so a Sampler stays immutable and safe
 // for concurrent use, and a range scan allocates nothing per row.
 //
@@ -44,13 +42,13 @@ import (
 	"math/bits"
 	"sync"
 
-	"hbmvolt/internal/pattern"
 	"hbmvolt/internal/prf"
 )
 
 // sparseEnumThreshold is the expected-fault count per segment above
-// which CheckUniformRange and CountFlips stop drawing individual fault
-// positions and draw aggregate counts instead.
+// which CountFlips stops drawing individual fault positions and draws
+// the segment's stuck-cell counts in aggregate instead. Range scans
+// (RangeFaults, WordFaults) always draw positions.
 const sparseEnumThreshold = 4096
 
 // Sparse reports whether this sampler uses the O(#faults) sparse
@@ -317,181 +315,6 @@ func binomialDraw(src *prf.Source, n int, p, q0 float64) int {
 		return n
 	}
 	return k
-}
-
-// adjuster corrects a uniform expected/stored baseline for a stream of
-// faulted words: each one is read back through its faults and its
-// Compare result replaces the baseline's contribution to flips/faulty.
-type adjuster struct {
-	expected, stored pattern.Word
-	base             pattern.Flips
-	flips            pattern.Flips
-	faulty           uint64
-}
-
-// read replaces one word's baseline contribution with the compare
-// result of reading it back as observed.
-func (a *adjuster) read(observed pattern.Word) {
-	f := pattern.Compare(a.expected, observed)
-	a.flips.OneToZero += f.OneToZero - a.base.OneToZero
-	a.flips.ZeroToOne += f.ZeroToOne - a.base.ZeroToOne
-	if a.base.Total() > 0 {
-		if f.Total() == 0 {
-			a.faulty-- // the faults happened to restore the expected word
-		}
-	} else if f.Total() > 0 {
-		a.faulty++
-	}
-}
-
-func (a *adjuster) word(_ uint64, fs []CellFault) {
-	a.read(Overlay(a.stored, fs))
-}
-
-// CheckUniformRange returns the flip statistics of reading the uniform
-// word stored back against the uniform word expected over the window
-// [start, start+count): total 1→0 / 0→1 flips and the number of words
-// with at least one flip. On the bit-exact path the result is
-// bit-identical to reading and comparing every word; in sparse mode
-// low-rate segments enumerate their drawn faults and high-rate segments
-// draw the counters in aggregate.
-func (s *Sampler) CheckUniformRange(start, count uint64, expected, stored pattern.Word) (pattern.Flips, uint64) {
-	base := pattern.Compare(expected, stored)
-	a := adjuster{
-		expected: expected, stored: stored, base: base,
-		flips: pattern.Flips{
-			OneToZero: base.OneToZero * int(count),
-			ZeroToOne: base.ZeroToOne * int(count),
-		},
-	}
-	if base.Total() > 0 {
-		a.faulty = count
-	}
-	if count == 0 || !s.anyFaults {
-		return a.flips, a.faulty
-	}
-	if !s.sparse {
-		return s.checkWords(start, count, a)
-	}
-	b := getRowBits(s.wordsPerRow)
-	s.segments(start, start+count, func(lo, hi uint64, in bool) {
-		s.checkSegment(lo, hi, in, &a, b)
-	})
-	rowBitsPool.Put(b)
-	return a.flips, a.faulty
-}
-
-// checkWords is CheckUniformRange on the bit-exact path: every faulted
-// word is read back through its grouped faults. It takes a by value so
-// that only this path's copy escapes to the heap through the grouper.
-func (s *Sampler) checkWords(start, count uint64, a adjuster) (pattern.Flips, uint64) {
-	s.RangeFaultWords(start, count, a.word)
-	return a.flips, a.faulty
-}
-
-// checkSegment accumulates one homogeneous segment's sparse-mode flip
-// statistics into a (which already holds the fault-free baseline for
-// the whole window), reading marked rows through b.
-func (s *Sampler) checkSegment(lo, hi uint64, in bool, a *adjuster, b *rowBits) {
-	p, t := s.regionParams(in)
-	if p <= 0 {
-		return // baseline already accounts for a fault-free segment
-	}
-	n := hi - lo
-	if !aggregated(n, p) {
-		d := s.rowDraw(p, t)
-		wpr := s.wordsPerRow
-		for r := lo / wpr; r*wpr < hi; r++ {
-			s.sparseRowFaults(r, lo, hi, d, b)
-			// Read whole words: take a dirty lane's word, all four of
-			// its lanes, and clear their dirty bits.
-			for i, dm := range b.dirty {
-				for dm != 0 {
-					w := (i<<6 | bits.TrailingZeros64(dm)) >> 2
-					dm &^= 0xf << ((w & 15) * 4)
-					var set, one pattern.Word
-					for l := range set {
-						set[l], one[l] = b.take(4*w + l)
-					}
-					a.read(a.stored.AndNot(set).Or(one))
-				}
-				b.dirty[i] = 0
-			}
-		}
-		return
-	}
-
-	// Aggregate regime: draw the segment's flip totals directly. Bits
-	// fall into four categories by (expected, stored) value; a
-	// stuck-at-0 cell flips 1→0 wherever expected is 1, a stuck-at-1
-	// cell flips 0→1 wherever expected is 0, and bits where stored
-	// already mismatches expected flip unless a fault happens to mask
-	// them.
-	p0 := t + (p-t)*(1-pStuckAt1) // per-cell stuck-at-0 probability
-	p1 := (p - t) * pStuckAt1     // per-cell stuck-at-1 probability
-	n11 := a.expected.And(a.stored).OnesCount()
-	n10 := a.expected.AndNot(a.stored).OnesCount()
-	n01 := a.stored.AndNot(a.expected).OnesCount()
-	n00 := 256 - n11 - n10 - n01
-	fn := float64(n)
-
-	src := prf.NewSource(prf.Hash5(s.seed^saltAggregate, uint64(s.idx), lo, s.rep,
-		s.vbits^wordPairSig(a.expected, a.stored)))
-	mean10 := fn * (float64(n11)*p0 + float64(n10)*(1-p1))
-	var10 := fn * (float64(n11)*p0*(1-p0) + float64(n10)*(1-p1)*p1)
-	d10 := gaussCount(src, mean10, var10, n*uint64(n11+n10))
-	mean01 := fn * (float64(n01)*(1-p0) + float64(n00)*p1)
-	var01 := fn * (float64(n01)*(1-p0)*p0 + float64(n00)*p1*(1-p1))
-	d01 := gaussCount(src, mean01, var01, n*uint64(n01+n00))
-
-	// Clean-word probability: every bit must read back equal to expected.
-	lnq, qZero := 0.0, false
-	mul := func(cnt int, term float64) {
-		if cnt == 0 {
-			return
-		}
-		if term <= 0 {
-			qZero = true
-			return
-		}
-		lnq += float64(cnt) * math.Log(term)
-	}
-	mul(n11, 1-p0)
-	mul(n10, p1)
-	mul(n01, p0)
-	mul(n00, 1-p1)
-	q := 0.0
-	if !qZero {
-		q = math.Exp(lnq)
-	}
-	clean := gaussCount(src, fn*q, fn*q*(1-q), n)
-	fw := n - clean
-
-	// Physical clamps: each faulty word carries 1..256 flips.
-	total := d10 + d01
-	if fw > total {
-		fw = total
-	}
-	if minW := (total + 255) / 256; fw < minW {
-		fw = minW
-	}
-
-	// Replace this segment's baseline contribution with the draws.
-	a.flips.OneToZero += int(d10) - a.base.OneToZero*int(n)
-	a.flips.ZeroToOne += int(d01) - a.base.ZeroToOne*int(n)
-	if a.base.Total() > 0 {
-		a.faulty = a.faulty - n + fw
-	} else {
-		a.faulty += fw
-	}
-}
-
-// wordPairSig folds an (expected, stored) word pair into one key word,
-// so aggregate draws for different patterns at the same segment are
-// independent rather than sharing one stream.
-func wordPairSig(expected, stored pattern.Word) uint64 {
-	return prf.Hash4(expected[0], expected[1], expected[2], expected[3]) ^
-		prf.Mix64(prf.Hash4(stored[0], stored[1], stored[2], stored[3]))
 }
 
 // gaussCount draws a normal-approximated count with the given mean and

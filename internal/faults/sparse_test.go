@@ -2,6 +2,7 @@ package faults
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -22,49 +23,6 @@ func sparseModel(t testing.TB, seed uint64, words uint64) *Model {
 		t.Fatal(err)
 	}
 	return m
-}
-
-// TestSparseMatchesAnalytic is the sparse twin of
-// TestMonteCarloMatchesAnalytic: the O(#faults) enumeration must land
-// within Poisson bounds of the analytic expectation for both flip
-// classes, in both the per-row enumeration regime (moderate undervolt)
-// and the aggregate-draw regime (deep undervolt, bulk collapse active).
-func TestSparseMatchesAnalytic(t *testing.T) {
-	const words = 1 << 18
-	m := sparseModel(t, 11, words)
-	cases := []struct {
-		stack, pc int
-		v         float64
-	}{
-		{1, 2, 0.90},  // sensitive PC18, cluster-only, enumeration regime
-		{0, 4, 0.92},  // sensitive PC4 higher voltage, tiny counts
-		{0, 12, 0.87}, // mid PC, larger counts
-		{0, 1, 0.85},  // robust PC in the bulk collapse, aggregate regime
-	}
-	for _, c := range cases {
-		s := m.NewSampler(c.stack, c.pc, c.v)
-		// All-1s exposes stuck-at-0 (1→0); all-0s exposes stuck-at-1.
-		f10, _ := s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord)
-		f01, _ := s.CheckUniformRange(0, words, pattern.AllZerosWord, pattern.AllZerosWord)
-		exp10 := m.ExpectedFaults(c.stack, c.pc, c.v, OneToZero, 0, words)
-		exp01 := m.ExpectedFaults(c.stack, c.pc, c.v, ZeroToOne, 0, words)
-		for _, chk := range []struct {
-			name     string
-			got, exp float64
-		}{
-			{"1to0", float64(f10.OneToZero), exp10},
-			{"0to1", float64(f01.ZeroToOne), exp01},
-		} {
-			sd := math.Sqrt(math.Max(chk.exp, 1))
-			if math.Abs(chk.got-chk.exp) > 6*sd {
-				t.Errorf("stack%d pc%d %vV %s: got %v, want %v ± %v",
-					c.stack, c.pc, c.v, chk.name, chk.got, chk.exp, 6*sd)
-			}
-		}
-		if (f10.ZeroToOne != 0) || (f01.OneToZero != 0) {
-			t.Errorf("stack%d pc%d %vV: impossible flip polarity under uniform patterns", c.stack, c.pc, c.v)
-		}
-	}
 }
 
 // TestSparseRangeFaultsConsistent pins the determinism contract: the
@@ -142,9 +100,7 @@ func TestSparseBatchRepsVary(t *testing.T) {
 	const words = 1 << 16
 	m := sparseModel(t, 23, words)
 	count := func(rep uint64) float64 {
-		s := m.NewBatchSampler(1, 2, 0.90, rep)
-		f, _ := s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord)
-		return float64(f.OneToZero)
+		return float64(sparseAll1(m.NewBatchSampler(1, 2, 0.90, rep), words).Flips.OneToZero)
 	}
 	base := count(0)
 	varies := false
@@ -170,16 +126,26 @@ func TestSparseBatchRepsVary(t *testing.T) {
 	}
 }
 
+// sparseAll1 is s.CountFlips of all1 over [0, words).
+func sparseAll1(s *Sampler, words uint64) PatternCount {
+	var out [1]PatternCount
+	s.CountFlips(0, words, []pattern.Pattern{pattern.AllOnes()}, out[:])
+	return out[0]
+}
+
 // TestSparseAggregateFaultyWordsPlausible: in the aggregate regime the
-// drawn faulty-word count must respect the physical bounds relative to
-// the drawn flip totals and the window size.
+// faulty-word count CountFlips splits off a segment's shared stuck-cell
+// counts must respect the physical bounds patternSplit clamps it to —
+// each faulty word carries 1..256 flips — and the window size.
 func TestSparseAggregateFaultyWordsPlausible(t *testing.T) {
 	const words = 1 << 18
 	m := sparseModel(t, 5, words)
+	aggregated := 0
 	for _, v := range []float64{0.87, 0.855, 0.85, 0.84} {
 		s := m.NewSampler(0, 3, v)
-		f, fw := s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord)
-		total := uint64(f.Total())
+		aggregated += len(segmentAggregates(s, 0, words))
+		c := sparseAll1(s, words)
+		total, fw := uint64(c.Flips.Total()), c.Faulty
 		if fw > words {
 			t.Fatalf("%vV: faulty words %d exceed window %d", v, fw, words)
 		}
@@ -190,10 +156,11 @@ func TestSparseAggregateFaultyWordsPlausible(t *testing.T) {
 			t.Fatalf("%vV: %d flips cannot fit in %d words", v, total, fw)
 		}
 	}
+	if aggregated == 0 {
+		t.Fatal("no window aggregated; the clamps go unchecked")
+	}
 	// At 0.84V essentially every word must be faulty.
-	s := m.NewSampler(0, 3, 0.84)
-	_, fw := s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord)
-	if float64(fw) < 0.99*words {
+	if fw := sparseAll1(m.NewSampler(0, 3, 0.84), words).Faulty; float64(fw) < 0.99*words {
 		t.Fatalf("collapse voltage left %d of %d words clean", words-fw, words)
 	}
 }
@@ -253,40 +220,6 @@ func oracleRange(s *Sampler, start, count uint64, visit func(addr uint64, f Cell
 	})
 }
 
-// oracleCheck is sparse CheckUniformRange with the enumerated regime
-// read through oracleRowFaults and per-word Overlay; aggregate segments,
-// which draw no positions, go through checkSegment unchanged.
-func oracleCheck(s *Sampler, start, count uint64, expected, stored pattern.Word) (pattern.Flips, uint64) {
-	base := pattern.Compare(expected, stored)
-	a := adjuster{expected: expected, stored: stored, base: base, flips: pattern.Flips{
-		OneToZero: base.OneToZero * int(count),
-		ZeroToOne: base.ZeroToOne * int(count),
-	}}
-	if base.Total() > 0 {
-		a.faulty = count
-	}
-	if count == 0 || !s.anyFaults {
-		return a.flips, a.faulty
-	}
-	wpr := s.wordsPerRow
-	s.segments(start, start+count, func(lo, hi uint64, in bool) {
-		p, t := s.regionParams(in)
-		if p <= 0 {
-			return
-		}
-		if float64(hi-lo)*256*p > sparseEnumThreshold {
-			s.checkSegment(lo, hi, in, &a, nil)
-			return
-		}
-		g := grouper{visit: a.word}
-		for r := lo / wpr; r*wpr < hi; r++ {
-			oracleRowFaults(s, r, max(lo, r*wpr), min(hi, (r+1)*wpr), p, t, g.add)
-		}
-		g.flush()
-	})
-	return a.flips, a.faulty
-}
-
 // packStream collects a fault enumeration as packed (addr, bit,
 // polarity) words.
 func packStream(enum func(visit func(addr uint64, f CellFault))) []uint64 {
@@ -297,18 +230,15 @@ func packStream(enum func(visit func(addr uint64, f CellFault))) []uint64 {
 
 // TestBitmapKernelMatchesStableSortOracle pins the bitmap kernel's only
 // difference from the sort-based one it replaced to the tie-break: with
-// the sort made stable, the (addr, bit, polarity) streams, uniform
-// checks and CountFlips counts are identical over random seeds,
-// voltages, reps, partial-row windows and row widths.
+// the sort made stable, the (addr, bit, polarity) streams and the
+// CountFlips counts are identical over random seeds, voltages, reps,
+// partial-row windows and row widths. CountFlips is compared on every
+// window that has no aggregate segment, whose counts draw no positions.
 func TestBitmapKernelMatchesStableSortOracle(t *testing.T) {
 	rnd := prf.NewSource(0x5eed)
-	checks := [][2]pattern.Word{
-		{pattern.AllOnesWord, pattern.AllOnesWord},
-		{pattern.AllZerosWord, pattern.AllZerosWord},
-		{pattern.AllOnesWord, pattern.AllZerosWord},
-		{{0xf0f0f0f0f0f0f0f0, 0, ^uint64(0), 0x0123456789abcdef}, {0xff00ff00ff00ff00, 0, 0x00ff00ff00ff00ff, 0x0123456789abcdef}},
-	}
-	faults := 0
+	pats := builtinPatterns(t)
+	got := make([]PatternCount, len(pats))
+	faults, counted := 0, 0
 	for _, wpr := range []uint64{32, 1, 8, 48, 96} {
 		words := 512 * wpr
 		for trial := 0; trial < 6; trial++ {
@@ -337,37 +267,29 @@ func TestBitmapKernelMatchesStableSortOracle(t *testing.T) {
 			}
 			windows = append(windows, [2]uint64{wpr / 2, wpr}, [2]uint64{words - 1, 1})
 			for _, w := range windows {
-				got := packStream(func(visit func(uint64, CellFault)) { s.RangeFaults(w[0], w[1], visit) })
+				name := fmt.Sprintf("wpr %d seed %#x pc %d/%d %vV rep %d window %v", wpr, seed, stack, pc, v, rep, w)
+				stream := packStream(func(visit func(uint64, CellFault)) { s.RangeFaults(w[0], w[1], visit) })
 				want := packStream(func(visit func(uint64, CellFault)) { oracleRange(s, w[0], w[1], visit) })
-				if !slices.Equal(got, want) {
-					t.Fatalf("wpr %d seed %#x pc %d/%d %vV rep %d window %v: bitmap stream (%d faults) != stable-sort oracle (%d)",
-						wpr, seed, stack, pc, v, rep, w, len(got), len(want))
+				if !slices.Equal(stream, want) {
+					t.Fatalf("%s: bitmap stream (%d faults) != stable-sort oracle (%d)", name, len(stream), len(want))
 				}
-				faults += len(got)
-				for _, c := range checks {
-					gf, gw := s.CheckUniformRange(w[0], w[1], c[0], c[1])
-					wf, ww := oracleCheck(s, w[0], w[1], c[0], c[1])
-					if gf != wf || gw != ww {
-						t.Fatalf("wpr %d seed %#x pc %d/%d %vV rep %d window %v: CheckUniformRange %+v/%d, oracle %+v/%d",
-							wpr, seed, stack, pc, v, rep, w, gf, gw, wf, ww)
-					}
+				faults += len(stream)
+				if len(segmentAggregates(s, w[0], w[0]+w[1])) > 0 {
+					continue
 				}
-			}
-			if len(windowAggregates(m, stack, pc, v, rep, words)) == 0 {
-				packed := packStream(func(visit func(uint64, CellFault)) { oracleRange(s, 0, words, visit) })
-				pats := builtinPatterns(t)
-				got, _ := countFlips(m, stack, pc, v, rep, words, pats)
+				counted++
+				s.CountFlips(w[0], w[1], pats, got)
 				for pi, pat := range pats {
-					if wf, ww := perFaultFlips(packed, pat); got[pi].Flips != wf || got[pi].Faulty != ww {
-						t.Fatalf("wpr %d seed %#x pc %d/%d %vV rep %d %s: CountFlips %+v/%d, stable-sort oracle %+v/%d",
-							wpr, seed, stack, pc, v, rep, pat.Name(), got[pi].Flips, got[pi].Faulty, wf, ww)
+					if wf, ww := perFaultFlips(want, pat); got[pi].Flips != wf || got[pi].Faulty != ww {
+						t.Fatalf("%s %s: CountFlips %+v/%d, stable-sort oracle %+v/%d",
+							name, pat.Name(), got[pi].Flips, got[pi].Faulty, wf, ww)
 					}
 				}
 			}
 		}
 	}
-	if faults == 0 {
-		t.Fatal("no faults drawn in any case; the comparison is vacuous")
+	if faults == 0 || counted == 0 {
+		t.Fatalf("%d faults drawn, %d windows counted; the comparison is vacuous", faults, counted)
 	}
 }
 
@@ -429,12 +351,11 @@ func TestBitmapKernelFirstDrawWins(t *testing.T) {
 	}
 }
 
-// TestCheckUniformRangeSparseZeroAllocs pins the sparse uniform check
-// of a faulted window in the enumerated regime, and CountFlips over it,
-// to zero allocations: the row bitmaps and pattern scratch come from
-// pools, CountFlips keeps its sampler on the stack, and nothing per
-// fault reaches the heap.
-func TestCheckUniformRangeSparseZeroAllocs(t *testing.T) {
+// TestCountFlipsSparseZeroAllocs pins CountFlips over a faulted window
+// in the enumerated regime to zero allocations: the row bitmaps and
+// pattern scratch come from pools, CountFlips keeps its sampler on the
+// stack, and nothing per fault reaches the heap.
+func TestCountFlipsSparseZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops pooled items at random, so pooled scratch allocates")
 	}
@@ -443,24 +364,13 @@ func TestCheckUniformRangeSparseZeroAllocs(t *testing.T) {
 	if len(windowAggregates(m, 1, 2, 0.90, 0, words)) > 0 {
 		t.Fatal("window aggregated; want an enumerated-regime window")
 	}
-	s := m.NewBatchSampler(1, 2, 0.90, 0)
-	var f pattern.Flips
-	allocs := testing.AllocsPerRun(100, func() {
-		f, _ = s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord)
-	})
-	if f.Total() == 0 {
-		t.Fatal("no flips; the window is not faulted")
-	}
-	if allocs != 0 {
-		t.Fatalf("CheckUniformRange allocated %v times per call, want 0", allocs)
-	}
 	pats := []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros(), pattern.Checkerboard()}
 	out := make([]PatternCount, len(pats))
-	allocs = testing.AllocsPerRun(100, func() {
+	allocs := testing.AllocsPerRun(100, func() {
 		m.CountFlips(1, 2, 0.90, 0, words, pats, out)
 	})
-	if out[0].Flips != f {
-		t.Fatalf("CountFlips all1 flips %+v, uniform check %+v", out[0].Flips, f)
+	if out[0].Flips.Total() == 0 {
+		t.Fatal("no all1 flips; the window is not faulted")
 	}
 	if allocs != 0 {
 		t.Fatalf("CountFlips allocated %v times per call, want 0", allocs)
@@ -468,13 +378,14 @@ func TestCheckUniformRangeSparseZeroAllocs(t *testing.T) {
 }
 
 // TestSparseSamplerConcurrent reads one Sampler from several goroutines
-// (under -race in CI): the pooled row bitmaps must keep concurrent range
-// scans and uniform checks independent and equal to a sequential read.
+// (under -race in CI): the pooled row bitmaps and flip counters must
+// keep concurrent range scans and counts independent and equal to a
+// sequential read.
 func TestSparseSamplerConcurrent(t *testing.T) {
 	const words = 1 << 14
 	m := sparseModel(t, 31, words)
 	s := m.NewBatchSampler(1, 2, 0.89, 1)
-	wantFlips, wantFaulty := s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord)
+	want := sparseAll1(s, words)
 	wantStream := packStream(func(visit func(uint64, CellFault)) { s.RangeFaults(0, words, visit) })
 	if len(wantStream) == 0 {
 		t.Fatal("no faults drawn; the test is vacuous")
@@ -486,8 +397,8 @@ func TestSparseSamplerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if f, fw := s.CheckUniformRange(0, words, pattern.AllOnesWord, pattern.AllOnesWord); f != wantFlips || fw != wantFaulty {
-					errs <- "concurrent CheckUniformRange differs from the sequential read"
+				if got := sparseAll1(s, words); got != want {
+					errs <- "concurrent CountFlips differs from the sequential read"
 					return
 				}
 				got := packStream(func(visit func(uint64, CellFault)) { s.RangeFaults(0, words, visit) })
@@ -554,11 +465,11 @@ func TestStuckAt1ThresholdMatchesFloat(t *testing.T) {
 	}
 }
 
-// TestRowBitsCleanAfterMidRowWindow: every reader of the row bitmaps —
-// the range scan's drain, CountFlips's counter and the uniform check —
-// must leave set, one and dirty all-zero after a window that starts
-// and ends mid-row, so the next user of the pool starts clean. Rows of
-// 96 words take two dirty-mask words and the modulo position path.
+// TestRowBitsCleanAfterMidRowWindow: both readers of the row bitmaps —
+// the range scan's drain and CountFlips's counter — must leave set, one
+// and dirty all-zero after a window that starts and ends mid-row, so
+// the next user of the pool starts clean. Rows of 96 words take two
+// dirty-mask words and the modulo position path.
 func TestRowBitsCleanAfterMidRowWindow(t *testing.T) {
 	const wpr = 96
 	cfg := DefaultConfig()
@@ -607,11 +518,4 @@ func TestRowBitsCleanAfterMidRowWindow(t *testing.T) {
 	if marked == 0 || out[0].Flips.Total() == 0 {
 		t.Fatalf("%d faults drained, %d all1 flips counted; the window is not faulted", marked, out[0].Flips.Total())
 	}
-	s.segments(lo, hi, func(slo, shi uint64, in bool) {
-		a := adjuster{expected: pattern.AllOnesWord, stored: pattern.AllOnesWord}
-		s.checkSegment(slo, shi, in, &a, b)
-		if dirty() {
-			t.Fatalf("the uniform check left segment [%d, %d)'s bitmaps marked", slo, shi)
-		}
-	})
 }

@@ -257,11 +257,14 @@ func (s *Stack) ReadRange(pc int, start, count uint64) error {
 // ReadCheckRange reads [start, start+count) back and compares every
 // word against pat, returning the total flip classification and the
 // number of words with at least one flipped bit. It is the bulk
-// equivalent of ReadWord+Compare per address — the channel lock is taken
-// once, the fault sampler is consulted per fault site instead of per
-// word, and uniform regions are charged O(fault sites), not O(words).
-// On the bit-exact fault path the counts are identical to the per-word
-// loop; in sparse mode they follow the same statistics.
+// equivalent of ReadWord+Compare per address, with the channel lock
+// taken once. A fill run that stores pat's own uniform word — every
+// run of a FillCheckProgram — is counted by the sampler's CountFlips,
+// the counter every Algorithm 1 sweep uses, so the board and a sweep
+// of the same point report one device: identical counts in both fault
+// modes. Every other run (page-backed words, an address-dependent
+// pattern, a fill that differs from pat) is read word by word over the
+// range enumerator's faulted words, identical to the per-word loop.
 func (s *Stack) ReadCheckRange(pc int, start, count uint64, pat pattern.Pattern) (pattern.Flips, uint64, error) {
 	volts, rep, err := s.state()
 	if err != nil {
@@ -279,16 +282,19 @@ func (s *Stack) ReadCheckRange(pc int, start, count uint64, pat pattern.Pattern)
 	var flips pattern.Flips
 	var faulty uint64
 	uniformPat, uniformOK := pattern.UniformWord(pat)
+	pats, out := []pattern.Pattern{pat}, make([]faults.PatternCount, 1)
 	ch.mem.Runs(start, count, func(runStart, runCount uint64, words []pattern.Word, fill pattern.Word) {
-		if uniformOK && words == nil {
-			f, fw := sampler.CheckUniformRange(runStart, runCount, uniformPat, fill)
-			flips.Add(f)
-			faulty += fw
+		if uniformOK && words == nil && fill == uniformPat {
+			// A uniform pattern has a known ones density, so the count
+			// is complete and the result needs no check.
+			sampler.CountFlips(runStart, runCount, pats, out)
+			flips.Add(out[0].Flips)
+			faulty += out[0].Faulty
 			return
 		}
-		// Word-by-word fallback: page-backed runs and address-dependent
-		// patterns. Faults still arrive pre-aggregated from the range
-		// enumerator, so clean words cost a compare, not 256 hashes.
+		// Word-by-word fallback. Faults still arrive pre-aggregated from
+		// the range enumerator, so clean words cost a compare, not 256
+		// hashes.
 		readAt := func(a uint64) pattern.Word {
 			if words != nil {
 				return words[a-runStart]
