@@ -22,14 +22,18 @@
 // Input may concatenate several packages' runs: each record carries the
 // package of the "pkg:" header in force when its line was read.
 // Feeding the "raw" lines back to benchstat under their goos/goarch/pkg
-// headers reproduces its input format exactly.
+// headers reproduces its input format exactly. The lines of one
+// benchmark repeated by go test -count N fold into one record (fold),
+// so cmd/benchdiff, which keys records by name, gates their median.
 package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -87,7 +91,38 @@ func parse(sc *bufio.Scanner) (*Report, error) {
 			}
 		}
 	}
+	rep.Benchmarks = fold(rep.Benchmarks)
 	return rep, sc.Err()
+}
+
+// fold merges the records that share a (pkg, name) into the first: runs
+// is their sum, each metric its median (the lower middle value for an
+// even count), and raw the line of the median run by ns/op.
+func fold(recs []Benchmark) []Benchmark {
+	out := []Benchmark{}
+	for i, b := range recs {
+		same := func(c Benchmark) bool { return c.Pkg == b.Pkg && c.Name == b.Name }
+		if slices.ContainsFunc(recs[:i], same) {
+			continue
+		}
+		g := slices.DeleteFunc(slices.Clone(recs[i:]), func(c Benchmark) bool { return !same(c) })
+		slices.SortStableFunc(g, func(x, y Benchmark) int { return cmp.Compare(x.Metrics["ns/op"], y.Metrics["ns/op"]) })
+		m := g[(len(g)-1)/2]
+		m.Runs = 0
+		for _, c := range g {
+			m.Runs += c.Runs
+		}
+		for metric := range m.Metrics {
+			vs := make([]float64, len(g))
+			for j, c := range g {
+				vs[j] = c.Metrics[metric]
+			}
+			slices.Sort(vs)
+			m.Metrics[metric] = vs[(len(vs)-1)/2]
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
 // parseLine splits "BenchmarkName-8  N  v1 unit1  v2 unit2 ..." into a

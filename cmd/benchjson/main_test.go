@@ -85,3 +85,55 @@ func TestParseLineRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// repeated is what go test -count N prints: three lines of one
+// benchmark, with another benchmark between them, and two lines of the
+// same name in a second package.
+const repeated = `pkg: hbmvolt/internal/campaign
+BenchmarkCampaignRun/shared-2 	     150	   9000000 ns/op	       700.0 cells/sec	  5000 B/op	      40 allocs/op
+BenchmarkCampaignExpand-2     	       5	    100000 ns/op
+BenchmarkCampaignRun/shared-2 	     150	  12000000 ns/op	       601.0 cells/sec	  5200 B/op	      41 allocs/op
+BenchmarkCampaignRun/shared-2 	     150	   7000000 ns/op	       827.0 cells/sec	  4000 B/op	      42 allocs/op
+pkg: hbmvolt/other
+BenchmarkCampaignRun/shared-2 	      20	   2000000 ns/op
+BenchmarkCampaignRun/shared-2 	      10	   1000000 ns/op
+`
+
+// TestParseFoldsRepeatedLines pins the fold of repeated (pkg, name)
+// lines: one record in the place of the first, each metric the median
+// of its lines, runs summed, and the raw line of the median-ns/op run.
+func TestParseFoldsRepeatedLines(t *testing.T) {
+	rep, err := parse(bufio.NewScanner(strings.NewReader(repeated)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		name, pkg string
+		runs      int64
+	}{
+		{"BenchmarkCampaignRun/shared-2", "hbmvolt/internal/campaign", 450},
+		{"BenchmarkCampaignExpand-2", "hbmvolt/internal/campaign", 5},
+		{"BenchmarkCampaignRun/shared-2", "hbmvolt/other", 30},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("benchmarks = %d, want %d", len(rep.Benchmarks), len(want))
+	}
+	for i, w := range want {
+		if b := rep.Benchmarks[i]; b.Name != w.name || b.Pkg != w.pkg || b.Runs != w.runs {
+			t.Errorf("record %d = %s in %q, %d runs; want %s in %q, %d runs", i, b.Name, b.Pkg, b.Runs, w.name, w.pkg, w.runs)
+		}
+	}
+	b := rep.Benchmarks[0]
+	for metric, v := range map[string]float64{"ns/op": 9000000, "cells/sec": 700, "B/op": 5000, "allocs/op": 41} {
+		if b.Metrics[metric] != v {
+			t.Errorf("%s = %v, want the median %v", metric, b.Metrics[metric], v)
+		}
+	}
+	if !strings.Contains(b.Raw, " 9000000 ns/op") {
+		t.Errorf("raw = %q, want the median run's line", b.Raw)
+	}
+	// An even count takes the lower middle line.
+	if b := rep.Benchmarks[2]; b.Metrics["ns/op"] != 1000000 || !strings.Contains(b.Raw, " 1000000 ns/op") {
+		t.Errorf("even count: ns/op %v, raw %q; want the lower middle run", b.Metrics["ns/op"], b.Raw)
+	}
+}

@@ -51,11 +51,6 @@ import (
 // (RangeFaults, WordFaults) always draw positions.
 const sparseEnumThreshold = 4096
 
-// Sparse reports whether this sampler uses the O(#faults) sparse
-// enumeration mode (Config.SparseEnumeration) instead of the bit-exact
-// per-cell draw.
-func (s *Sampler) Sparse() bool { return s.sparse }
-
 // regionParams returns the per-cell stuck probability and its
 // always-stuck-at-0 tail for cells inside or outside clusters, at the
 // sampler's voltage.
@@ -152,11 +147,9 @@ func stuckAt1Bit(u, thr uint64) uint64 {
 // 1, so the cell at bit position pos of the row lives in lane pos>>6.
 // dirty marks, one bit per lane, the lanes that hold a fault. Readers
 // take every dirty lane, clearing it, so a rowBits is all-zero between
-// rows. draws is the kernel's block of stream words, kept here so that
-// no row pays for zeroing it.
+// rows.
 type rowBits struct {
 	set, one, dirty []uint64
-	draws           [256]uint64
 }
 
 // rowBitsPool recycles row bitmaps across range scans. Scratch cannot
@@ -169,11 +162,9 @@ func getRowBits(wpr uint64) *rowBits {
 	b := rowBitsPool.Get().(*rowBits)
 	n := int(wpr) * 4
 	nd := (n + 63) / 64
+	// The three grow together, so dirty always has room for set's lanes.
 	if cap(b.set) < n {
-		b.set, b.one = make([]uint64, n), make([]uint64, n)
-	}
-	if cap(b.dirty) < nd {
-		b.dirty = make([]uint64, nd)
+		b.set, b.one, b.dirty = make([]uint64, n), make([]uint64, n), make([]uint64, nd)
 	}
 	b.set, b.one, b.dirty = b.set[:n], b.one[:n], b.dirty[:nd]
 	return b
@@ -243,43 +234,32 @@ func (s *Sampler) sparseRowFaults(row, lo, hi uint64, d rowDraw, b *rowBits) {
 	}
 	// The window as word offsets within the row.
 	rowBase := row * wpr
-	wlo, whi := uint64(0), wpr
-	if lo > rowBase {
-		wlo = lo - rowBase
-	}
-	if hi < rowBase+wpr {
-		whi = hi - rowBase
-	}
+	wlo, whi := max(lo, rowBase)-rowBase, min(hi, rowBase+wpr)-rowBase
 	// A power-of-two row (32 words is 8192 cells) reduces a drawn
 	// position by a mask, which equals the modulo there.
 	mask := nBits - 1
 	pow2 := nBits&mask == 0
 	set, one, dirty := b.set, b.one, b.dirty
-	// Each fault consumes exactly two stream words (position, polarity),
-	// so the draws are pulled in blocks via Fill — identical values to
-	// sequential Intn/Float64 calls, without the per-draw call setup.
-	for j := 0; j < k; {
-		chunk := min(k-j, len(b.draws)/2)
-		dr := b.draws[:2*chunk]
-		src.Fill(dr)
-		for c := 0; c < len(dr); c += 2 {
-			pos := dr[c] & mask
-			if !pow2 {
-				pos = dr[c] % nBits
-			}
-			w := pos >> 8
-			if w < wlo || w >= whi {
-				continue
-			}
-			li, sh := pos>>6, pos&63
-			if set[li]>>sh&1 != 0 {
-				continue // collision: one cell, one fault; the first draw wins
-			}
-			set[li] |= 1 << sh
-			one[li] |= stuckAt1Bit(dr[c+1], d.thr) << sh
-			dirty[li>>6] |= 1 << (li & 63)
+	// Each fault consumes exactly two stream words, position then
+	// polarity, also when it collides or falls outside the window, so
+	// the stream stays the sequential Intn/Float64 draws.
+	for ; k > 0; k-- {
+		u, v := src.Uint64(), src.Uint64()
+		pos := u & mask
+		if !pow2 {
+			pos = u % nBits
 		}
-		j += chunk
+		w := pos >> 8
+		if w < wlo || w >= whi {
+			continue
+		}
+		li, sh := pos>>6, pos&63
+		if set[li]>>sh&1 != 0 {
+			continue // collision: one cell, one fault; the first draw wins
+		}
+		set[li] |= 1 << sh
+		one[li] |= stuckAt1Bit(v, d.thr) << sh
+		dirty[li>>6] |= 1 << (li & 63)
 	}
 }
 

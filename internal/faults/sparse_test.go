@@ -89,7 +89,7 @@ func TestSparseClusterConfinement(t *testing.T) {
 			t.Fatalf("sparse fault outside cluster at addr %d", addr)
 		}
 	})
-	if !s.Sparse() {
+	if !s.sparse {
 		t.Fatal("sampler not in sparse mode")
 	}
 }
@@ -294,13 +294,20 @@ func TestBitmapKernelMatchesStableSortOracle(t *testing.T) {
 }
 
 // TestBitmapKernelFirstDrawWins forces collisions of differing polarity
-// — one-word rows at a stuck probability of 0.2 draw about 51 faults
-// into 256 cells — and checks that each such cell keeps the polarity of
-// its first draw, as the stable-sort oracle does.
+// — a stuck probability of 0.2 draws about 51 faults into a one-word
+// row's 256 cells — and checks that each such cell keeps the polarity of
+// its first draw, as the stable-sort oracle does. One-word rows reduce a
+// drawn position by a mask; 3-word rows (768 cells) take the % path.
 func TestBitmapKernelFirstDrawWins(t *testing.T) {
+	for _, wpr := range []uint64{1, 3} {
+		t.Run(fmt.Sprintf("wpr=%d", wpr), func(t *testing.T) { testFirstDrawWins(t, wpr) })
+	}
+}
+
+func testFirstDrawWins(t *testing.T, wpr uint64) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
-	cfg.Geometry = Geometry{WordsPerPC: 1024, WordsPerRow: 1}
+	cfg.Geometry = Geometry{WordsPerPC: 1024 * wpr, WordsPerRow: wpr}
 	cfg.SparseEnumeration = true
 	m, err := New(cfg)
 	if err != nil {
@@ -308,17 +315,18 @@ func TestBitmapKernelFirstDrawWins(t *testing.T) {
 	}
 	s := m.NewBatchSampler(1, 2, 0.90, 0)
 	const p, tail = 0.2, 0.0
+	nBits := wpr * 256
 	d := s.rowDraw(p, tail)
 	p1Share := (p - tail) * pStuckAt1 / p
-	b := getRowBits(1) // not returned: a failed check may leave it marked
+	b := getRowBits(wpr) // not returned: a failed check may leave it marked
 	mixed := 0
 	for row := uint64(0); row < 64; row++ {
 		// Replay the raw draws: the first polarity seen at each cell.
 		src := prf.NewSource(prf.Hash5(s.seed^saltSparse, uint64(s.idx), row, s.rep, s.vbits))
-		k := binomialDraw(src, 256, p, d.q0)
-		first := map[int]Polarity{}
+		k := binomialDraw(src, int(nBits), p, d.q0)
+		first := map[uint64]Polarity{}
 		for j := 0; j < k; j++ {
-			pos := int(src.Uint64() % 256)
+			pos := src.Uint64() % nBits
 			pol := StuckAt0
 			if src.Float64() < p1Share {
 				pol = StuckAt1
@@ -329,19 +337,20 @@ func TestBitmapKernelFirstDrawWins(t *testing.T) {
 				mixed++
 			}
 		}
+		rowBase := row * wpr
 		var got []uint64
-		s.sparseRowFaults(row, row, row+1, d, b)
-		b.drain(row, func(addr uint64, f CellFault) { got = append(got, packFault(addr, f)) })
+		s.sparseRowFaults(row, rowBase, rowBase+wpr, d, b)
+		b.drain(rowBase, func(addr uint64, f CellFault) { got = append(got, packFault(addr, f)) })
 		if len(got) != len(first) {
 			t.Fatalf("row %d: %d faults marked, %d distinct cells drawn", row, len(got), len(first))
 		}
 		for _, f := range got {
-			bit, pol := int(f>>1&255), Polarity(f&1)
-			if pol != first[bit] {
-				t.Fatalf("row %d bit %d: polarity %v, first draw was %v", row, bit, pol, first[bit])
+			pos, pol := (f>>9-rowBase)*256+f>>1&255, Polarity(f&1)
+			if pol != first[pos] {
+				t.Fatalf("row %d cell %d: polarity %v, first draw was %v", row, pos, pol, first[pos])
 			}
 		}
-		want := packStream(func(visit func(uint64, CellFault)) { oracleRowFaults(s, row, row, row+1, p, tail, visit) })
+		want := packStream(func(visit func(uint64, CellFault)) { oracleRowFaults(s, row, rowBase, rowBase+wpr, p, tail, visit) })
 		if !slices.Equal(got, want) {
 			t.Fatalf("row %d: bitmap kernel differs from the stable-sort oracle", row)
 		}

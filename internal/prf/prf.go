@@ -57,8 +57,9 @@ func Uniform(a, b, c, d uint64) float64 {
 
 // Source is a tiny deterministic stream generator seeded from a single
 // word. It implements enough surface for sequential draws (cluster
-// placement, synthetic workloads) without pulling in math/rand's global
-// state. The zero value is a valid source with seed 0.
+// placement, the sparse fault kernel's per-row draws, synthetic
+// workloads) without pulling in math/rand's global state. The zero
+// value is a valid source with seed 0.
 type Source struct {
 	state uint64
 }
@@ -68,7 +69,8 @@ func NewSource(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// Uint64 returns the next value of the stream.
+// Uint64 returns the next value of the stream. It is small enough to
+// inline, which the sparse fault kernel's two draws per fault rely on.
 func (s *Source) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
 	z := s.state
@@ -88,24 +90,6 @@ func (s *Source) Intn(n int) int {
 		panic("prf: Intn with non-positive n")
 	}
 	return int(s.Uint64() % uint64(n))
-}
-
-// Fill writes the next len(dst) values of the stream into dst in one
-// pass — exactly the values len(dst) sequential Uint64 calls would
-// return, so callers can batch without changing any realization. The
-// state advance and finalizer are inlined into a single loop, which is
-// what lets bulk consumers (the sparse fault enumeration draws two
-// words per fault) amortize the per-draw call setup.
-func (s *Source) Fill(dst []uint64) {
-	st := s.state
-	for i := range dst {
-		st += 0x9e3779b97f4a7c15
-		z := st
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		dst[i] = z ^ (z >> 31)
-	}
-	s.state = st
 }
 
 // Norm returns an approximately standard-normal variate using the sum of

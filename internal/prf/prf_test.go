@@ -131,42 +131,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-// Fill must be stream-equivalent to sequential Uint64 calls: same
-// values, same post-call state, at every batch size and chunking.
-func TestSourceFillMatchesSequential(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 255, 1000} {
-		seq := NewSource(42)
-		want := make([]uint64, n)
-		for i := range want {
-			want[i] = seq.Uint64()
-		}
-		bulk := NewSource(42)
-		got := make([]uint64, n)
-		bulk.Fill(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: Fill[%d] = %#x, sequential = %#x", n, i, got[i], want[i])
-			}
-		}
-		if seq.Uint64() != bulk.Uint64() {
-			t.Fatalf("n=%d: stream state diverged after Fill", n)
-		}
-	}
-	// Chunked fills concatenate to the same stream.
-	chunked, whole := NewSource(7), NewSource(7)
-	var buf [96]uint64
-	chunked.Fill(buf[:32])
-	chunked.Fill(buf[32:80])
-	chunked.Fill(buf[80:])
-	ref := make([]uint64, len(buf))
-	whole.Fill(ref)
-	for i := range buf {
-		if buf[i] != ref[i] {
-			t.Fatalf("chunked Fill diverged at %d", i)
-		}
-	}
-}
-
 func BenchmarkMix64(b *testing.B) {
 	var acc uint64
 	for i := 0; i < b.N; i++ {
@@ -181,33 +145,4 @@ func BenchmarkHash5(b *testing.B) {
 		acc ^= Hash5(1, 2, 3, uint64(i), 5)
 	}
 	_ = acc
-}
-
-// BenchmarkSourceDraws compares per-call stream draws against the
-// block-batched Fill the sparse fault enumeration uses — the per-draw
-// setup the batching amortizes.
-func BenchmarkSourceDraws(b *testing.B) {
-	const n = 256
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		s := NewSource(1)
-		var acc uint64
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				acc ^= s.Uint64()
-			}
-		}
-		_ = acc
-	})
-	b.Run("fill", func(b *testing.B) {
-		b.ReportAllocs()
-		s := NewSource(1)
-		var buf [n]uint64
-		var acc uint64
-		for i := 0; i < b.N; i++ {
-			s.Fill(buf[:])
-			acc ^= buf[n-1]
-		}
-		_ = acc
-	})
 }
