@@ -68,7 +68,7 @@ func (m *Model) CellRate(stack, pc int, v float64, kind FlipKind) float64 {
 // average, because double faults concentrate inside clusters.
 func (m *Model) RegionRates(stack, pc int, v float64, kind FlipKind) (inRate, outRate, coverage float64) {
 	idx := pcIndex(stack, pc)
-	return m.regionRate(idx, v, true, kind), m.regionRate(idx, v, false, kind), m.coverage[idx]
+	return m.regionRate(idx, v, true, kind), m.regionRate(idx, v, false, kind), m.clusters(idx).coverage
 }
 
 // ExpectedFaults returns the expected number of faulty cells of the given
@@ -81,7 +81,7 @@ func (m *Model) ExpectedFaults(stack, pc int, v float64, kind FlipKind, wordLo, 
 	}
 	idx := pcIndex(stack, pc)
 	wpr := m.cfg.Geometry.WordsPerRow
-	cs := &m.clusters[idx]
+	cs := &m.clusters(idx).set
 
 	// Whole rows in the window plus partial edges.
 	words := wordHi - wordLo
@@ -191,7 +191,7 @@ func (m *Model) UsablePCList(v, tolerable float64) [][2]int {
 // "most faults are clustered together in small regions".
 func (m *Model) ClusteredFaultShare(stack, pc int, v float64) float64 {
 	idx := pcIndex(stack, pc)
-	cov := m.coverage[idx]
+	cov := m.clusters(idx).coverage
 	in := cov * m.regionRate(idx, v, true, AnyFlip)
 	out := (1 - cov) * m.regionRate(idx, v, false, AnyFlip)
 	if in+out == 0 {

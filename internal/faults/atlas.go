@@ -132,7 +132,7 @@ func (m *Model) rates(v float64, kind FlipKind) *rateEntry {
 func (m *Model) computeRates(v float64, kind FlipKind) *rateEntry {
 	e := &rateEntry{}
 	for idx := 0; idx < NumPCs; idx++ {
-		cov := m.coverage[idx]
+		cov := m.clusters(idx).coverage
 		r := cov*m.regionRate(idx, v, true, kind) + (1-cov)*m.regionRate(idx, v, false, kind)
 		e.pcs[idx] = r
 		e.stacks[idx/PCsPerStack] += r

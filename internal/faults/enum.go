@@ -105,6 +105,7 @@ func (s *Sampler) countSparse(start, end uint64, c *flipCounter) bool {
 	ok := true
 	b := getRowBits(s.wordsPerRow)
 	wpr := s.wordsPerRow
+	var draws regionDraws
 	s.segments(start, end, func(lo, hi uint64, in bool) {
 		p, t := s.regionParams(in)
 		if p <= 0 {
@@ -115,7 +116,7 @@ func (s *Sampler) countSparse(start, end uint64, c *flipCounter) bool {
 			ok = c.split(&a) && ok
 			return
 		}
-		d := s.rowDraw(p, t)
+		d := draws.get(s, in, p, t)
 		for r := lo / wpr; r*wpr < hi; r++ {
 			s.sparseRowFaults(r, lo, hi, d, b)
 			c.row(r*wpr, b)

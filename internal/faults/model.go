@@ -23,6 +23,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"hbmvolt/internal/pattern"
 	"hbmvolt/internal/prf"
@@ -111,18 +112,41 @@ func DefaultConfig() Config {
 	return cfg
 }
 
-// Model is an immutable, deterministic fault model for the two-stack HBM
-// device. It is safe for concurrent use.
+// Model is a deterministic fault model for the two-stack HBM device.
+// It builds each pseudo channel's weak clusters once, the first time
+// something reads that PC, so a sampler of one port pays for one PC. It
+// is safe for concurrent use.
 type Model struct {
 	cfg        Config
-	clusters   [NumPCs]clusterSet
-	coverage   [NumPCs]float64
+	pcs        [NumPCs]pcClusters
 	tempWeak   float64 // multiplicative temperature factor on weak survival
 	bulkMuT    float64 // temperature-adjusted bulk knee
 	weakVcMaxT float64 // temperature-adjusted weak truncation point
 	// atlas memoizes the analytic rates, shared process-wide among models
 	// with the same config fingerprint (see atlas.go).
 	atlas *rateAtlas
+}
+
+// pcClusters is one PC's weak clusters and their row coverage, built by
+// Model.clusters on first use.
+type pcClusters struct {
+	once     sync.Once
+	set      clusterSet
+	coverage float64
+}
+
+// clusters returns PC idx's weak clusters, building them on the first
+// call. buildClusters is a pure function of the config, so when the
+// build happens never changes what it builds.
+func (m *Model) clusters(idx int) *pcClusters {
+	c := &m.pcs[idx]
+	c.once.Do(func() {
+		rows := m.cfg.Geometry.RowsPerPC()
+		p := m.cfg.Profiles[idx]
+		c.set = buildClusters(m.cfg.Seed, idx/PCsPerStack, idx%PCsPerStack, rows, p.ClusterFraction, p.ClusterCount)
+		c.coverage = c.set.coverage(rows)
+	})
+	return c
 }
 
 // New builds a Model from cfg, filling zero-valued profile fields with
@@ -164,12 +188,6 @@ func New(cfg Config) (*Model, error) {
 		tempWeak:   math.Exp(tempWeakLnCoeff * (cfg.Temperature - TempRef)),
 		bulkMuT:    bulkMu + tempBulkShiftPerC*(cfg.Temperature-TempRef),
 		weakVcMaxT: weakVcMax + tempTailShiftPerC*(cfg.Temperature-TempRef),
-	}
-	rows := cfg.Geometry.RowsPerPC()
-	for i := range m.clusters {
-		p := cfg.Profiles[i]
-		m.clusters[i] = buildClusters(cfg.Seed, i/PCsPerStack, i%PCsPerStack, rows, p.ClusterFraction, p.ClusterCount)
-		m.coverage[i] = m.clusters[i].coverage(rows)
 	}
 	m.atlas = atlasFor(m.cfg.Fingerprint())
 	return m, nil
@@ -242,7 +260,7 @@ func (m *Model) bulkSurvival(v float64) float64 {
 // weakLocal is the in-cluster weak survival of one PC: the PC-averaged
 // weak rate concentrated into the covered fraction of its rows.
 func (m *Model) weakLocal(idx int, v float64) float64 {
-	cov := m.coverage[idx]
+	cov := m.clusters(idx).coverage
 	if cov == 0 {
 		return 0
 	}
@@ -302,8 +320,8 @@ const JitterMV = 0.5
 // voltage. Thresholds are precomputed so the per-bit test is a hash plus
 // an integer compare. A Sampler is immutable and safe for concurrent use.
 type Sampler struct {
-	m           *Model
 	idx         int
+	cs          *clusterSet // the sampled PC's weak clusters
 	seed        uint64
 	wordsPerRow uint64
 	// vbits keys the sparse-mode draws on the sampled voltage (exact bit
@@ -368,8 +386,8 @@ func (m *Model) newSampler(stack, pc int, v float64, jitter bool, rep uint64) Sa
 	tOut := math.Min(sOut, m.cellSurvival(idx, polarityTailV, false))
 	tIn := math.Min(sIn, m.cellSurvival(idx, polarityTailV, true))
 	s := Sampler{
-		m:           m,
 		idx:         idx,
+		cs:          &m.clusters(idx).set,
 		seed:        m.cfg.Seed,
 		wordsPerRow: m.cfg.Geometry.WordsPerRow,
 		vbits:       math.Float64bits(v),
@@ -430,7 +448,7 @@ func (s *Sampler) WordFaults(addr uint64, dst []CellFault) []CellFault {
 // wordFaults runs the bit-exact per-cell draw for one word, yielding
 // each stuck cell in bit order.
 func (s *Sampler) wordFaults(addr uint64, visit func(addr uint64, f CellFault)) {
-	inCluster := s.m.clusters[s.idx].contains(addr / s.wordsPerRow)
+	inCluster := s.cs.contains(addr / s.wordsPerRow)
 	if s.clusterOnly && !inCluster {
 		return
 	}
@@ -505,7 +523,7 @@ func (s *Sampler) RangeFaults(start, count uint64, visit func(addr uint64, f Cel
 		return
 	}
 	wpr := s.wordsPerRow
-	for _, r := range s.m.clusters[s.idx].ranges {
+	for _, r := range s.cs.ranges {
 		lo, hi := r.Lo*wpr, r.Hi*wpr
 		if lo < start {
 			lo = start
@@ -574,13 +592,13 @@ func (s *Sampler) MightFault() bool { return s.anyFaults }
 // InCluster reports whether the given word address lies inside a weak
 // cluster of the sampled PC.
 func (s *Sampler) InCluster(addr uint64) bool {
-	return s.m.clusters[s.idx].contains(addr / s.wordsPerRow)
+	return s.cs.contains(addr / s.wordsPerRow)
 }
 
 // ClusterRanges returns the merged weak-cluster row ranges of (stack,pc)
 // as [lo,hi) pairs, for reporting.
 func (m *Model) ClusterRanges(stack, pc int) [][2]uint64 {
-	rs := m.clusters[pcIndex(stack, pc)].Ranges()
+	rs := m.clusters(pcIndex(stack, pc)).set.Ranges()
 	out := make([][2]uint64, len(rs))
 	for i, r := range rs {
 		out[i] = [2]uint64{r.Lo, r.Hi}
@@ -591,5 +609,5 @@ func (m *Model) ClusterRanges(stack, pc int) [][2]uint64 {
 // ClusterCoverage returns the fraction of (stack,pc)'s rows covered by
 // weak clusters.
 func (m *Model) ClusterCoverage(stack, pc int) float64 {
-	return m.coverage[pcIndex(stack, pc)]
+	return m.clusters(pcIndex(stack, pc)).coverage
 }

@@ -263,7 +263,7 @@ func TestExpectedFaultsWindowsBruteForce(t *testing.T) {
 	brute := func(lo, hi uint64) float64 {
 		sum := 0.0
 		for w := lo; w < hi; w++ {
-			if m.clusters[idx].contains(w / m.cfg.Geometry.WordsPerRow) {
+			if m.clusters(idx).set.contains(w / m.cfg.Geometry.WordsPerRow) {
 				sum += 256 * inRate
 			} else {
 				sum += 256 * outRate

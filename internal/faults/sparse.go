@@ -75,7 +75,7 @@ func aggregated(n uint64, p float64) bool {
 func (s *Sampler) segments(start, end uint64, visit func(lo, hi uint64, in bool)) {
 	wpr := s.wordsPerRow
 	a := start
-	for _, r := range s.m.clusters[s.idx].ranges {
+	for _, r := range s.cs.ranges {
 		lo, hi := r.Lo*wpr, r.Hi*wpr
 		if hi <= a {
 			continue
@@ -103,11 +103,11 @@ func (s *Sampler) segments(start, end uint64, visit func(lo, hi uint64, in bool)
 	}
 }
 
-// rowDraw holds what every row of one homogeneous segment shares in the
-// per-row draw: rows there have the same cell count n and per-cell
-// stuck probability p, so exp(-n·p) — the Poisson inversion's first
-// term — the stuck-at-1 threshold and the row key's prefix are computed
-// once per segment.
+// rowDraw holds what every row of one region shares in the per-row
+// draw: rows there have the same cell count n and per-cell stuck
+// probability p, so exp(-n·p) — the Poisson inversion's first term —
+// the stuck-at-1 threshold and the row key's prefix are computed once
+// per region and scan (regionDraws).
 type rowDraw struct {
 	p   float64 // per-cell stuck probability
 	q0  float64 // exp(-n·p) for a row of n cells
@@ -125,6 +125,25 @@ func (s *Sampler) rowDraw(p, t float64) rowDraw {
 		thr: stuckAt1Threshold((p - t) * pStuckAt1 / p),
 		key: prf.Hash2(s.seed^saltSparse, uint64(s.idx)),
 	}
+}
+
+// regionDraws holds one call's rowDraw per region, out of cluster at 0
+// and in cluster at 1. A sampler has just these two regions, so a scan
+// crossing many segments computes each region's constants once.
+type regionDraws [2]rowDraw
+
+// get returns region in's rowDraw, computing it on the region's first
+// segment. Only a region with p > 0 is drawn, so p == 0 marks one not
+// yet computed.
+func (r *regionDraws) get(s *Sampler, in bool, p, t float64) rowDraw {
+	d := &r[0]
+	if in {
+		d = &r[1]
+	}
+	if d.p == 0 {
+		*d = s.rowDraw(p, t)
+	}
+	return *d
 }
 
 // stuckAt1Threshold returns thr = ceil(share·2^53), the integer form of
@@ -201,12 +220,13 @@ func (b *rowBits) drain(rowBase uint64, visit func(addr uint64, f CellFault)) {
 func (s *Sampler) sparseRange(start, count uint64, visit func(addr uint64, f CellFault)) {
 	b := getRowBits(s.wordsPerRow)
 	wpr := s.wordsPerRow
+	var draws regionDraws
 	s.segments(start, start+count, func(lo, hi uint64, in bool) {
 		p, t := s.regionParams(in)
 		if p <= 0 {
 			return
 		}
-		d := s.rowDraw(p, t)
+		d := draws.get(s, in, p, t)
 		for r := lo / wpr; r*wpr < hi; r++ {
 			s.sparseRowFaults(r, lo, hi, d, b)
 			b.drain(r*wpr, visit)
