@@ -16,8 +16,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"hbmvolt/internal/axi"
-	"hbmvolt/internal/board"
 	"hbmvolt/internal/core"
 	"hbmvolt/internal/faults"
 	"hbmvolt/internal/pattern"
@@ -158,58 +156,6 @@ func BenchmarkAlgorithm1(b *testing.B) {
 		}
 	}
 	b.ReportMetric(res.Points[0].FaultRate(), "bitFaultRate@0.89V")
-}
-
-// BenchmarkAlgorithm1FullPC measures one full fill/check pass of a
-// whole 8M-word (256 MB) pseudo channel at 0.90 V — the paper's real
-// per-PC memSize — through three data paths:
-//
-//   - wordwise: the per-word reference path (one device access, one
-//     timing step, one fault lookup per word);
-//   - bulk-exact: the ranged path over the bit-exact fault model
-//     (identical statistics, O(cluster words) fault scanning);
-//   - bulk-sparse: the ranged path over the sparse fault enumeration
-//     (O(#faults); the cmd/hbmvolt default).
-//
-// The words/sec metric is the headline: bulk-sparse must beat wordwise
-// by orders of magnitude for full-scale sweeps to be routine.
-func BenchmarkAlgorithm1FullPC(b *testing.B) {
-	b.ReportAllocs()
-	const port = 18 // sensitive PC: plenty of faults to enumerate
-	modes := []struct {
-		name     string
-		wordwise bool
-		sparse   bool
-	}{
-		{"wordwise", true, false},
-		{"bulk-exact", false, false},
-		{"bulk-sparse", false, true},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			brd := board.MustNew(board.Config{Scale: 1, SparseFaults: mode.sparse})
-			brd.Device.SetVoltage(0.90)
-			tg := brd.TGs[port]
-			tg.Wordwise = mode.wordwise
-			words := brd.Org.WordsPerPC
-			prog := axi.FillCheckProgram(pattern.AllOnes(), 0, words)
-			b.ResetTimer()
-			var st axi.Stats
-			for i := 0; i < b.N; i++ {
-				if err := tg.Reset(); err != nil {
-					b.Fatal(err)
-				}
-				var err error
-				st, err = tg.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(2*words)*float64(b.N)/b.Elapsed().Seconds(), "words/sec")
-			b.ReportMetric(float64(st.Flips.Total()), "flips")
-		})
-	}
 }
 
 // BenchmarkReliabilitySweep measures the full-grid Algorithm 1 sweep

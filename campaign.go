@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"hbmvolt/internal/campaign"
-	"hbmvolt/internal/core"
 	"hbmvolt/internal/report"
 	"hbmvolt/internal/service"
 )
@@ -88,22 +87,37 @@ func renderEnvelope(w io.Writer, env *service.Envelope) error {
 	case env.ECC != nil:
 		return renderECC(w, env.ECC)
 	case env.Reliability != nil:
-		return renderReliability(w, env.Reliability)
+		return RenderReliability(w, env.Reliability)
 	default:
 		return fmt.Errorf("envelope for kind %q carries no result", env.Kind)
 	}
 }
 
-// renderReliability writes an Algorithm 1 sweep as the per-observation
-// fault table (ports and patterns with zero flips omitted).
-func renderReliability(w io.Writer, res *ReliabilityResult) error {
-	tbl := newReliabilityTable()
+// RenderReliability writes an Algorithm 1 sweep as the per-observation
+// fault table (ports and patterns with zero flips omitted), after one
+// line per crashed point. The CLI's reliability command and the
+// campaign renderer both print through it.
+func RenderReliability(w io.Writer, res *ReliabilityResult) error {
+	tbl := report.NewTable("volts", "port", "pattern", "mean flips", "bit fault rate", "ci low", "ci high")
 	for _, pt := range res.Points {
 		if pt.Crashed {
 			fmt.Fprintf(w, "  %.2fV: DEVICE CRASHED (power cycle performed)\n", pt.Volts)
 			continue
 		}
-		addReliabilityRows(tbl, pt)
+		for _, obs := range pt.Observations {
+			if obs.MeanFlips == 0 {
+				continue
+			}
+			tbl.AddRow(
+				fmt.Sprintf("%.2f", pt.Volts),
+				fmt.Sprintf("%d", obs.Port),
+				obs.Pattern,
+				fmt.Sprintf("%.1f", obs.MeanFlips),
+				fmt.Sprintf("%.3g", obs.BitFaultRate),
+				fmt.Sprintf("%.1f", obs.Batch.CILow),
+				fmt.Sprintf("%.1f", obs.Batch.CIHigh),
+			)
+		}
 	}
 	if tbl.Len() == 0 {
 		fmt.Fprintln(w, "  no faults observed")
@@ -111,28 +125,4 @@ func renderReliability(w io.Writer, res *ReliabilityResult) error {
 	}
 	_, err := tbl.WriteTo(w)
 	return err
-}
-
-// newReliabilityTable builds the Algorithm 1 observation table header
-// shared by the CLI's reliability command and the campaign renderer.
-func newReliabilityTable() *report.Table {
-	return report.NewTable("volts", "port", "pattern", "mean flips", "bit fault rate", "ci low", "ci high")
-}
-
-// addReliabilityRows appends one voltage point's nonzero observations.
-func addReliabilityRows(tbl *report.Table, pt core.VoltagePoint) {
-	for _, obs := range pt.Observations {
-		if obs.MeanFlips == 0 {
-			continue
-		}
-		tbl.AddRow(
-			fmt.Sprintf("%.2f", pt.Volts),
-			fmt.Sprintf("%d", obs.Port),
-			obs.Pattern,
-			fmt.Sprintf("%.1f", obs.MeanFlips),
-			fmt.Sprintf("%.3g", obs.BitFaultRate),
-			fmt.Sprintf("%.1f", obs.Batch.CILow),
-			fmt.Sprintf("%.1f", obs.Batch.CIHigh),
-		)
-	}
 }

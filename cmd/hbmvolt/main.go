@@ -163,7 +163,7 @@ func run(cmd string) error {
 		if err != nil {
 			return err
 		}
-		if err := maybeWrite(*flagCSV, func(w io.Writer) error { return sys.WriteFig2CSV(w, res) }); err != nil {
+		if err := maybeWrite(*flagCSV, func(w io.Writer) error { return hbmvolt.WriteFig2CSV(w, res) }); err != nil {
 			return err
 		}
 		return maybeWrite(*flagJSON, func(w io.Writer) error { return sys.WriteFig2JSON(w, res) })
@@ -416,33 +416,7 @@ func runReliability(sys *hbmvolt.System) error {
 	}
 	fmt.Printf("Algorithm 1, %s (batch %d, margin ±%.1f%% @90%%, %d sweep workers):\n",
 		where, *flagBatch, res.Margin*100, *flagJ)
-	tbl := report.NewTable("volts", "port", "pattern", "mean flips", "bit fault rate", "ci low", "ci high")
-	for _, pt := range res.Points {
-		if pt.Crashed {
-			fmt.Printf("  %.2fV: DEVICE CRASHED (power cycle performed)\n", pt.Volts)
-			continue
-		}
-		for _, obs := range pt.Observations {
-			if obs.MeanFlips == 0 {
-				continue
-			}
-			tbl.AddRow(
-				fmt.Sprintf("%.2f", pt.Volts),
-				fmt.Sprintf("%d", obs.Port),
-				obs.Pattern,
-				fmt.Sprintf("%.1f", obs.MeanFlips),
-				fmt.Sprintf("%.3g", obs.BitFaultRate),
-				fmt.Sprintf("%.1f", obs.Batch.CILow),
-				fmt.Sprintf("%.1f", obs.Batch.CIHigh),
-			)
-		}
-	}
-	if tbl.Len() == 0 {
-		fmt.Println("  no faults observed")
-		return nil
-	}
-	_, err = tbl.WriteTo(os.Stdout)
-	return err
+	return hbmvolt.RenderReliability(os.Stdout, res)
 }
 
 // progressLine returns a sweep progress callback that keeps one status

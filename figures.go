@@ -358,11 +358,6 @@ func WriteFig2CSV(w io.Writer, res *PowerSweepResult) error {
 	return c.Flush()
 }
 
-// WriteFig2CSV is the method form of the package-level WriteFig2CSV.
-func (s *System) WriteFig2CSV(w io.Writer, res *PowerSweepResult) error {
-	return WriteFig2CSV(w, res)
-}
-
 // Fig2Record is one machine-readable Fig. 2 data point, the JSON
 // sibling of the WriteFig2CSV columns.
 type Fig2Record struct {

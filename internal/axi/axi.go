@@ -1,7 +1,8 @@
 // Package axi models the user-side interface of the Xilinx HBM IP: 32
 // AXI ports of 256 bits (16 per stack), each hard-wired to one 64-bit
-// pseudo channel through an optional switching network, plus the traffic
-// generators the paper's controllers instantiate per port (§II-B).
+// pseudo channel through an optional switching network (§II-B). A port
+// carries word traffic and the ranged fill and read-check of
+// Algorithm 1.
 //
 // Each AXI port runs at a quarter of the memory data-transfer rate (the
 // 4:1 width ratio), so one 256-bit beat per AXI clock saturates a pseudo
@@ -91,9 +92,7 @@ type Port struct {
 	sw       *Switch
 	clockMHz float64
 	enabled  bool
-	ctl      *dramctl.Controller
 	timing   dramctl.Timing
-	geom     dramctl.Geometry
 }
 
 // PortConfig parameterizes a port.
@@ -120,17 +119,11 @@ func NewPort(id hbm.PortID, dev *hbm.Device, sw *Switch, cfg PortConfig) (*Port,
 	if cfg.Timing.ClockMHz == 0 {
 		cfg.Timing = dramctl.DefaultTiming()
 	}
+	if err := cfg.Timing.Validate(); err != nil {
+		return nil, err
+	}
 	if sw == nil {
 		sw = NewSwitch()
-	}
-	geom := dramctl.Geometry{
-		BankGroups:    dev.Org.BankGroups,
-		BanksPerGroup: dev.Org.BanksPerGroup,
-		WordsPerRow:   dev.Org.WordsPerRow,
-	}
-	ctl, err := dramctl.New(cfg.Timing, geom)
-	if err != nil {
-		return nil, err
 	}
 	return &Port{
 		id:       id,
@@ -138,9 +131,7 @@ func NewPort(id hbm.PortID, dev *hbm.Device, sw *Switch, cfg PortConfig) (*Port,
 		sw:       sw,
 		clockMHz: cfg.ClockMHz,
 		enabled:  true,
-		ctl:      ctl,
 		timing:   cfg.Timing,
-		geom:     geom,
 	}, nil
 }
 
@@ -171,7 +162,6 @@ func (p *Port) WriteWord(addr uint64, w pattern.Word) error {
 	if err != nil {
 		return err
 	}
-	p.ctl.Access(addr, dramctl.Write)
 	return st.WriteWord(pc, addr, w)
 }
 
@@ -184,13 +174,11 @@ func (p *Port) ReadWord(addr uint64) (pattern.Word, error) {
 	if err != nil {
 		return pattern.Word{}, err
 	}
-	p.ctl.Access(addr, dramctl.Read)
 	return st.ReadWord(pc, addr)
 }
 
 // WriteRange issues count sequential write beats from start as one bulk
-// transaction: one target resolution, one ranged store, one ranged
-// timing advance.
+// transaction: one target resolution, one ranged store.
 func (p *Port) WriteRange(start, count uint64, pat pattern.Pattern) error {
 	if !p.enabled {
 		return fmt.Errorf("axi: port %d disabled", p.id)
@@ -199,28 +187,7 @@ func (p *Port) WriteRange(start, count uint64, pat pattern.Pattern) error {
 	if err != nil {
 		return err
 	}
-	if err := st.WriteRange(pc, start, count, pat); err != nil {
-		return err
-	}
-	p.ctl.AccessRange(start, count, dramctl.Write)
-	return nil
-}
-
-// ReadRange issues count sequential unchecked read beats (bandwidth
-// traffic) as one bulk transaction.
-func (p *Port) ReadRange(start, count uint64) error {
-	if !p.enabled {
-		return fmt.Errorf("axi: port %d disabled", p.id)
-	}
-	st, pc, err := p.target()
-	if err != nil {
-		return err
-	}
-	if err := st.ReadRange(pc, start, count); err != nil {
-		return err
-	}
-	p.ctl.AccessRange(start, count, dramctl.Read)
-	return nil
+	return st.WriteRange(pc, start, count, pat)
 }
 
 // ReadCheckRange reads count beats from start and compares them against
@@ -234,28 +201,8 @@ func (p *Port) ReadCheckRange(start, count uint64, pat pattern.Pattern) (pattern
 	if err != nil {
 		return pattern.Flips{}, 0, err
 	}
-	flips, faulty, err := st.ReadCheckRange(pc, start, count, pat)
-	if err != nil {
-		return pattern.Flips{}, 0, err
-	}
-	p.ctl.AccessRange(start, count, dramctl.Read)
-	return flips, faulty, nil
+	return st.ReadCheckRange(pc, start, count, pat)
 }
-
-// ResetTiming discards the DRAM-side timing state (the per-batch
-// reset_axi_ports() of Algorithm 1).
-func (p *Port) ResetTiming() error {
-	ctl, err := dramctl.New(p.timing, p.geom)
-	if err != nil {
-		return err
-	}
-	p.ctl = ctl
-	return nil
-}
-
-// DRAMSeconds returns the memory-side busy time accumulated since the
-// last reset.
-func (p *Port) DRAMSeconds() float64 { return p.ctl.ElapsedSeconds() }
 
 // EffectiveBandwidthGBs returns the port's sustainable bandwidth: the
 // AXI clock limit derated by the switch, never exceeding what the DRAM

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hbmvolt/internal/dramctl"
 	"hbmvolt/internal/faults"
 	"hbmvolt/internal/hbm"
 	"hbmvolt/internal/pattern"
@@ -48,6 +49,11 @@ func TestPortValidation(t *testing.T) {
 	}
 	if _, err := NewPort(0, dev, nil, PortConfig{ClockMHz: -5}); err == nil {
 		t.Fatal("negative clock accepted")
+	}
+	bad := dramctl.DefaultTiming()
+	bad.TBurst = 0
+	if _, err := NewPort(0, dev, nil, PortConfig{Timing: bad}); err == nil {
+		t.Fatal("invalid timing accepted")
 	}
 }
 
@@ -161,68 +167,49 @@ func TestSwitchRouting(t *testing.T) {
 	}
 }
 
-func TestTrafficGenFillCheckCleanAtNominal(t *testing.T) {
+// fillCheck writes pat over [start, start+count) of p and reads it
+// back, the sequential fill/check of Algorithm 1.
+func fillCheck(p *Port, pat pattern.Pattern, start, count uint64) (pattern.Flips, uint64, error) {
+	if err := p.WriteRange(start, count, pat); err != nil {
+		return pattern.Flips{}, 0, err
+	}
+	return p.ReadCheckRange(start, count, pat)
+}
+
+func TestPortFillCheckCleanAtNominal(t *testing.T) {
 	dev := testDevice(t, 1024)
-	tg := NewTrafficGen(testPort(t, dev, 3))
-	st, err := tg.Run(FillCheckProgram(pattern.AllOnes(), 0, 1024))
+	flips, faulty, err := fillCheck(testPort(t, dev, 3), pattern.AllOnes(), 0, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.WordsWritten != 1024 || st.WordsRead != 1024 {
-		t.Fatalf("words = %d/%d", st.WordsWritten, st.WordsRead)
-	}
-	if st.Flips.Total() != 0 || st.FaultyWords != 0 {
-		t.Fatalf("faults at nominal voltage: %+v", st.Flips)
-	}
-	if st.ElapsedSeconds() <= 0 {
-		t.Fatal("no elapsed time accounted")
-	}
-	if st.BandwidthGBs() <= 0 {
-		t.Fatal("no bandwidth computed")
+	if flips.Total() != 0 || faulty != 0 {
+		t.Fatalf("faults at nominal voltage: %+v", flips)
 	}
 }
 
-func TestTrafficGenSeesUndervoltFaults(t *testing.T) {
+func TestPortSeesUndervoltFaults(t *testing.T) {
 	dev := testDevice(t, 64)
 	dev.SetVoltage(0.88)
-	tg := NewTrafficGen(testPort(t, dev, 4)) // sensitive PC4
-	st, err := tg.Run(FillCheckProgram(pattern.AllOnes(), 0, dev.Org.WordsPerPC))
+	words := dev.Org.WordsPerPC
+	flips, faulty, err := fillCheck(testPort(t, dev, 4), pattern.AllOnes(), 0, words) // sensitive PC4
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Flips.OneToZero == 0 {
+	if flips.OneToZero == 0 {
 		t.Fatal("no 1→0 flips on sensitive PC at 0.88V")
 	}
-	if st.Flips.ZeroToOne != 0 {
+	if flips.ZeroToOne != 0 {
 		t.Fatal("0→1 flips under all-1s pattern are impossible")
 	}
-	if st.FaultyWords == 0 || st.FaultyWords > st.WordsRead {
-		t.Fatalf("faulty words = %d", st.FaultyWords)
-	}
-	if st.FaultBitRate() <= 0 {
-		t.Fatal("fault bit rate not computed")
+	if faulty == 0 || faulty > words {
+		t.Fatalf("faulty words = %d", faulty)
 	}
 }
 
-func TestTrafficGenResetClearsStats(t *testing.T) {
-	dev := testDevice(t, 1024)
-	tg := NewTrafficGen(testPort(t, dev, 0))
-	if _, err := tg.Run(FillCheckProgram(pattern.AllZeros(), 0, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tg.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if tg.Stats() != (Stats{}) {
-		t.Fatalf("stats after reset: %+v", tg.Stats())
-	}
-}
-
-func TestTrafficGenCrashedStackError(t *testing.T) {
+func TestPortCrashedStackError(t *testing.T) {
 	dev := testDevice(t, 1024)
 	dev.SetVoltage(0.79) // below V_critical
-	tg := NewTrafficGen(testPort(t, dev, 0))
-	_, err := tg.Run(FillCheckProgram(pattern.AllOnes(), 0, 16))
+	_, _, err := fillCheck(testPort(t, dev, 0), pattern.AllOnes(), 0, 16)
 	if err == nil {
 		t.Fatal("traffic on crashed stack succeeded")
 	}
@@ -231,79 +218,13 @@ func TestTrafficGenCrashedStackError(t *testing.T) {
 	}
 }
 
-func TestTrafficGenProgramValidation(t *testing.T) {
-	dev := testDevice(t, 1024)
-	tg := NewTrafficGen(testPort(t, dev, 0))
-	if _, err := tg.Run([]Macro{{Op: OpWriteSeq, Count: 4}}); err == nil {
-		t.Fatal("write without pattern accepted")
-	}
-	if _, err := tg.Run([]Macro{{Op: OpReadCheck, Count: 4}}); err == nil {
-		t.Fatal("check without pattern accepted")
-	}
-	if _, err := tg.Run([]Macro{{Op: MacroOp(99)}}); err == nil {
-		t.Fatal("unknown op accepted")
-	}
-	if _, err := tg.Run([]Macro{{Op: OpNop}}); err != nil {
-		t.Fatal("nop rejected")
-	}
-}
-
-func TestStatsAddAndRates(t *testing.T) {
-	var s Stats
-	s.Add(Stats{WordsWritten: 10, WordsRead: 20, FaultyWords: 2,
-		Flips: pattern.Flips{OneToZero: 3, ZeroToOne: 1}, AXISeconds: 1, DRAMSeconds: 0.5})
-	s.Add(Stats{WordsRead: 20, AXISeconds: 1, DRAMSeconds: 3})
-	if s.WordsRead != 40 || s.WordsWritten != 10 {
-		t.Fatalf("add broken: %+v", s)
-	}
-	if s.ElapsedSeconds() != 3.5 {
-		t.Fatalf("elapsed = %v, want max(axi,dram)=3.5", s.ElapsedSeconds())
-	}
-	wantRate := 4.0 / (40 * 256)
-	if math.Abs(s.FaultBitRate()-wantRate) > 1e-12 {
-		t.Fatalf("fault rate = %v", s.FaultBitRate())
-	}
-}
-
-func TestMacroOpString(t *testing.T) {
-	ops := map[MacroOp]string{
-		OpWriteSeq: "write-seq", OpReadCheck: "read-check",
-		OpReadSeq: "read-seq", OpNop: "nop",
-	}
-	for op, want := range ops {
-		if op.String() != want {
-			t.Fatalf("%d.String() = %q", op, op.String())
-		}
-	}
-}
-
-func TestReadSeqCountsNoFaults(t *testing.T) {
-	dev := testDevice(t, 64)
-	dev.SetVoltage(0.88)
-	tg := NewTrafficGen(testPort(t, dev, 4))
-	st, err := tg.Run([]Macro{{Op: OpReadSeq, Start: 0, Count: 4096}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Flips.Total() != 0 {
-		t.Fatal("read-seq must not check")
-	}
-	if st.WordsRead != 4096 {
-		t.Fatalf("words read = %d", st.WordsRead)
-	}
-}
-
-func BenchmarkTrafficGenFillCheck(b *testing.B) {
+func BenchmarkPortFillCheck(b *testing.B) {
 	dev := testDevice(b, 1024)
 	dev.SetVoltage(0.90)
-	tg := NewTrafficGen(testPort(b, dev, 4))
-	prog := FillCheckProgram(pattern.AllOnes(), 0, dev.Org.WordsPerPC)
+	p := testPort(b, dev, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tg.Reset(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tg.Run(prog); err != nil {
+		if _, _, err := fillCheck(p, pattern.AllOnes(), 0, dev.Org.WordsPerPC); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,13 +7,62 @@ import (
 	"hbmvolt/internal/pattern"
 )
 
-// TestBulkMatchesWordwiseExact pins the tentpole's correctness contract:
-// on the bit-exact fault model, the bulk data path must produce
-// bit-identical statistics to the word-by-word reference path — same
-// flips by polarity, same faulty-word count, same word counters — for
-// both paper patterns across the whole voltage ladder, including the
-// clean guardband (1.10), the first-flip region (0.95), the cluster-
-// dominated region (0.90, 0.87) and the bulk collapse (0.85).
+// checkResult is what one read-check observed.
+type checkResult struct {
+	flips  pattern.Flips
+	faulty uint64
+}
+
+// writeVia stores pat over [start, start+count): as one WriteRange, or
+// word by word through WriteWord, the beat-by-beat reference.
+func writeVia(t *testing.T, p *Port, wordwise bool, pat pattern.Pattern, start, count uint64) {
+	t.Helper()
+	if !wordwise {
+		if err := p.WriteRange(start, count, pat); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for a := start; a < start+count; a++ {
+		if err := p.WriteWord(a, pat.Word(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkVia reads [start, start+count) back against pat: as one
+// ReadCheckRange, or through the per-word reference, one ReadWord and
+// one pattern.Compare per address.
+func checkVia(t *testing.T, p *Port, wordwise bool, pat pattern.Pattern, start, count uint64) checkResult {
+	t.Helper()
+	if !wordwise {
+		flips, faulty, err := p.ReadCheckRange(start, count, pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return checkResult{flips, faulty}
+	}
+	var r checkResult
+	for a := start; a < start+count; a++ {
+		w, err := p.ReadWord(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := pattern.Compare(pat.Word(a), w); f.Total() > 0 {
+			r.faulty++
+			r.flips.Add(f)
+		}
+	}
+	return r
+}
+
+// TestBulkMatchesWordwiseExact pins the bulk data path's correctness
+// contract: on the bit-exact fault model, WriteRange + ReadCheckRange
+// must produce bit-identical statistics to the word-by-word reference —
+// same flips by polarity, same faulty-word count — for both paper
+// patterns across the whole voltage ladder, including the clean
+// guardband (1.10), the first-flip region (0.95), the cluster-dominated
+// region (0.90, 0.87) and the bulk collapse (0.85).
 func TestBulkMatchesWordwiseExact(t *testing.T) {
 	voltages := []float64{1.10, 0.95, 0.90, 0.87, 0.85}
 	patterns := []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()}
@@ -21,26 +70,17 @@ func TestBulkMatchesWordwiseExact(t *testing.T) {
 		for _, v := range voltages {
 			for _, pat := range patterns {
 				for rep := uint64(0); rep < 2; rep++ {
-					run := func(wordwise bool) Stats {
+					run := func(wordwise bool) checkResult {
 						dev := testDevice(t, 512)
 						dev.SetVoltage(v)
 						dev.SetBatchRep(rep)
-						tg := NewTrafficGen(testPort(t, dev, port))
-						tg.Wordwise = wordwise
-						st, err := tg.Run(FillCheckProgram(pat, 0, dev.Org.WordsPerPC))
-						if err != nil {
-							t.Fatal(err)
-						}
-						return st
+						p := testPort(t, dev, port)
+						writeVia(t, p, wordwise, pat, 0, dev.Org.WordsPerPC)
+						return checkVia(t, p, wordwise, pat, 0, dev.Org.WordsPerPC)
 					}
-					bulk, word := run(false), run(true)
-					if bulk.Flips != word.Flips || bulk.FaultyWords != word.FaultyWords {
+					if bulk, word := run(false), run(true); bulk != word {
 						t.Errorf("port %d %vV %s rep %d: bulk {flips %+v faulty %d} vs wordwise {flips %+v faulty %d}",
-							port, v, pat.Name(), rep, bulk.Flips, bulk.FaultyWords, word.Flips, word.FaultyWords)
-					}
-					if bulk.WordsWritten != word.WordsWritten || bulk.WordsRead != word.WordsRead {
-						t.Errorf("port %d %vV %s: word counters differ: %d/%d vs %d/%d",
-							port, v, pat.Name(), bulk.WordsWritten, bulk.WordsRead, word.WordsWritten, word.WordsRead)
+							port, v, pat.Name(), rep, bulk.flips, bulk.faulty, word.flips, word.faulty)
 					}
 				}
 			}
@@ -48,30 +88,25 @@ func TestBulkMatchesWordwiseExact(t *testing.T) {
 	}
 }
 
-// TestBulkMatchesWordwiseSubrangesAndPatterns covers the bulk path's
-// edge geometry — windows not aligned to rows, pages or clusters — and
-// the address-dependent pattern fallback.
+// TestBulkMatchesWordwiseSubranges covers the bulk path's edge
+// geometry — windows not aligned to rows, pages or clusters — and the
+// address-dependent pattern fallback.
 func TestBulkMatchesWordwiseSubranges(t *testing.T) {
 	windows := [][2]uint64{{0, 16384}, {7, 4098}, {4095, 8193}, {33, 31}}
 	patterns := []pattern.Pattern{pattern.AllOnes(), pattern.Checkerboard(), pattern.Random(3)}
 	for _, v := range []float64{0.90, 0.86} {
 		for _, w := range windows {
 			for _, pat := range patterns {
-				run := func(wordwise bool) Stats {
+				run := func(wordwise bool) checkResult {
 					dev := testDevice(t, 512)
 					dev.SetVoltage(v)
-					tg := NewTrafficGen(testPort(t, dev, 19))
-					tg.Wordwise = wordwise
-					st, err := tg.Run(FillCheckProgram(pat, w[0], w[1]))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return st
+					p := testPort(t, dev, 19)
+					writeVia(t, p, wordwise, pat, w[0], w[1])
+					return checkVia(t, p, wordwise, pat, w[0], w[1])
 				}
-				bulk, word := run(false), run(true)
-				if bulk.Flips != word.Flips || bulk.FaultyWords != word.FaultyWords {
+				if bulk, word := run(false), run(true); bulk != word {
 					t.Errorf("%vV %s window %v: bulk {%+v %d} vs wordwise {%+v %d}",
-						v, pat.Name(), w, bulk.Flips, bulk.FaultyWords, word.Flips, word.FaultyWords)
+						v, pat.Name(), w, bulk.flips, bulk.faulty, word.flips, word.faulty)
 				}
 			}
 		}
@@ -84,37 +119,26 @@ func TestBulkMatchesWordwiseSubranges(t *testing.T) {
 // too.
 func TestBulkDirtyBackground(t *testing.T) {
 	for _, v := range []float64{0.95, 0.88} {
-		run := func(wordwise bool) Stats {
+		run := func(wordwise bool) checkResult {
 			dev := testDevice(t, 512)
 			dev.SetVoltage(v)
 			p := testPort(t, dev, 18)
-			tg := NewTrafficGen(p)
-			tg.Wordwise = wordwise
 			words := dev.Org.WordsPerPC
 			// Fill with the pattern, then corrupt a scattered set of words.
-			if _, err := tg.Run([]Macro{{Op: OpWriteSeq, Start: 0, Count: words, Pattern: pattern.AllOnes()}}); err != nil {
-				t.Fatal(err)
-			}
+			writeVia(t, p, wordwise, pattern.AllOnes(), 0, words)
 			for a := uint64(3); a < words; a += 997 {
 				if err := p.WriteWord(a, pattern.Word{0xdead, 0xbeef, a, ^a}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := tg.Reset(); err != nil {
-				t.Fatal(err)
-			}
-			st, err := tg.Run([]Macro{{Op: OpReadCheck, Start: 0, Count: words, Pattern: pattern.AllOnes()}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
+			return checkVia(t, p, wordwise, pattern.AllOnes(), 0, words)
 		}
 		bulk, word := run(false), run(true)
-		if bulk.Flips != word.Flips || bulk.FaultyWords != word.FaultyWords {
+		if bulk != word {
 			t.Errorf("%vV dirty background: bulk {%+v %d} vs wordwise {%+v %d}",
-				v, bulk.Flips, bulk.FaultyWords, word.Flips, word.FaultyWords)
+				v, bulk.flips, bulk.faulty, word.flips, word.faulty)
 		}
-		if bulk.FaultyWords == 0 {
+		if bulk.faulty == 0 {
 			t.Errorf("%vV: dirty background produced no faulty words; test is vacuous", v)
 		}
 	}
@@ -126,78 +150,22 @@ func TestBulkDirtyBackground(t *testing.T) {
 // reference, and every word must be faulty, stuck cells or not.
 func TestBulkMismatchedFill(t *testing.T) {
 	for _, v := range []float64{1.10, 0.90, 0.85} {
-		run := func(wordwise bool) Stats {
+		run := func(wordwise bool) checkResult {
 			dev := testDevice(t, 512)
 			dev.SetVoltage(v)
-			tg := NewTrafficGen(testPort(t, dev, 18))
-			tg.Wordwise = wordwise
+			p := testPort(t, dev, 18)
 			words := dev.Org.WordsPerPC
-			st, err := tg.Run([]Macro{
-				{Op: OpWriteSeq, Start: 0, Count: words, Pattern: pattern.AllZeros()},
-				{Op: OpReadCheck, Start: 0, Count: words, Pattern: pattern.AllOnes()},
-			})
-			if err != nil {
-				t.Fatal(err)
+			writeVia(t, p, wordwise, pattern.AllZeros(), 0, words)
+			r := checkVia(t, p, wordwise, pattern.AllOnes(), 0, words)
+			if r.faulty != words {
+				t.Errorf("%vV wordwise %v: %d of %d words faulty, want all", v, wordwise, r.faulty, words)
 			}
-			if st.FaultyWords != words {
-				t.Errorf("%vV wordwise %v: %d of %d words faulty, want all", v, wordwise, st.FaultyWords, words)
-			}
-			return st
+			return r
 		}
-		bulk, word := run(false), run(true)
-		if bulk.Flips != word.Flips || bulk.FaultyWords != word.FaultyWords {
+		if bulk, word := run(false), run(true); bulk != word {
 			t.Errorf("%vV all0 fill checked as all1: bulk {%+v %d} vs wordwise {%+v %d}",
-				v, bulk.Flips, bulk.FaultyWords, word.Flips, word.FaultyWords)
+				v, bulk.flips, bulk.faulty, word.flips, word.faulty)
 		}
-	}
-}
-
-// TestBulkReadSeqAndTiming checks that bulk macros still account
-// elapsed time and bandwidth, and that read-seq counts words without
-// checking.
-func TestBulkReadSeqAndTiming(t *testing.T) {
-	dev := testDevice(t, 64)
-	dev.SetVoltage(0.88)
-	tg := NewTrafficGen(testPort(t, dev, 4))
-	st, err := tg.Run([]Macro{
-		{Op: OpWriteSeq, Start: 0, Count: dev.Org.WordsPerPC, Pattern: pattern.AllOnes()},
-		{Op: OpReadSeq, Start: 0, Count: dev.Org.WordsPerPC},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Flips.Total() != 0 {
-		t.Fatal("read-seq must not check")
-	}
-	if st.WordsRead != dev.Org.WordsPerPC || st.WordsWritten != dev.Org.WordsPerPC {
-		t.Fatalf("counters %d/%d", st.WordsWritten, st.WordsRead)
-	}
-	if st.ElapsedSeconds() <= 0 || st.BandwidthGBs() <= 0 {
-		t.Fatalf("no time accounted: %+v", st)
-	}
-	// The bulk timing model must land near the wordwise reference.
-	ref := NewTrafficGen(testPort(t, dev, 5))
-	ref.Wordwise = true
-	rst, err := ref.Run([]Macro{
-		{Op: OpWriteSeq, Start: 0, Count: dev.Org.WordsPerPC, Pattern: pattern.AllOnes()},
-		{Op: OpReadSeq, Start: 0, Count: dev.Org.WordsPerPC},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := st.DRAMSeconds / rst.DRAMSeconds; ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("bulk DRAM time %v vs wordwise %v (ratio %v)", st.DRAMSeconds, rst.DRAMSeconds, ratio)
-	}
-	// Faults persist across macro programs: a later check still sees them.
-	if err := tg.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = tg.Run([]Macro{{Op: OpReadCheck, Start: 0, Count: dev.Org.WordsPerPC, Pattern: pattern.AllOnes()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Flips.OneToZero == 0 {
-		t.Fatal("no faults on sensitive PC at 0.88V")
 	}
 }
 
@@ -205,16 +173,14 @@ func TestBulkReadSeqAndTiming(t *testing.T) {
 func TestBulkCrashedStackError(t *testing.T) {
 	dev := testDevice(t, 1024)
 	dev.SetVoltage(0.79)
-	tg := NewTrafficGen(testPort(t, dev, 0))
-	if _, err := tg.Run(FillCheckProgram(pattern.AllOnes(), 0, 16)); err == nil {
+	if _, _, err := fillCheck(testPort(t, dev, 0), pattern.AllOnes(), 0, 16); err == nil {
 		t.Fatal("traffic on crashed stack succeeded")
 	}
 	// Disabled ports refuse bulk traffic like word traffic.
 	dev2 := testDevice(t, 1024)
 	p := testPort(t, dev2, 0)
 	p.SetEnabled(false)
-	tg2 := NewTrafficGen(p)
-	if _, err := tg2.Run(FillCheckProgram(pattern.AllOnes(), 0, 16)); err == nil {
+	if _, _, err := fillCheck(p, pattern.AllOnes(), 0, 16); err == nil {
 		t.Fatal("disabled port accepted bulk traffic")
 	}
 }

@@ -1,14 +1,16 @@
 // Package board assembles the paper's test platform (§II-B): a VCU128
 // evaluation board with two HBM stacks behind a shared VCC_HBM rail, an
 // ISL68301 PMBus regulator driving that rail, an INA226 monitor sensing
-// it, and 32 AXI ports with traffic generators (16 per stack).
+// it, and 32 AXI ports (16 per stack).
 //
 // The board couples the electrical and functional models: programming
 // the regulator moves the stacks' supply (changing their fault
 // behaviour), the stacks' stuck-cell population derates the power
 // model's active capacitance, and the monitor reads the resulting watts
 // back through its register pipeline — the same loop the paper's host
-// software closes over PMBus.
+// software closes over PMBus. The power sweep and the examples drive
+// this loop; Algorithm 1 sweeps and the guardband search read the
+// board's fault model alone (internal/core) and never program it.
 package board
 
 import (
@@ -72,7 +74,6 @@ type Board struct {
 	Monitor   *ina226.INA226
 	Switch    *axi.Switch
 	Ports     [hbm.MaxPorts]*axi.Port
-	TGs       [hbm.MaxPorts]*axi.TrafficGen
 
 	activePorts int
 }
@@ -181,7 +182,6 @@ func New(cfg Config) (*Board, error) {
 			return nil, err
 		}
 		b.Ports[i] = p
-		b.TGs[i] = axi.NewTrafficGen(p)
 	}
 	b.activePorts = hbm.MaxPorts
 	return b, nil
@@ -312,11 +312,6 @@ func (b *Board) PowerCycle() error {
 	// Restart the memory last: restoring the supply alone does not
 	// un-crash the stacks (§III-B) — the explicit restart does.
 	b.Device.PowerCycle()
-	for _, tg := range b.TGs {
-		if err := tg.Reset(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package board
 
 import (
-	"hbmvolt/internal/axi"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -233,29 +232,30 @@ func TestCrashAndPowerCycle(t *testing.T) {
 
 func TestEndToEndReliabilityLoop(t *testing.T) {
 	// A miniature Algorithm 1 through the full stack: PMBus voltage set,
-	// TG traffic, fault counting against the analytic expectation.
+	// port fill/check traffic, fault counting against the analytic
+	// expectation.
 	b := newBoard(t, Config{Scale: 64, Seed: 5})
 	const port = 4 // sensitive PC4
 	v := 0.89
 	if err := b.SetHBMVoltage(v); err != nil {
 		t.Fatal(err)
 	}
-	tg := b.TGs[port]
-	if err := tg.Reset(); err != nil {
+	p := b.Ports[port]
+	words := b.Org.WordsPerPC
+	if err := p.WriteRange(0, words, pattern.AllOnes()); err != nil {
 		t.Fatal(err)
 	}
-	words := b.Org.WordsPerPC
-	st, err := tg.Run(axi.FillCheckProgram(pattern.AllOnes(), 0, words))
+	flips, _, err := p.ReadCheckRange(0, words, pattern.AllOnes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := b.Faults.ExpectedFaults(0, 4, v, faults.OneToZero, 0, words)
-	got := float64(st.Flips.OneToZero)
+	got := float64(flips.OneToZero)
 	sd := math.Sqrt(math.Max(want, 1))
 	if math.Abs(got-want) > 5*sd {
 		t.Fatalf("end-to-end flips = %v, want %v ± %v", got, want, 5*sd)
 	}
-	if st.Flips.ZeroToOne != 0 {
+	if flips.ZeroToOne != 0 {
 		t.Fatal("0→1 flips under all-1s test")
 	}
 }
@@ -292,7 +292,7 @@ func TestScaleOneIsFullSize(t *testing.T) {
 	if got := b.Device.Stacks[0].AllocatedPages(); got != 0 {
 		t.Fatalf("allocated pages = %d", got)
 	}
-	if err := b.Device.Stacks[0].FillPC(0, pattern.AllOnesWord); err != nil {
+	if err := b.Device.Stacks[0].WriteRange(0, 0, b.Org.WordsPerPC, pattern.AllOnes()); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Device.Stacks[0].AllocatedPages(); got != 0 {

@@ -46,7 +46,7 @@ type Options struct {
 	Metrics *telemetry.Registry
 	// TraceID, when non-empty, rides every cell submission as its
 	// observability trace (see internal/telemetry): the cells' job.*,
-	// cache.*, enum.*, and fleet.* spans all carry it, so one campaign
+	// cache.* and fleet.* spans all carry it, so one campaign
 	// is followable across coalescing, cache tiers, and fleet forwards.
 	// Strictly write-beside: it never affects cache keys, manifests, or
 	// payload bytes.

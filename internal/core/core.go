@@ -13,13 +13,14 @@
 //     (Fig. 4) and the per-PC fault atlas (Fig. 5);
 //   - FaultMap + Planner expose the three-factor trade-off among power,
 //     memory capacity, and fault rate (Fig. 6 / §III-C);
-//   - FindGuardband locates V_min and V_critical.
+//   - FindGuardband and MeasureGuardband locate V_min and V_critical,
+//     analytically and through the Algorithm 1 evaluator.
 //
 // Experiments have two evaluation paths that share one fault model:
 // analytic expectations (exact, full-size, used for figures) and
 // Monte-Carlo Algorithm 1 runs that enumerate the model's stuck cells
 // (used for validation and scaled studies; on the bit-exact sampler
-// they match the board's AXI traffic generators bit for bit).
+// they match a fill/check through the board's AXI ports bit for bit).
 package core
 
 // PaperBatchSize is the repetition count the paper uses for every test:

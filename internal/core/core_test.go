@@ -158,8 +158,8 @@ func TestRunReliabilityConfigValidation(t *testing.T) {
 }
 
 // TestRunReliabilityRejectsBadPorts: a port outside the board's 32 AXI
-// ports, or one listed twice (two goroutines would then drive one
-// traffic generator), is a config error, not a panic or a data race.
+// ports, or one listed twice, is a config error, not a panic or a data
+// race.
 func TestRunReliabilityRejectsBadPorts(t *testing.T) {
 	tests := []struct {
 		name    string
@@ -429,8 +429,8 @@ func TestMeasureGuardbandMatchesAnalytic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
 	}
-	b := testBoard(t, board.Config{Scale: 64, Seed: 1})
-	g, err := MeasureGuardband(b, 0, faults.VoltageGrid(1.00, 0.95))
+	fm := testModel(t, board.Config{Scale: 64, Seed: 1})
+	g, err := MeasureGuardband(fm, 0, faults.VoltageGrid(1.00, 0.95))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +672,7 @@ func TestCapacityStudyValidation(t *testing.T) {
 }
 
 // TestRunReliabilityParallelMatchesSequential: a whole-HBM sweep sharded
-// over several workers must equal, bit for bit, in-order traffic-generator
+// over several workers must equal, bit for bit, in-order fill/check
 // passes over every port on one board (oracleSweep in shared_test.go).
 func TestRunReliabilityParallelMatchesSequential(t *testing.T) {
 	cfg := board.Config{Scale: 256, Seed: 4}

@@ -1,14 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
-	"hbmvolt/internal/axi"
-	"hbmvolt/internal/board"
 	"hbmvolt/internal/faults"
-	"hbmvolt/internal/hbm"
-	"hbmvolt/internal/pattern"
 )
 
 // Guardband describes the safe operating region of the device (§III-B).
@@ -39,7 +36,6 @@ func FindGuardband(fm *faults.Model) (Guardband, error) {
 	if fm == nil {
 		return Guardband{}, errors.New("core: fault model is nil")
 	}
-	g := Guardband{VNom: faults.VNom, VCritical: faults.VCritical}
 	vmin := faults.VNom
 	for _, v := range faults.PaperGrid() {
 		if fm.GlobalStuckFraction(v) > 0 {
@@ -47,69 +43,50 @@ func FindGuardband(fm *faults.Model) (Guardband, error) {
 		}
 		vmin = v
 	}
-	g.VMin = vmin
-	g.Fraction = (g.VNom - g.VMin) / g.VNom
-	g.SafeSavings = (g.VNom / g.VMin) * (g.VNom / g.VMin)
-	return g, nil
+	return guardbandAt(vmin), nil
 }
 
-// MeasureGuardband locates V_min empirically, running the fill/check
-// test on every port at each voltage step until the first observed
-// fault, exactly as the paper's bring-up procedure does. wordsPerPort
-// bounds the per-step work (0 = full pseudo channels); grid is the
-// descending ladder to scan (nil = the full paper grid).
-func MeasureGuardband(b *board.Board, wordsPerPort uint64, grid []float64) (Guardband, error) {
-	if b == nil {
-		return Guardband{}, errors.New("core: board is nil")
+// guardbandAt describes the safe region whose lowest clean point is
+// vmin.
+func guardbandAt(vmin float64) Guardband {
+	return Guardband{
+		VNom:        faults.VNom,
+		VMin:        vmin,
+		VCritical:   faults.VCritical,
+		Fraction:    (faults.VNom - vmin) / faults.VNom,
+		SafeSavings: (faults.VNom / vmin) * (faults.VNom / vmin),
 	}
-	if wordsPerPort == 0 {
-		wordsPerPort = b.Org.WordsPerPC
+}
+
+// MeasureGuardband locates V_min empirically, as the paper's bring-up
+// procedure does: it runs the all-1s/all-0s fill/check of every port
+// through the Algorithm 1 evaluator (RunReliability, batch 1), one grid
+// point at a time, and stops at the first point that crashes or shows a
+// flip. wordsPerPort bounds the per-step work (0 = full pseudo
+// channels); grid is the descending ladder to scan (nil = the full
+// paper grid). It reads fm alone and never programs a board.
+func MeasureGuardband(fm *faults.Model, wordsPerPort uint64, grid []float64) (Guardband, error) {
+	if fm == nil {
+		return Guardband{}, errors.New("core: fault model is nil")
 	}
 	if grid == nil {
 		grid = faults.PaperGrid()
 	}
-	g := Guardband{VNom: faults.VNom, VCritical: faults.VCritical}
 	vmin := faults.VNom
-	defer func() {
-		_ = b.SetHBMVoltage(faults.VNom)
-	}()
 	for _, v := range grid {
-		if err := b.SetHBMVoltage(v); err != nil {
-			return g, err
+		res, err := RunReliability(context.Background(), ReliabilityConfig{
+			Faults:       fm,
+			WordsPerPort: wordsPerPort,
+			BatchSize:    1,
+			Grid:         []float64{v},
+		})
+		if err != nil {
+			return Guardband{}, err
 		}
-		if b.Crashed() {
-			if err := b.PowerCycle(); err != nil {
-				return g, err
-			}
-			break
-		}
-		clean := true
-		for _, pat := range []pattern.Pattern{pattern.AllOnes(), pattern.AllZeros()} {
-			for port := 0; port < hbm.MaxPorts && clean; port++ {
-				tg := b.TGs[port]
-				tg.Port().SetEnabled(true)
-				if err := tg.Reset(); err != nil {
-					return g, err
-				}
-				st, err := tg.Run(axi.FillCheckProgram(pat, 0, wordsPerPort))
-				if err != nil {
-					return g, err
-				}
-				if st.Flips.Total() > 0 {
-					clean = false
-				}
-			}
-			if !clean {
-				break
-			}
-		}
-		if !clean {
+		if pt := res.Points[0]; pt.Crashed || pt.MeanFlips > 0 {
 			break
 		}
 		vmin = v
 	}
-	g.VMin = vmin
-	g.Fraction = (g.VNom - g.VMin) / g.VNom
-	g.SafeSavings = (g.VNom / g.VMin) * (g.VNom / g.VMin)
-	return g, nil
+	return guardbandAt(vmin), nil
 }

@@ -8,11 +8,11 @@ package core
 // each (port, rep) once, and one faults.Model.CountFlips call counts
 // every pattern's flip statistics while it does: a point with P
 // patterns costs one physics evaluation, not P, and stores no fault
-// set. The board's uniform fill/check counts through the same
-// counter, so a sweep reproduces a per-pattern traffic-generator
-// fill/check of all1/all0 bit for bit in both fault modes, and of every
-// pattern on the bit-exact sampler (the test oracles in
-// shared_test.go).
+// set. The board's uniform fill/check (a port's WriteRange and
+// ReadCheckRange) counts through the same counter, so a sweep
+// reproduces a per-pattern board fill/check of all1/all0 bit for bit in
+// both fault modes, and of every pattern on the bit-exact sampler (the
+// test oracles in shared_test.go).
 
 import (
 	"hbmvolt/internal/faults"
@@ -37,8 +37,8 @@ func sharedVoltagePoint(cfg *ReliabilityConfig, pt VoltagePoint, rail float64) (
 	words := cfg.WordsPerPort
 	batch := cfg.BatchSize
 
-	// accs is indexed [pattern][port]; runs in rep order, the order a
-	// traffic generator's batch accumulates them.
+	// accs is indexed [pattern][port]; runs in rep order, the order
+	// Algorithm 1's batch loop produces them.
 	accs := make([][]portAcc, len(cfg.Patterns))
 	for pi := range accs {
 		accs[pi] = make([]portAcc, len(cfg.Ports))

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"hbmvolt/internal/axi"
 	"hbmvolt/internal/board"
 	"hbmvolt/internal/faults"
 	"hbmvolt/internal/hbm"
@@ -67,8 +66,8 @@ func TestSharedSweepBitIdenticalAcrossWorkers(t *testing.T) {
 
 // oracleSweep is Algorithm 1 as the hardware runs it, kept as the
 // sweep's test oracle: at every voltage, each pattern's batch writes
-// and reads back every port's whole window through its traffic
-// generator, once per rep, with the device's rep register selecting the
+// and reads back every port's whole window through its AXI port, once
+// per rep, with the device's rep register selecting the
 // metastability realization. It runs on b, behind the board's real
 // regulator and crash latch; cfg supplies the rest of the sweep.
 func oracleSweep(t *testing.T, b *board.Board, cfg ReliabilityConfig) *ReliabilityResult {
@@ -95,22 +94,22 @@ func oracleSweep(t *testing.T, b *board.Board, cfg ReliabilityConfig) *Reliabili
 		}
 		for _, pat := range cfg.Patterns {
 			for _, port := range cfg.Ports {
-				tg := b.TGs[port]
-				tg.Port().SetEnabled(true)
+				p := b.Ports[port]
+				p.SetEnabled(true)
 				var flips, faulty float64
 				var runs []float64
 				for rep := range cfg.BatchSize {
 					b.Device.SetBatchRep(uint64(rep))
-					if err := tg.Reset(); err != nil {
+					if err := p.WriteRange(0, words, pat); err != nil {
 						t.Fatal(err)
 					}
-					st, err := tg.Run(axi.FillCheckProgram(pat, 0, words))
+					f, nf, err := p.ReadCheckRange(0, words, pat)
 					if err != nil {
 						t.Fatal(err)
 					}
-					flips += float64(st.Flips.Total())
-					faulty += float64(st.FaultyWords)
-					runs = append(runs, float64(st.Flips.Total()))
+					flips += float64(f.Total())
+					faulty += float64(nf)
+					runs = append(runs, float64(f.Total()))
 				}
 				sum, err := stats.Summarize(runs, DefaultConfidence)
 				if err != nil {
@@ -142,7 +141,7 @@ func oracleSweep(t *testing.T, b *board.Board, cfg ReliabilityConfig) *Reliabili
 // TestSharedExactMatchesLegacy is the sweep's strongest pin: on the
 // bit-exact sampler the fault set is pattern-agnostic, so deriving
 // every pattern from one enumeration per (port, rep) must reproduce the
-// per-pattern traffic-generator fill/check bit for bit — every
+// per-pattern board fill/check bit for bit — every
 // observation, every statistic, crashes included.
 func TestSharedExactMatchesLegacy(t *testing.T) {
 	cfg := sharedCfg(testModel(t, board.Config{Scale: 1024}), 1)
@@ -153,7 +152,7 @@ func TestSharedExactMatchesLegacy(t *testing.T) {
 	}
 	want := oracleSweep(t, board.MustNew(board.Config{Scale: 1024}), cfg)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("exact-mode sweep differs from the traffic-generator oracle:\noracle: %+v\nsweep:  %+v",
+		t.Fatalf("exact-mode sweep differs from the board oracle:\noracle: %+v\nsweep:  %+v",
 			want.Points, got.Points)
 	}
 	// The test must actually observe faults to mean anything.
@@ -169,7 +168,7 @@ func TestSharedExactMatchesLegacy(t *testing.T) {
 // TestSharedSparseMatchesBoard is TestSharedExactMatchesLegacy's sparse
 // arm: the board's uniform fill/check and the sweep count through one
 // reader, so on the sparse sampler too the sweep must reproduce the
-// traffic-generator oracle exactly — aggregate segments included, down
+// board oracle exactly — aggregate segments included, down
 // to the bulk collapse. Checkerboard reads word by word on the board,
 // not through the sweep's counter, so it is left out.
 func TestSharedSparseMatchesBoard(t *testing.T) {
@@ -183,7 +182,7 @@ func TestSharedSparseMatchesBoard(t *testing.T) {
 	}
 	want := oracleSweep(t, board.MustNew(bcfg), cfg)
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("sparse sweep differs from the traffic-generator oracle:\noracle: %+v\nsweep:  %+v",
+		t.Fatalf("sparse sweep differs from the board oracle:\noracle: %+v\nsweep:  %+v",
 			want.Points, got.Points)
 	}
 	if !want.Points[len(want.Points)-1].Crashed || want.Points[len(want.Points)-2].MeanFlips == 0 {

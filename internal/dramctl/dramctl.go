@@ -12,10 +12,7 @@
 // limited by the FPGA-side AXI clocking, not by the DRAM.
 package dramctl
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Timing holds the pseudo-channel timing parameters in memory-clock
 // cycles (except the refresh interval, which is in nanoseconds in JEDEC
@@ -260,128 +257,6 @@ func (c *Controller) Access(addr uint64, op Op) float64 {
 	c.stats.Accesses++
 	c.stats.DataCycles += float64(c.t.TBurst)
 	c.stats.Cycles = done
-	return done
-}
-
-// bulkExactThreshold is the range length below which AccessRange simply
-// loops Access — exact scheduling is cheap there and small unit-test
-// streams keep their precise timing.
-const bulkExactThreshold = 16384
-
-// bulkWarmup and bulkWindow size the one-off calibration run behind
-// AccessRange: warm the bank state machine, then measure the steady
-// cycles-per-access over a window long enough to amortize several
-// refresh intervals.
-const (
-	bulkWarmup = 2048
-	bulkWindow = 16384
-)
-
-// steadyState is the calibrated behaviour of a sequential stream.
-type steadyState struct {
-	cyclesPerOp float64
-	hitRate     float64
-}
-
-type steadyKey struct {
-	t  Timing
-	g  Geometry
-	op Op
-}
-
-var steadyCache sync.Map // steadyKey -> steadyState
-
-// steadyFor measures (once per timing/geometry/op combination) the
-// steady-state cost of a sequential word stream, including amortized
-// refresh stalls and row turnover.
-func steadyFor(t Timing, g Geometry, op Op) steadyState {
-	key := steadyKey{t, g, op}
-	if v, ok := steadyCache.Load(key); ok {
-		return v.(steadyState)
-	}
-	c := &Controller{t: t, g: g}
-	c.banks = make([]bankState, g.BankGroups*g.BanksPerGroup)
-	for i := range c.banks {
-		c.banks[i].openRow = -1
-	}
-	_, refi := t.cyclesPerRefresh()
-	c.nextRefresh = refi
-	for a := uint64(0); a < bulkWarmup; a++ {
-		c.Access(a, op)
-	}
-	start, hits := c.now, c.stats.RowHits
-	for a := uint64(bulkWarmup); a < bulkWarmup+bulkWindow; a++ {
-		c.Access(a, op)
-	}
-	st := steadyState{
-		cyclesPerOp: (c.now - start) / bulkWindow,
-		hitRate:     float64(c.stats.RowHits-hits) / bulkWindow,
-	}
-	steadyCache.Store(key, st)
-	return st
-}
-
-// AccessRange schedules count sequential 256-bit operations starting at
-// start and returns the completion cycle of the last one. Short ranges
-// are scheduled exactly; long ones advance the clock at the calibrated
-// steady-state rate (one multiplication instead of count schedule
-// steps), which keeps statistics and elapsed time representative while
-// making full pseudo-channel macros O(1). This is the bulk data path's
-// timing model; per-word Access remains the exact reference.
-func (c *Controller) AccessRange(start, count uint64, op Op) float64 {
-	if count == 0 {
-		return c.now
-	}
-	if count <= bulkExactThreshold {
-		var done float64
-		for a := start; a < start+count; a++ {
-			done = c.Access(a, op)
-		}
-		return done
-	}
-	st := steadyFor(c.t, c.g, op)
-	c.refreshIfDue()
-	base := c.now
-	if c.busFree > base {
-		base = c.busFree
-	}
-	done := base + st.cyclesPerOp*float64(count)
-
-	// Advance the refresh schedule past the bulk window; its stall time
-	// is already amortized into cyclesPerOp.
-	_, refi := c.t.cyclesPerRefresh()
-	for c.nextRefresh <= done {
-		c.nextRefresh += refi
-		c.stats.Refreshes++
-	}
-
-	// Leave the bank state consistent with "the stream just ended here".
-	last := start + count - 1
-	bank, row, group := c.decode(last)
-	for i := range c.banks {
-		c.banks[i].openRow = -1
-		c.banks[i].everOpen = false
-		if c.banks[i].readyAt < done {
-			c.banks[i].readyAt = done
-		}
-	}
-	c.banks[bank].openRow = row
-	c.banks[bank].everOpen = true
-	c.banks[bank].actAt = done
-
-	hits := uint64(st.hitRate * float64(count))
-	if hits > count {
-		hits = count
-	}
-	c.stats.Accesses += count
-	c.stats.RowHits += hits
-	c.stats.RowMisses += count - hits
-	c.stats.DataCycles += float64(c.t.TBurst) * float64(count)
-	c.stats.Cycles = done
-	c.now, c.busFree = done, done
-	c.hasLast = true
-	c.lastOp = op
-	c.lastGroup = group
 	return done
 }
 

@@ -216,7 +216,7 @@ func TestStackFaultsAppearBelowGuardband(t *testing.T) {
 	d, _ := scaledDevice(t, 64) // 128K words/PC keeps expected counts visible
 	s := d.Stacks[0]
 	const pc = 4 // sensitive PC4
-	if err := s.FillPC(pc, pattern.AllOnesWord); err != nil {
+	if err := s.WriteRange(pc, 0, s.org.WordsPerPC, pattern.AllOnes()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,7 +257,7 @@ func TestStackFaultOverlayMatchesAnalytic(t *testing.T) {
 	d, fm := scaledDevice(t, 64)
 	s := d.Stacks[1]
 	const pc = 2 // global PC18, sensitive
-	if err := s.FillPC(pc, pattern.AllZerosWord); err != nil {
+	if err := s.WriteRange(pc, 0, s.org.WordsPerPC, pattern.AllZeros()); err != nil {
 		t.Fatal(err)
 	}
 	v := 0.88
@@ -342,21 +342,6 @@ func TestDevicePortResolution(t *testing.T) {
 	}
 	if _, _, err := d.Port(64); err == nil {
 		t.Fatal("port 64 accepted")
-	}
-}
-
-func TestCountersAdvance(t *testing.T) {
-	d, _ := scaledDevice(t, 1024)
-	s := d.Stacks[0]
-	if err := s.WriteWord(0, 0, pattern.AllOnesWord); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadWord(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	r, w := s.Counters()
-	if r != 1 || w != 1 {
-		t.Fatalf("counters = (%d,%d), want (1,1)", r, w)
 	}
 }
 

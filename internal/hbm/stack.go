@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"hbmvolt/internal/faults"
 	"hbmvolt/internal/pattern"
@@ -41,9 +40,7 @@ type Stack struct {
 	crashed  bool
 	batchRep uint64
 
-	pcs      []*pseudoChannel
-	readOps  atomic.Uint64
-	writeOps atomic.Uint64
+	pcs []*pseudoChannel
 }
 
 type pseudoChannel struct {
@@ -177,7 +174,6 @@ func (s *Stack) WriteWord(pc int, addr uint64, w pattern.Word) error {
 	ch.mu.Lock()
 	ch.mem.Write(addr, w)
 	ch.mu.Unlock()
-	s.writeOps.Add(1)
 	return nil
 }
 
@@ -195,7 +191,6 @@ func (s *Stack) ReadWord(pc int, addr uint64) (pattern.Word, error) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	w := ch.mem.Read(addr)
-	s.readOps.Add(1)
 	s.ensureSampler(ch, volts, rep)
 	if ch.sampler.MightFault() {
 		w = faults.Overlay(w, ch.sampler.WordFaults(addr, nil))
@@ -236,21 +231,6 @@ func (s *Stack) WriteRange(pc int, start, count uint64, pat pattern.Pattern) err
 		}
 	}
 	ch.mu.Unlock()
-	s.writeOps.Add(count)
-	return nil
-}
-
-// ReadRange models reading [start, start+count) without checking the
-// data (bandwidth traffic): it validates the access and counts the
-// words, but skips materializing values nobody observes.
-func (s *Stack) ReadRange(pc int, start, count uint64) error {
-	if _, _, err := s.state(); err != nil {
-		return err
-	}
-	if _, err := s.channelRange(pc, start, count); err != nil {
-		return err
-	}
-	s.readOps.Add(count)
 	return nil
 }
 
@@ -258,8 +238,8 @@ func (s *Stack) ReadRange(pc int, start, count uint64) error {
 // word against pat, returning the total flip classification and the
 // number of words with at least one flipped bit. It is the bulk
 // equivalent of ReadWord+Compare per address, with the channel lock
-// taken once. A fill run that stores pat's own uniform word — every
-// run of a FillCheckProgram — is counted by the sampler's CountFlips,
+// taken once. A fill run that stores pat's own uniform word — what a
+// WriteRange of a uniform pat leaves — is counted by the sampler's CountFlips,
 // the counter every Algorithm 1 sweep uses, so the board and a sweep
 // of the same point report one device: identical counts in both fault
 // modes. Every other run (page-backed words, an address-dependent
@@ -277,7 +257,6 @@ func (s *Stack) ReadCheckRange(pc int, start, count uint64, pat pattern.Pattern)
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	sampler := s.ensureSampler(ch, volts, rep)
-	s.readOps.Add(count)
 
 	var flips pattern.Flips
 	var faulty uint64
@@ -321,30 +300,6 @@ func (s *Stack) ReadCheckRange(pc int, start, count uint64, pat pattern.Pattern)
 		}
 	})
 	return flips, faulty, nil
-}
-
-// FillPC resets an entire pseudo channel to the given word, modelling the
-// O(n) sequential write pass of Algorithm 1 without materializing pages.
-// It respects crash state like any other access.
-func (s *Stack) FillPC(pc int, w pattern.Word) error {
-	if _, _, err := s.state(); err != nil {
-		return err
-	}
-	ch, err := s.channel(pc, 0)
-	if err != nil {
-		return err
-	}
-	ch.mu.Lock()
-	ch.mem.Fill(w)
-	ch.mu.Unlock()
-	s.writeOps.Add(s.org.WordsPerPC)
-	return nil
-}
-
-// Counters returns the cumulative read and write word counts (telemetry
-// for the host controller).
-func (s *Stack) Counters() (reads, writes uint64) {
-	return s.readOps.Load(), s.writeOps.Load()
 }
 
 // AllocatedPages reports the number of materialized memory pages across

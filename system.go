@@ -4,7 +4,7 @@
 //
 // It simulates the paper's entire test platform — a VCU128 board with
 // two 4 GB HBM2 stacks, an ISL68301 PMBus voltage regulator, an INA226
-// power monitor, and 32 AXI traffic generators — around a fault model
+// power monitor, and 32 AXI ports — around a fault model
 // calibrated to every quantitative observation in the paper, and layers
 // the paper's characterization framework on top: guardband discovery,
 // power sweeps, Algorithm 1 reliability testing, per-PC fault maps, and
@@ -96,7 +96,7 @@ type Config struct {
 // framework bound to it.
 type System struct {
 	// Board exposes the underlying platform for advanced scenarios
-	// (direct TG programming, PMBus access, monitor registers).
+	// (direct port traffic, PMBus access, monitor registers).
 	Board *board.Board
 
 	// atlas is a full-capacity fault model with the same seed and
@@ -188,10 +188,12 @@ func (s *System) Guardband() (Guardband, error) {
 	return core.FindGuardband(s.atlas)
 }
 
-// MeasureGuardband locates the safe region empirically through traffic
-// (slower; exercises the full Algorithm 1 path).
+// MeasureGuardband locates the safe region empirically through the
+// Algorithm 1 fill/check (slower than Guardband). Like RunReliability it
+// evaluates the board's fault model and never programs the board, so
+// the result does not depend on the board's voltage or crash state.
 func (s *System) MeasureGuardband(wordsPerPort uint64, grid []float64) (Guardband, error) {
-	return core.MeasureGuardband(s.Board, wordsPerPort, grid)
+	return core.MeasureGuardband(s.Board.Faults, wordsPerPort, grid)
 }
 
 // RunReliability executes Algorithm 1 on this system's device: it

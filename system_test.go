@@ -59,6 +59,37 @@ func TestGuardbandThroughFacade(t *testing.T) {
 	}
 }
 
+// TestMeasureGuardbandIgnoresBoardState: the measured guardband reads
+// the device's fault model, so a board the caller left crashed neither
+// hides the guardband nor gets its rail reprogrammed.
+func TestMeasureGuardbandIgnoresBoardState(t *testing.T) {
+	sys := newSystem(t, Config{Scale: 64, Seed: 1})
+	if err := sys.SetVoltage(0.80); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.Voltage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sys.Crashed() {
+		t.Fatal("0.80V did not crash the device")
+	}
+	g, err := sys.MeasureGuardband(0, []float64{1.00, 0.99, 0.98, 0.97, 0.96, 0.95})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.VMin != VMin {
+		t.Fatalf("measured VMin on a crashed board = %v, want %v", g.VMin, VMin)
+	}
+	after, err := sys.Voltage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before || !sys.Crashed() {
+		t.Fatalf("board state moved: voltage %v -> %v, crashed %v", before, after, sys.Crashed())
+	}
+}
+
 func TestCrashRecoveryThroughFacade(t *testing.T) {
 	sys := newSystem(t, Config{})
 	if err := sys.SetVoltage(0.79); err != nil {
@@ -123,7 +154,7 @@ func TestRenderFig2(t *testing.T) {
 	}
 	// CSV export round-trips.
 	var csvBuf bytes.Buffer
-	if err := sys.WriteFig2CSV(&csvBuf, res); err != nil {
+	if err := WriteFig2CSV(&csvBuf, res); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(csvBuf.String(), "volts,ports,") {
