@@ -454,20 +454,3 @@ func BenchmarkCapacityStudy(b *testing.B) {
 	b.ReportMetric(pt.PCGranularBytes/(1<<30), "PCgranularGB@0.92V")
 	b.ReportMetric(pt.RowGranularBytes/(1<<30), "rowGranularGB@0.92V")
 }
-
-// BenchmarkBandwidthStudy characterizes the workload suite through the
-// DRAM timing model and reports the sequential/random spread.
-func BenchmarkBandwidthStudy(b *testing.B) {
-	b.ReportAllocs()
-	sys := MustNew(Config{})
-	var results []WorkloadResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = sys.RunBandwidthStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(results[0].BandwidthGBs, "seqGB/s")
-	b.ReportMetric(results[len(results)-1].BandwidthGBs, "randGB/s")
-}

@@ -17,7 +17,6 @@
 //	ecc         SEC-DED mitigation ablation (extension)
 //	temp        temperature sensitivity study (extension)
 //	capacity    row- vs PC-granular capacity recovery (extension)
-//	bandwidth   workload bandwidth characterization (extension)
 //	guardband   locate Vmin/Vcritical (analytic + measured)
 //	reliability run Algorithm 1 on a scaled board and print fault counts
 //	tradeoff    plan an operating point: -tol and -pcs
@@ -130,7 +129,7 @@ func validateFlags() error {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: hbmvolt [flags] <fig2|fig3|fig4|fig5|fig6|ecc|temp|capacity|bandwidth|guardband|reliability|tradeoff|info|all|campaign|verify>\n\n")
+	fmt.Fprintf(os.Stderr, "usage: hbmvolt [flags] <fig2|fig3|fig4|fig5|fig6|ecc|temp|capacity|guardband|reliability|tradeoff|info|all|campaign|verify>\n\n")
 	flag.PrintDefaults()
 }
 
@@ -192,9 +191,6 @@ func run(cmd string) error {
 	case "capacity":
 		_, err := sys.RenderCapacityStudy(out)
 		return err
-	case "bandwidth":
-		_, err := sys.RenderBandwidthStudy(out)
-		return err
 	case "guardband":
 		return runGuardband(sys)
 	case "reliability":
@@ -204,7 +200,7 @@ func run(cmd string) error {
 	case "info":
 		return runInfo(sys)
 	case "all":
-		for _, c := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "ecc", "temp", "capacity", "bandwidth", "guardband"} {
+		for _, c := range []string{"fig2", "fig3", "fig4", "fig5", "fig6", "ecc", "temp", "capacity", "guardband"} {
 			fmt.Fprintf(out, "\n===== %s =====\n", strings.ToUpper(c))
 			if err := run(c); err != nil {
 				return err
@@ -445,10 +441,23 @@ func runTradeoff(sys *hbmvolt.System) error {
 	return nil
 }
 
+// capacity formats a device size in the largest unit it fills: GB for
+// the full device, MB or KB for a scaled one (8 MB at -scale 1024).
+func capacity(bytes uint64) string {
+	switch {
+	case bytes >= 1<<30:
+		return fmt.Sprintf("%.1f GB", float64(bytes)/(1<<30))
+	case bytes >= 1<<20:
+		return fmt.Sprintf("%d MB", bytes>>20)
+	default:
+		return fmt.Sprintf("%d KB", bytes>>10)
+	}
+}
+
 func runInfo(sys *hbmvolt.System) error {
 	b := sys.Board
-	fmt.Printf("platform: VCU128-class, %d HBM stacks, %d pseudo channels, %.1f GB (scale 1/%d)\n",
-		len(b.Device.Stacks), b.Org.TotalPCs(), float64(b.Org.TotalBytes())/(1<<30), *flagScale)
+	fmt.Printf("platform: VCU128-class, %d HBM stacks, %d pseudo channels, %s (scale 1/%d)\n",
+		len(b.Device.Stacks), b.Org.TotalPCs(), capacity(b.Org.TotalBytes()), *flagScale)
 	fmt.Printf("aggregate bandwidth: %.0f GB/s (paper: 310 achieved / 429 theoretical)\n",
 		b.AggregateBandwidthGBs())
 	w, err := sys.PowerWatts()

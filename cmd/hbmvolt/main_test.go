@@ -48,12 +48,35 @@ func TestRunAllCommands(t *testing.T) {
 	setFlag(t, flagVolts, 0.90)
 	commands := []string{
 		"info", "fig2", "fig3", "fig4", "fig5", "fig6",
-		"ecc", "temp", "capacity", "bandwidth",
+		"ecc", "temp", "capacity",
 		"tradeoff", "reliability",
 	}
 	for _, cmd := range commands {
 		if err := run(cmd); err != nil {
 			t.Fatalf("command %q: %v", cmd, err)
+		}
+	}
+}
+
+// TestInfoCapacity pins the capacity on info's platform line: a scaled
+// device prints in MB or KB, which "%.1f GB" would round to 0.0, and the
+// full one in GB.
+func TestInfoCapacity(t *testing.T) {
+	setFlag(t, flagScale, 1024)
+	out := captureStdout(t, func() error { return run("info") })
+	if want := "32 pseudo channels, 8 MB (scale 1/1024)\n"; !strings.Contains(out, want) {
+		t.Fatalf("info platform line lacks %q:\n%s", want, out)
+	}
+	for _, c := range []struct {
+		bytes uint64
+		want  string
+	}{
+		{8 << 30, "8.0 GB"},
+		{128 << 20, "128 MB"},
+		{32 << 10, "32 KB"},
+	} {
+		if got := capacity(c.bytes); got != c.want {
+			t.Errorf("capacity(%d) = %q, want %q", c.bytes, got, c.want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"hbmvolt/internal/dramctl"
 	"hbmvolt/internal/faults"
 	"hbmvolt/internal/hbm"
 	"hbmvolt/internal/pattern"
@@ -32,7 +31,7 @@ func testDevice(t testing.TB, scale uint64) *hbm.Device {
 
 func testPort(t testing.TB, dev *hbm.Device, id hbm.PortID) *Port {
 	t.Helper()
-	p, err := NewPort(id, dev, nil, PortConfig{})
+	p, err := NewPort(id, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,19 +40,11 @@ func testPort(t testing.TB, dev *hbm.Device, id hbm.PortID) *Port {
 
 func TestPortValidation(t *testing.T) {
 	dev := testDevice(t, 1024)
-	if _, err := NewPort(32, dev, nil, PortConfig{}); err == nil {
+	if _, err := NewPort(32, dev, nil); err == nil {
 		t.Fatal("port 32 accepted")
 	}
-	if _, err := NewPort(-1, dev, nil, PortConfig{}); err == nil {
+	if _, err := NewPort(-1, dev, nil); err == nil {
 		t.Fatal("negative port accepted")
-	}
-	if _, err := NewPort(0, dev, nil, PortConfig{ClockMHz: -5}); err == nil {
-		t.Fatal("negative clock accepted")
-	}
-	bad := dramctl.DefaultTiming()
-	bad.TBurst = 0
-	if _, err := NewPort(0, dev, nil, PortConfig{Timing: bad}); err == nil {
-		t.Fatal("invalid timing accepted")
 	}
 }
 
@@ -124,31 +115,25 @@ func TestAggregateBandwidthMatchesPaper(t *testing.T) {
 
 func TestSwitchDisabledIdentity(t *testing.T) {
 	sw := NewSwitch()
-	for i := hbm.PortID(0); i < 32; i++ {
-		if sw.Route(i) != i {
-			t.Fatal("disabled switch does not route identity")
-		}
-	}
-	if err := sw.SetRoute(0, 5); err == nil {
-		t.Fatal("SetRoute on disabled switch accepted")
+	if sw.Enabled {
+		t.Fatal("new switch enabled")
 	}
 	if sw.Throughput(100) != 100 {
 		t.Fatal("disabled switch derated throughput")
 	}
 }
 
+// TestSwitchRouting pins that an enabled switch leaves every port wired
+// to its own pseudo channel and costs only bandwidth.
 func TestSwitchRouting(t *testing.T) {
 	dev := testDevice(t, 1024)
 	sw := NewSwitch()
 	sw.Enabled = true
-	if err := sw.SetRoute(0, 17); err != nil {
-		t.Fatal(err)
-	}
-	p0, err := NewPort(0, dev, sw, PortConfig{})
+	p17, err := NewPort(17, dev, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p0.WriteWord(9, pattern.AllOnesWord); err != nil {
+	if err := p17.WriteWord(9, pattern.AllOnesWord); err != nil {
 		t.Fatal(err)
 	}
 	// The write must land in stack 1, pc 1 (global PC 17).
@@ -157,13 +142,10 @@ func TestSwitchRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if w != pattern.AllOnesWord {
-		t.Fatal("routed write did not reach PC17")
+		t.Fatal("port 17's write did not reach PC17")
 	}
-	if sw.Throughput(100) >= 100 {
-		t.Fatal("enabled switch must cost bandwidth")
-	}
-	if err := sw.SetRoute(0, 99); err == nil {
-		t.Fatal("out-of-range route accepted")
+	if got := sw.Throughput(100); math.Abs(got-70) > 1e-9 {
+		t.Fatalf("enabled switch throughput = %v of 100, want 70", got)
 	}
 }
 

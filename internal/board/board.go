@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"hbmvolt/internal/axi"
-	"hbmvolt/internal/dramctl"
 	"hbmvolt/internal/faults"
 	"hbmvolt/internal/hbm"
 	"hbmvolt/internal/ina226"
@@ -41,10 +40,6 @@ type Config struct {
 	// NoiseSigma is the per-sample measurement noise of the monitor
 	// chain; 0 disables noise (exact measurements).
 	NoiseSigma float64
-	// AXIClockMHz overrides the per-port AXI clock.
-	AXIClockMHz float64
-	// Timing overrides the DRAM timing model.
-	Timing dramctl.Timing
 	// SwitchEnabled turns the AXI switching network on (the paper keeps
 	// it off).
 	SwitchEnabled bool
@@ -175,9 +170,8 @@ func New(cfg Config) (*Board, error) {
 
 	b.Switch = axi.NewSwitch()
 	b.Switch.Enabled = cfg.SwitchEnabled
-	pcfg := axi.PortConfig{ClockMHz: cfg.AXIClockMHz, Timing: cfg.Timing}
 	for i := range b.Ports {
-		p, err := axi.NewPort(hbm.PortID(i), dev, b.Switch, pcfg)
+		p, err := axi.NewPort(hbm.PortID(i), dev, b.Switch)
 		if err != nil {
 			return nil, err
 		}

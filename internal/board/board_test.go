@@ -316,4 +316,16 @@ func TestSwitchDisabledByDefault(t *testing.T) {
 	if w != pattern.AllOnesWord {
 		t.Fatal("port 18 not wired to PC18")
 	}
+	if bw := b.AggregateBandwidthGBs(); math.Abs(bw-310) > 2 {
+		t.Fatalf("direct bandwidth = %v GB/s, want ≈310", bw)
+	}
+	// Config.SwitchEnabled is the switch's one knob: it costs 30% of
+	// the bandwidth.
+	sw := newBoard(t, Config{SwitchEnabled: true})
+	if !sw.Switch.Enabled {
+		t.Fatal("SwitchEnabled board has the switch off")
+	}
+	if bw := sw.AggregateBandwidthGBs(); math.Abs(bw-0.70*310) > 2 {
+		t.Fatalf("switched bandwidth = %v GB/s, want ≈%v", bw, 0.70*310)
+	}
 }

@@ -6,7 +6,8 @@
 // The model covers exactly what the experiments exercise: word-granular
 // reads and writes through the pseudo channels, the voltage-dependent
 // fault overlay, and the crash behaviour below V_critical. Bank-level
-// command timing lives in internal/dramctl.
+// command timing is not modelled: the AXI fabric, not the DRAM, limits
+// the platform's bandwidth (internal/axi).
 package hbm
 
 import "fmt"

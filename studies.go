@@ -5,27 +5,21 @@ import (
 	"io"
 
 	"hbmvolt/internal/core"
-	"hbmvolt/internal/dramctl"
 	"hbmvolt/internal/report"
-	"hbmvolt/internal/workload"
 )
 
 // Extension studies beyond the paper's figures: temperature
-// sensitivity, row-granular capacity recovery, and workload bandwidth
-// characterization. Each has a Run method returning data and a Render
-// method writing a table. The analytic studies route through the
-// memoized rate atlas (internal/faults), so re-running them — or
-// running them after the figures — reuses every grid point already
-// computed for this device realization.
+// sensitivity and row-granular capacity recovery. Each has a Run method
+// returning data and a Render method writing a table. The analytic
+// studies route through the memoized rate atlas (internal/faults), so
+// re-running them — or running them after the figures — reuses every
+// grid point already computed for this device realization.
 
 // TempStudy re-exports the temperature sweep result.
 type TempStudy = core.TempStudy
 
 // CapacityStudy re-exports the capacity-granularity result.
 type CapacityStudy = core.CapacityStudy
-
-// WorkloadResult re-exports one bandwidth measurement.
-type WorkloadResult = workload.Result
 
 // RunTempStudy sweeps operating temperature on this device instance.
 func (s *System) RunTempStudy(temps []float64) (*TempStudy, error) {
@@ -89,36 +83,4 @@ func (s *System) RenderCapacityStudy(w io.Writer) (*CapacityStudy, error) {
 	fmt.Fprintln(w, "capacity study — row-granular fault maps recover memory that whole-PC")
 	fmt.Fprintln(w, "exclusion discards, because faults concentrate in ~8% of rows (§III-B)")
 	return study, nil
-}
-
-// RunBandwidthStudy drives the standard workload suite through the
-// DRAM timing model of one pseudo channel.
-func (s *System) RunBandwidthStudy() ([]WorkloadResult, error) {
-	return workload.RunSuite(dramctl.DefaultTiming(), dramctl.DefaultGeometry, 1<<20, 1<<17)
-}
-
-// RenderBandwidthStudy writes the per-workload sustained bandwidth.
-func (s *System) RenderBandwidthStudy(w io.Writer) ([]WorkloadResult, error) {
-	results, err := s.RunBandwidthStudy()
-	if err != nil {
-		return nil, err
-	}
-	peak := dramctl.DefaultTiming().PeakBandwidthGBs()
-	tbl := report.NewTable("workload", "GB/s per PC", "x32 PCs", "efficiency", "row hits")
-	for _, r := range results {
-		tbl.AddRow(
-			r.Name,
-			fmt.Sprintf("%.2f", r.BandwidthGBs),
-			fmt.Sprintf("%.0f", r.BandwidthGBs*32),
-			fmt.Sprintf("%.0f%%", r.Efficiency*100),
-			fmt.Sprintf("%.0f%%", r.RowHitRate*100),
-		)
-	}
-	if _, err := tbl.WriteTo(w); err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "pin bandwidth %.2f GB/s per PC (%.0f GB/s x32, paper theoretical 429)\n", peak, peak*32)
-	fmt.Fprintln(w, "undervolting saves the same factor for every workload — power scales with V²,")
-	fmt.Fprintln(w, "not with achieved bandwidth (§III-A1)")
-	return results, nil
 }

@@ -52,34 +52,6 @@ func TestRenderCapacityStudy(t *testing.T) {
 	}
 }
 
-func TestRenderBandwidthStudy(t *testing.T) {
-	sys := newSystem(t, Config{})
-	var buf bytes.Buffer
-	results, err := sys.RenderBandwidthStudy(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) < 4 {
-		t.Fatalf("suite size %d", len(results))
-	}
-	if results[0].Name != "sequential-read" {
-		t.Fatalf("first workload %s", results[0].Name)
-	}
-	// Sequential must beat random by a wide margin.
-	var seq, rnd float64
-	for _, r := range results {
-		switch r.Name {
-		case "sequential-read":
-			seq = r.BandwidthGBs
-		case "random":
-			rnd = r.BandwidthGBs
-		}
-	}
-	if seq < 2*rnd {
-		t.Fatalf("sequential %v vs random %v: locality effect missing", seq, rnd)
-	}
-}
-
 // Golden tests pin the fully deterministic analytic figures: any change
 // to the calibration, the analytics, or the rendering shows up as a
 // diff. Regenerate with: go test -run TestGolden -update .
